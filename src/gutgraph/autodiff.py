@@ -2,8 +2,11 @@
 
 Everything is a (rows, cols) matrix; scalars are 1x1. Operations record
 onto the innermost active ``Tape`` (define-by-run, rebuilt every
-iteration) and ``Tape.backward`` replays the record in reverse to
-accumulate vector-Jacobian products into ``Tensor.grad``.
+iteration) and ``Tape.backward`` replays the record in reverse,
+propagating vector-Jacobian products. Gradients land on leaves only
+(parameters and inputs, never recorded intermediates), in
+``Tensor.grad``; each intermediate's adjoint is freed as soon as the
+sweep has passed the record that produced it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,12 @@ _ACTIVE_TAPES: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of executed operations for one backward pass."""
+    """Ordered record of executed operations for one backward pass.
+
+    ``backward`` writes ``grad`` on leaf tensors only and frees each
+    intermediate adjoint once the sweep has passed it, so a pass holds
+    at most the adjoints still waiting for their producing record.
+    """
 
     def __init__(self):
         self._records: list[_Record] = []
@@ -80,33 +88,32 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into ``grad`` of every recorded
-        tensor that requires gradients. ``loss`` must be 1x1."""
+        """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf that
+        requires gradients. ``loss`` must be 1x1.
+
+        A leaf is a tensor this tape did not record as an output: a
+        parameter or an input. Recorded intermediates never receive
+        ``grad``. Each intermediate's adjoint is complete once the sweep
+        reaches the record that produced it, and is freed there.
+        """
         if loss.data.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got {loss.data.shape}")
         # Adjoints for THIS pass live in a local map so earlier passes
         # (accumulated in .grad) never feed back into the sweep.
-        adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        touched: dict[int, Tensor] = {id(loss): loss}
+        pending: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(loss): (loss, np.ones((1, 1)))}
         for out, inputs, vjp in reversed(self._records):
-            g = adjoint.get(id(out))
-            if g is None:
+            entry = pending.pop(id(out), None)
+            if entry is None:
                 continue
-            contribs = vjp(g)
-            for inp, contrib in zip(inputs, contribs):
+            for inp, contrib in zip(inputs, vjp(entry[1])):
                 if contrib is None or not inp.requires_grad:
                     continue
-                key = id(inp)
-                if key in adjoint:
-                    adjoint[key] = adjoint[key] + contrib
-                else:
-                    adjoint[key] = contrib
-                touched[key] = inp
-        for key, t in touched.items():
-            if not t.requires_grad:
-                continue
-            g = adjoint[key]
-            t.grad = g.copy() if t.grad is None else t.grad + g
+                prev = pending.get(id(inp))
+                pending[id(inp)] = (inp, contrib if prev is None else prev[1] + contrib)
+        for t, g in pending.values():
+            if t.requires_grad:
+                t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def _current_tape() -> Tape | None:
@@ -136,7 +143,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        # A constant operand needs no adjoint. For the N x N normalized
+        # adjacency that skipped GEMM is the largest one in the pass.
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 

@@ -5,6 +5,16 @@ rescaled to [0, 1] over the off-diagonal entries and an undirected edge
 is drawn wherever the rescaled distance falls strictly below a
 threshold. Self-loops enter only later, inside the symmetric degree
 normalization (A + I).
+
+Each distance kernel takes one profile ``m`` and either one profile or a
+block of profiles ``n`` (one per row) and returns one distance per row,
+so ``pairwise_distances`` makes one kernel call per sample.
+
+All-zero profiles (``preprocess`` can leave them): Bray-Curtis between
+two all-zero profiles is 0/0, so ``pairwise_distances`` raises
+``GraphBuildError`` naming both sample indices. One all-zero profile
+against a non-zero one has Bray-Curtis distance 1.0, and the other two
+metrics are defined for any pair.
 """
 
 from __future__ import annotations
@@ -19,6 +29,14 @@ class GraphBuildError(ValueError):
     """Raised when a relation graph cannot be constructed."""
 
 
+class ZeroProfilesError(GraphBuildError):
+    """Bray-Curtis met two all-zero profiles: ``m`` and row ``row`` of ``n``."""
+
+    def __init__(self, row: int):
+        super().__init__("bray-curtis undefined for two all-zero profiles")
+        self.row = row
+
+
 class DistanceKind(enum.Enum):
     BRAY_CURTIS = "bray_curtis"
     EUCLIDEAN = "euclidean"
@@ -30,27 +48,28 @@ ALL_KINDS: tuple[DistanceKind, ...] = (
     DistanceKind.BRAY_CURTIS, DistanceKind.EUCLIDEAN, DistanceKind.CANBERRA)
 
 
-def bray_curtis(m: np.ndarray, n: np.ndarray) -> float:
-    """sum|m_i - n_i| / (sum m + sum n); undefined when both profiles
-    are all zero."""
-    denom = m.sum() + n.sum()
-    if denom == 0:
-        raise GraphBuildError("bray-curtis undefined for two all-zero profiles")
-    return float(np.abs(m - n).sum() / denom)
+def bray_curtis(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """sum|m_i - n_i| / (sum m + sum n) from profile ``m`` to each row of
+    ``n``; undefined where both profiles are all zero."""
+    denom = m.sum() + n.sum(axis=-1)
+    zero = np.flatnonzero(denom == 0)
+    if zero.size:
+        raise ZeroProfilesError(int(zero[0]))
+    return np.abs(m - n).sum(axis=-1) / denom
 
 
-def euclidean(m: np.ndarray, n: np.ndarray) -> float:
+def euclidean(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     d = m - n
-    return float(np.sqrt((d * d).sum()))
+    return np.sqrt((d * d).sum(axis=-1))
 
 
-def canberra(m: np.ndarray, n: np.ndarray) -> float:
+def canberra(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """sum over features of |m_i - n_i| / (|m_i| + |n_i|), with 0/0
     terms contributing zero."""
     num = np.abs(m - n)
     den = np.abs(m) + np.abs(n)
     terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(terms.sum())
+    return terms.sum(axis=-1)
 
 
 _METRICS = {
@@ -61,18 +80,28 @@ _METRICS = {
 
 
 def pairwise_distances(values: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """Dense symmetric distance matrix with an exactly-zero diagonal."""
-    values = np.asarray(values, dtype=np.float64)
+    """Dense symmetric distance matrix with an exactly-zero diagonal.
+
+    Row i comes from one kernel call of sample i against samples
+    i+1..N-1 and is mirrored into column i.
+    """
+    # C order makes each row's reduction run in the same order as the
+    # 1-D kernel on that row alone, so every entry is bit-identical to it.
+    values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
     if n < 2:
         raise GraphBuildError(f"need at least 2 samples, got {n}")
     metric = _METRICS[kind]
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = metric(values[i], values[j])
-            out[i, j] = d
-            out[j, i] = d
+    for i in range(n - 1):
+        try:
+            row = metric(values[i], values[i + 1:])
+        except ZeroProfilesError as exc:
+            raise GraphBuildError(
+                f"samples {i} and {i + 1 + exc.row} are both all-zero profiles; "
+                "bray-curtis distance is undefined between them") from None
+        out[i, i + 1:] = row
+        out[i + 1:, i] = row
     return out
 
 

@@ -386,6 +386,43 @@ def test_reused_tensor_receives_summed_adjoints():
     assert x.grad[0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
+def test_backward_deposits_grad_on_leaves_only_and_leaves_accumulate():
+    rng = np.random.default_rng(11)
+    adj = ad.constant(rng.random((4, 4)))
+    feats = ad.constant(rng.normal(size=(4, 3)))
+    w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    with ad.Tape() as tape:
+        h = ad.relu(ad.add_bias(ad.matmul(adj, ad.matmul(feats, w)), b))
+        loss = ad.sum_all(ad.square(h))
+        tape.backward(loss)
+        first = {"w": w.grad.copy(), "b": b.grad.copy()}
+        tape.backward(loss)
+    intermediates = [out for out, _, _ in tape._records]
+    assert len(intermediates) == 6
+    assert all(t.grad is None for t in intermediates)
+    assert adj.grad is None and feats.grad is None
+    assert np.array_equal(w.grad, 2.0 * first["w"])
+    assert np.array_equal(b.grad, 2.0 * first["b"])
+
+
+def test_matmul_vjp_returns_none_for_constant_operand():
+    rng = np.random.default_rng(12)
+    const = ad.constant(rng.normal(size=(3, 3)))
+    w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    v = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with ad.Tape() as tape:
+        left = ad.matmul(const, w)
+        right = ad.matmul(v, const)
+    (_, _, vjp_left), (_, _, vjp_right) = tape._records
+    g_const, g_w = vjp_left(np.ones(left.shape))
+    assert g_const is None
+    assert np.array_equal(g_w, const.data.T @ np.ones(left.shape))
+    g_v, g_const = vjp_right(np.ones(right.shape))
+    assert g_const is None
+    assert np.array_equal(g_v, np.ones(right.shape) @ const.data.T)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 

@@ -142,6 +142,35 @@ def test_build_graphs_writes_edges_and_sidecars(tmp_path, cohort):
         assert sidecar["threshold"] == 0.6
 
 
+def test_build_graphs_two_all_zero_samples_fail_in_one_line(tmp_path, capsys):
+    table = tmp_path / "t.tsv"
+    table.write_text(
+        "feature_id\ts1\ts2\ts3\ts4\n"
+        "f1\t0.5\t0\t0.1\t0\n"
+        "f2\t0.5\t0\t0.9\t0\n")
+    out = tmp_path / "graphs"
+    assert main(["build-graphs", "--table", str(table), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: samples 1 and 3 are both all-zero")
+    assert not list(out.glob("edges_*"))
+
+
+def test_build_graphs_one_all_zero_sample_is_isolated_in_bray_curtis(tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_text(
+        "feature_id\ts1\ts2\ts3\ts4\n"
+        "f1\t0.5\t0\t0.1\t0.4\n"
+        "f2\t0.3\t0\t0.1\t0.4\n"
+        "f3\t0.2\t0\t0.8\t0.2\n")
+    out = tmp_path / "graphs"
+    assert main(["build-graphs", "--table", str(table), "--out-dir", str(out)]) == 0
+    # s2 sits at the maximum Bray-Curtis distance 1.0 from every sample
+    edges = (out / "edges_bray_curtis.tsv").read_text().splitlines()
+    assert edges
+    assert all("1" not in line.split("\t") for line in edges)
+
+
 def test_train_writes_checkpoint_and_trace(tmp_path, cohort):
     table_path, _ = cohort
     out = tmp_path / "run"

@@ -96,6 +96,66 @@ def test_pairwise_matches_independent_oracle(kind):
                 assert rel < 1e-12
 
 
+KERNELS = {
+    gg.DistanceKind.BRAY_CURTIS: gg.bray_curtis,
+    gg.DistanceKind.EUCLIDEAN: gg.euclidean,
+    gg.DistanceKind.CANBERRA: gg.canberra,
+}
+
+
+@st.composite
+def abundance_tables(draw):
+    """Non-negative N x F tables: zero-inflated, up to 2000 features wide,
+    with at most one all-zero sample (two make Bray-Curtis undefined)."""
+    n = draw(st.integers(2, 9))
+    f = draw(st.sampled_from([1, 2, 7, 60, 513, 2000]))
+    zero_fraction = draw(st.sampled_from([0.0, 0.5, 0.7, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.lognormal(sigma=2.0, size=(n, f))
+    x[rng.random((n, f)) < zero_fraction] = 0.0
+    x[np.arange(n), rng.integers(0, f, size=n)] += rng.random(n) + 1e-3
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = 0.0
+    return x
+
+
+@given(x=abundance_tables())
+@settings(max_examples=40, deadline=None)
+def test_pairwise_entries_are_bit_identical_to_pair_kernel(x):
+    n = x.shape[0]
+    for kind, kernel in KERNELS.items():
+        d = gg.pairwise_distances(x, kind)
+        for i in range(n):
+            for j in range(i + 1, n):
+                want = np.float64(kernel(x[i], x[j])).tobytes()
+                assert d[i, j].tobytes() == want, (kind, i, j)
+                assert d[j, i].tobytes() == want, (kind, j, i)
+
+
+@given(x=abundance_tables(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pairwise_bit_invariant_under_sample_permutation(x, data):
+    p = np.array(data.draw(st.permutations(range(x.shape[0]))))
+    for kind in gg.DistanceKind:
+        permuted = gg.pairwise_distances(x[p], kind)
+        assert permuted.tobytes() == gg.pairwise_distances(x, kind)[np.ix_(p, p)].tobytes()
+
+
+def test_two_all_zero_profiles_name_both_samples():
+    x = np.array([[0.2, 0.8], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(gg.GraphBuildError, match="samples 1 and 3 are both all-zero"):
+        gg.pairwise_distances(x, gg.DistanceKind.BRAY_CURTIS)
+    for kind in (gg.DistanceKind.EUCLIDEAN, gg.DistanceKind.CANBERRA):
+        assert gg.pairwise_distances(x, kind)[1, 3] == 0.0
+
+
+def test_one_all_zero_profile_is_at_bray_curtis_distance_one():
+    x = np.array([[0.2, 0.8], [0.0, 0.0], [0.5, 0.3]])
+    d = gg.pairwise_distances(x, gg.DistanceKind.BRAY_CURTIS)
+    assert d[1].tolist() == [1.0, 0.0, 1.0]
+    assert d[:, 1].tolist() == [1.0, 0.0, 1.0]
+
+
 def test_pairwise_needs_two_samples():
     with pytest.raises(gg.GraphBuildError):
         gg.pairwise_distances(np.ones((1, 3)), gg.DistanceKind.EUCLIDEAN)
