@@ -311,20 +311,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _make(out, (logits,), vjp)
 
 
-def softmax_over_set(scores: Sequence[Tensor]) -> list[Tensor]:
-    """Softmax over a list of 1x1 scores, returned as 1x1 tensors."""
-    if not scores:
-        raise ShapeError("softmax_over_set needs at least one score")
-    for s in scores:
-        if s.data.shape != (1, 1):
-            raise ShapeError(f"softmax_over_set expects 1x1 scores, got {s.data.shape}")
-    row = scores[0]
-    for s in scores[1:]:
-        row = concat_cols(row, s)
-    sm = softmax_rows(row)
-    return [slice_cols(sm, j, j + 1) for j in range(len(scores))]
-
-
 # ---------------------------------------------------------------------------
 # optimization
 

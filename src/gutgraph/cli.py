@@ -19,6 +19,7 @@ import json
 import os
 import sys
 
+from . import model
 from . import train as tr
 from .gradcheck import DEFAULT_TOLERANCE, gradient_check
 from .graph import GraphBuildError, build_multigraph, edge_list_lines, \
@@ -158,7 +159,7 @@ def cmd_build_graphs(args) -> int:
         "config": cfg.as_dict(),
     })
     table = _read_table(args)
-    mg = build_multigraph(table.values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(table.values, cfg.threshold)
     for kind, graph in mg.relations.items():
         lines = edge_list_lines(graph)
         body = "\n".join(lines) + "\n" if lines else ""
@@ -180,9 +181,10 @@ def cmd_train(args) -> int:
         "config": cfg.as_dict(),
     })
     table = _read_table(args)
-    mg = build_multigraph(table.values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(table.values, cfg.threshold)
     params, trace = tr.train_unsupervised(mg, cfg)
-    tr.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params, cfg, trace)
+    tr.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params, cfg, trace,
+                       table.feature_names)
     body = "".join(f"{i}\t{v!r}\n" for i, v in enumerate(trace))
     tr.atomic_write_text(os.path.join(out_dir, "loss_trace.tsv"), body)
     if trace:
@@ -192,39 +194,42 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    out_dir = _resolve_out_dir(args)
-    table = None
+def _model_and_table(args, out_dir: str, command: str, echo: dict):
+    """(config, trained params or None, table) for a command that takes
+    either --checkpoint or config flags. Echoes the resolved config
+    before reading the table, which must have the checkpoint's features
+    in the checkpoint's order."""
+    echo = {"table": os.path.abspath(args.table),
+            "delimiter": args.delimiter, **echo}
+    ckpt = params = None
     if args.checkpoint:
         if _explicit_config_given(args):
             raise ValueError(
                 "--checkpoint carries its own configuration; drop the "
-                "config flags or evaluate end-to-end without --checkpoint")
+                f"config flags or {command} end-to-end without --checkpoint")
         ckpt = tr.load_checkpoint(args.checkpoint)
         params, cfg = tr.params_from_checkpoint(ckpt)
-        _echo_config(out_dir, "evaluate", {
-            "table": os.path.abspath(args.table),
-            "labels": os.path.abspath(args.labels),
-            "delimiter": args.delimiter,
-            "checkpoint": os.path.abspath(args.checkpoint),
-            "config": cfg.as_dict(),
-        })
-        table = _read_table(args)
-        labels = _read_labels(args, table)
-        report = tr.evaluate_with_params(table.values, labels.labels, params, cfg)
+        echo["checkpoint"] = os.path.abspath(args.checkpoint)
     else:
         cfg = _resolve_config(args)
-        _echo_config(out_dir, "evaluate", {
-            "table": os.path.abspath(args.table),
-            "labels": os.path.abspath(args.labels),
-            "delimiter": args.delimiter,
-            "jobs": args.jobs,
-            "config": cfg.as_dict(),
-        })
-        table = _read_table(args)
-        labels = _read_labels(args, table)
+    echo["config"] = cfg.as_dict()
+    _echo_config(out_dir, command, echo)
+    table = _read_table(args)
+    if ckpt is not None:
+        tr.check_feature_names(ckpt, table.feature_names)
+    return cfg, params, table
+
+
+def cmd_evaluate(args) -> int:
+    out_dir = _resolve_out_dir(args)
+    cfg, params, table = _model_and_table(args, out_dir, "evaluate", {
+        "labels": os.path.abspath(args.labels), "jobs": args.jobs})
+    labels = _read_labels(args, table)
+    if params is None:
         report = tr.run_cross_validation(table.values, labels.labels, cfg,
                                          jobs=args.jobs)
+    else:
+        report = tr.evaluate_with_params(table.values, labels.labels, params, cfg)
     tr.atomic_write_text(os.path.join(out_dir, "metrics.json"),
                          tr.report_to_json(report))
     tr.atomic_write_text(os.path.join(out_dir, "metrics.txt"),
@@ -239,32 +244,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_embed(args) -> int:
     out_dir = _resolve_out_dir(args)
-    if args.checkpoint:
-        if _explicit_config_given(args):
-            raise ValueError(
-                "--checkpoint carries its own configuration; drop the "
-                "config flags or embed end-to-end without --checkpoint")
-        ckpt = tr.load_checkpoint(args.checkpoint)
-        params, cfg = tr.params_from_checkpoint(ckpt)
-        _echo_config(out_dir, "embed", {
-            "table": os.path.abspath(args.table),
-            "delimiter": args.delimiter,
-            "checkpoint": os.path.abspath(args.checkpoint),
-            "config": cfg.as_dict(),
-        })
-        table = _read_table(args)
-        mg = build_multigraph(table.values, cfg.threshold, seed=cfg.seed)
-    else:
-        cfg = _resolve_config(args)
-        _echo_config(out_dir, "embed", {
-            "table": os.path.abspath(args.table),
-            "delimiter": args.delimiter,
-            "config": cfg.as_dict(),
-        })
-        table = _read_table(args)
-        mg = build_multigraph(table.values, cfg.threshold, seed=cfg.seed)
+    cfg, params, table = _model_and_table(args, out_dir, "embed", {})
+    mg = build_multigraph(table.values, cfg.threshold)
+    if params is None:
         params, _ = tr.train_unsupervised(mg, cfg)
-    emb = tr.embeddings_for(mg, params, cfg)
+    emb = model.encode(mg.features, mg.norm_adjs, params,
+                       use_attention=cfg.use_attention)
     d = args.delimiter
     body = "".join(
         sid + d + d.join(repr(v) for v in row) + "\n"

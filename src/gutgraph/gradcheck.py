@@ -4,7 +4,9 @@ Central finite differences against the tape's analytic gradients, one
 relative error per parameter group. The graph-level histogram readout
 is a constant under autodiff (stop-gradient), so perturbed evaluations
 reuse the base-point histograms; differencing across histogram
-re-binning would measure a derivative the model does not define.
+re-binning would measure a derivative the model does not define. The
+classifier group is the softmax head ``train.train_classifier`` fits,
+on standardized embeddings with freshly drawn weights.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model
-from .graph import ALL_KINDS, build_multigraph, normalize_adjacency, shuffle_features
+from .graph import ALL_KINDS, build_multigraph, shuffle_features
+from .train import TrainConfig, train_classifier
 
 DEFAULT_TOLERANCE = 1e-4
 
@@ -59,8 +62,7 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
     root = np.random.SeedSequence(seed)
     data_rng = np.random.default_rng(root.spawn(1)[0])
     x = data_rng.random((n_nodes, n_features)) + 0.05
-    mg = build_multigraph(x, threshold=0.6, seed=seed)
-    adjs = {k: normalize_adjacency(g).matrix for k, g in mg.relations.items()}
+    adjs = build_multigraph(x, threshold=0.6).norm_adjs
     x_shuffled, _ = shuffle_features(x, seed=seed + 1)
 
     init_rng = np.random.default_rng(root.spawn(2)[1])
@@ -76,19 +78,25 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for name, t in named.items()}
 
-    # analytic pass for the classifier head on frozen embeddings
+    # analytic pass for the classifier head on frozen embeddings: the
+    # standardized input and freshly drawn weights of train_classifier
     embeddings = model.encode(x, adjs, params)
     labels = np.arange(n_nodes) % 2
-    for t in named.values():
-        t.zero_grad()
+    head = train_classifier(embeddings, labels, np.arange(n_nodes),
+                            TrainConfig(classifier_steps=0), seed=seed)
+    head_x = ad.constant((embeddings - head.mean) / head.scale)
+    head_w = ad.Tensor(head.weight, requires_grad=True)
+    head_b = ad.Tensor(head.bias, requires_grad=True)
+    named.update({"classifier/weight": head_w, "classifier/bias": head_b})
+
+    def classifier_ce() -> ad.Tensor:
+        return ad.softmax_cross_entropy(
+            model.classifier_logits(head_x, head_w, head_b), labels)
+
     with ad.Tape() as tape:
-        ce = ad.softmax_cross_entropy(
-            model.classifier_logits(ad.constant(embeddings),
-                                    params.classifier_w, params.classifier_b),
-            labels)
-        tape.backward(ce)
-    analytic["classifier/weight"] = params.classifier_w.grad.copy()
-    analytic["classifier/bias"] = params.classifier_b.grad.copy()
+        tape.backward(classifier_ce())
+    analytic["classifier/weight"] = head_w.grad.copy()
+    analytic["classifier/bias"] = head_b.grad.copy()
 
     if corrupt_group is not None:
         if corrupt_group not in _GROUP_PREFIXES:
@@ -101,16 +109,12 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
         return model.joint_forward(x, x_shuffled, adjs, params, bins=bins,
                                    frozen_histograms=histograms).loss.item()
 
-    def classifier_loss() -> float:
-        logits = model.classifier_logits(ad.constant(embeddings),
-                                         params.classifier_w, params.classifier_b)
-        return ad.softmax_cross_entropy(logits, labels).item()
-
     groups_a: dict[str, list[np.ndarray]] = {g: [] for g in _GROUP_PREFIXES}
     groups_f: dict[str, list[np.ndarray]] = {g: [] for g in _GROUP_PREFIXES}
     for name, tensor in named.items():
         group = _group_of(name)
-        loss_fn = classifier_loss if group == "classifier" else unsupervised_loss
+        loss_fn = ((lambda: classifier_ce().item()) if group == "classifier"
+                   else unsupervised_loss)
         fd = _fd_grad(loss_fn, tensor, step)
         groups_a[group].append(analytic[name].ravel())
         groups_f[group].append(fd.ravel())

@@ -15,12 +15,17 @@ two all-zero profiles is 0/0, so ``pairwise_distances`` raises
 ``GraphBuildError`` naming both sample indices. One all-zero profile
 against a non-zero one has Bray-Curtis distance 1.0, and the other two
 metrics are defined for any pair.
+
+A ``MultiGraph`` depends on the table and the threshold only, so one
+build serves every training seed. The corruption permutation of the
+Shuffled-Graph belongs to training (``train.train_unsupervised`` draws
+it with ``shuffle_features``); the graph layer holds no seed.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,19 +168,13 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
     return RelationGraph(kind, adjacency, threshold)
 
 
-@dataclass
-class NormalizedAdjacency:
+def normalize_adjacency(graph: RelationGraph) -> np.ndarray:
     """Symmetric degree-normalized adjacency with self-loops folded in:
     D^(-1/2) (A + I) D^(-1/2)."""
-
-    matrix: np.ndarray
-
-
-def normalize_adjacency(graph: RelationGraph) -> NormalizedAdjacency:
     a_hat = graph.adjacency.astype(np.float64) + np.eye(graph.n_nodes)
     deg = a_hat.sum(axis=1)
     # entry (i, j) becomes a_hat_ij / sqrt(deg_i * deg_j)
-    return NormalizedAdjacency(a_hat / np.sqrt(np.outer(deg, deg)))
+    return a_hat / np.sqrt(np.outer(deg, deg))
 
 
 def shuffle_features(values: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +195,13 @@ def shuffle_features(values: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class MultiGraph:
-    """Shared node features plus one relation graph per distance kind,
-    along with the corruption permutation used for the shuffled view."""
+    """Shared node features plus one relation graph per distance kind.
+    Each relation is normalized once, on construction, into
+    ``norm_adjs``, which training and encoding read."""
 
     features: np.ndarray
     relations: dict[DistanceKind, RelationGraph]
-    shuffle_permutation: np.ndarray
+    norm_adjs: dict[DistanceKind, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.features.shape[0]
@@ -209,8 +209,7 @@ class MultiGraph:
             if g.n_nodes != n:
                 raise GraphBuildError(
                     f"{kind.value} graph has {g.n_nodes} nodes for {n} samples")
-        if sorted(self.shuffle_permutation.tolist()) != list(range(n)):
-            raise GraphBuildError("shuffle_permutation is not a permutation of [0, N)")
+        self.norm_adjs = {k: normalize_adjacency(g) for k, g in self.relations.items()}
 
     @property
     def n_nodes(self) -> int:
@@ -220,19 +219,14 @@ class MultiGraph:
     def kinds(self) -> tuple[DistanceKind, ...]:
         return tuple(k for k in ALL_KINDS if k in self.relations)
 
-    def shuffled_features(self) -> np.ndarray:
-        return self.features[self.shuffle_permutation].copy()
 
-
-def build_multigraph(values: np.ndarray, threshold: float = 0.6, seed: int = 0,
+def build_multigraph(values: np.ndarray, threshold: float = 0.6,
                      kinds: tuple[DistanceKind, ...] = ALL_KINDS) -> MultiGraph:
     values = np.asarray(values, dtype=np.float64)
-    relations = {}
-    for kind in kinds:
-        d = pairwise_distances(values, kind)
-        relations[kind] = build_relation_graph(d, kind, threshold)
-    _, perm = shuffle_features(values, seed)
-    return MultiGraph(values.copy(), relations, perm)
+    relations = {kind: build_relation_graph(pairwise_distances(values, kind),
+                                            kind, threshold)
+                 for kind in kinds}
+    return MultiGraph(values.copy(), relations)
 
 
 def edge_list_lines(graph: RelationGraph) -> list[str]:

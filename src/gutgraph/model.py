@@ -31,8 +31,6 @@ class ModelParams:
     queries: list[dict[DistanceKind, Tensor]]
     discriminators: dict[DistanceKind, Tensor]
     eta_raw: Tensor
-    classifier_w: Tensor
-    classifier_b: Tensor
 
     @property
     def kinds(self) -> tuple[DistanceKind, ...]:
@@ -54,13 +52,7 @@ class ModelParams:
         for kind in self.kinds:
             out[f"discriminator/{kind.value}/weight"] = self.discriminators[kind]
         out["eta_raw"] = self.eta_raw
-        out["classifier/weight"] = self.classifier_w
-        out["classifier/bias"] = self.classifier_b
         return out
-
-    def unsupervised_tensors(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.named_tensors().items()
-                if not k.startswith("classifier/")}
 
 
 def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -100,8 +92,6 @@ def init_model_params(kinds, n_features: int, embed_dim: int, gcn_layers: int,
         queries=queries,
         discriminators=discriminators,
         eta_raw=Tensor(np.zeros((1, 1)), requires_grad=True),
-        classifier_w=Tensor(_uniform_init(rng, embed_dim, 2), requires_grad=True),
-        classifier_b=Tensor(np.zeros((1, 2)), requires_grad=True),
     )
 
 
@@ -229,11 +219,6 @@ def average_merge(embeddings: list[Tensor]) -> Tensor:
 # discriminator and losses
 
 
-def discriminator_score(summary: Tensor, node: Tensor, weight: Tensor) -> Tensor:
-    """sigmoid(g^T W h) for one summary/node pair, both given as rows."""
-    return ad.sigmoid(ad.matmul(ad.matmul(summary, weight), ad.transpose(node)))
-
-
 def _discriminator_logits(summary: Tensor, h: Tensor, weight: Tensor) -> Tensor:
     # u = g W (1 x D), then one logit per node: H u^T.
     u = ad.matmul(summary, weight)
@@ -312,7 +297,6 @@ class ForwardResult:
     adversarial: float
     hybrid: float
     histograms: dict[DistanceKind, np.ndarray] = field(default_factory=dict)
-    merged: Tensor | None = None
 
 
 def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
@@ -372,7 +356,6 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
         adversarial=0.0 if l_adv is None else l_adv.item(),
         hybrid=l_hybrid.item(),
         histograms=histograms,
-        merged=merged_pos,
     )
 
 

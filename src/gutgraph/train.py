@@ -4,12 +4,17 @@ Two stages: the unsupervised stage fits the encoder/attention/
 discriminator parameters against the joint loss and never sees labels
 (they are not even a parameter); the supervised stage freezes the
 encoder and fits a small softmax head on the merged embeddings.
+
+The corruption permutation of the Shuffled-Graph belongs to training:
+``train_unsupervised`` draws it from the run's seed, so one
+``MultiGraph`` serves every cross-validation seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import json
 import os
 import struct
@@ -23,8 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
-from .graph import (ALL_KINDS, DistanceKind, MultiGraph, build_multigraph,
-                    normalize_adjacency, shuffle_features)
+from .graph import ALL_KINDS, MultiGraph, build_multigraph, shuffle_features
 from .ingest import kfold_split
 
 
@@ -92,29 +96,25 @@ class TrainingDivergedError(RuntimeError):
         self.trace = trace
 
 
-def normalized_adjacencies(mg: MultiGraph) -> dict[DistanceKind, np.ndarray]:
-    return {k: normalize_adjacency(g).matrix for k, g in mg.relations.items()}
-
-
 def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
                        ) -> tuple[model.ModelParams, list[float]]:
     """Fit the unsupervised objective; returns params and the per-epoch
     loss trace (recorded before each update). Labels play no part here.
 
     By default a fresh corruption permutation is drawn every epoch;
-    with ``fresh_corruption=False`` the multigraph's stored permutation
-    is reused throughout.
+    with ``fresh_corruption=False`` the one permutation
+    ``shuffle_features(mg.features, cfg.seed)`` is reused throughout.
     """
     root = np.random.SeedSequence(cfg.seed)
     init_ss, corrupt_ss = root.spawn(2)
     params = model.init_model_params(
         mg.kinds, mg.features.shape[1], cfg.embed_dim, cfg.gcn_layers,
         cfg.bins, cfg.heads, cfg.two_stage_summary, np.random.default_rng(init_ss))
-    adjs = normalized_adjacencies(mg)
-    tensors = list(params.unsupervised_tensors().values())
+    tensors = list(params.named_tensors().values())
     optimizer = ad.Adam(tensors, lr=cfg.learning_rate)
     corrupt_rng = np.random.default_rng(corrupt_ss)
-    static_shuffled = mg.shuffled_features()
+    if not cfg.fresh_corruption:
+        static_shuffled, _ = shuffle_features(mg.features, cfg.seed)
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         if cfg.fresh_corruption:
@@ -125,7 +125,7 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
             t.zero_grad()
         with ad.Tape() as tape:
             result = model.joint_forward(
-                mg.features, x_shuffled, adjs, params,
+                mg.features, x_shuffled, mg.norm_adjs, params,
                 bins=cfg.bins, weighting=cfg.histogram_weighting,
                 use_attention=cfg.use_attention,
                 two_stage_summary=cfg.two_stage_summary,
@@ -139,12 +139,6 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
         ad.clip_global_norm(grads, cfg.clip_norm)
         optimizer.step(grads)
     return params, trace
-
-
-def embeddings_for(mg: MultiGraph, params: model.ModelParams,
-                   cfg: TrainConfig) -> np.ndarray:
-    return model.encode(mg.features, normalized_adjacencies(mg), params,
-                        use_attention=cfg.use_attention)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +266,6 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def evaluate_scores(scores: np.ndarray, labels: np.ndarray,
-                    threshold: float = 0.5) -> dict[str, float]:
-    out = threshold_metrics(scores, labels, threshold)
-    out["auc"] = auc_score(scores, labels)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cross-validation
 
@@ -309,22 +296,17 @@ def aggregate_rows(rows: list[MetricsRow]) -> dict[str, dict[str, float]]:
     return out
 
 
-def _evaluate_single_seed(values: np.ndarray, labels: np.ndarray,
-                          cfg: TrainConfig, seed_index: int
-                          ) -> tuple[list[MetricsRow], list[float]]:
+def _fold_rows(embeddings: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
+               seed_index: int) -> list[MetricsRow]:
+    """One head per fold of the split drawn at seed ``cfg.seed +
+    seed_index``, each scored on its held-out fold."""
     run_seed = cfg.seed + seed_index
-    run_cfg = dataclasses.replace(cfg, seed=run_seed)
-    # graphs use ALL samples: the split only gates which labels the
-    # classifier sees, never the unsupervised stage
-    mg = build_multigraph(values, cfg.threshold, seed=run_seed)
-    params, trace = train_unsupervised(mg, run_cfg)
-    embeddings = embeddings_for(mg, params, run_cfg)
-    folds = kfold_split(values.shape[0], cfg.folds, seed=run_seed)
+    folds = kfold_split(embeddings.shape[0], cfg.folds, seed=run_seed)
     rows: list[MetricsRow] = []
     for fold in range(cfg.folds):
         train_idx = folds.train_indices(fold)
         test_idx = folds.test_indices(fold)
-        head = train_classifier(embeddings, labels, train_idx, run_cfg,
+        head = train_classifier(embeddings, labels, train_idx, cfg,
                                 seed=(run_seed, fold))
         scores = head_scores(head, embeddings[test_idx])
         y_test = labels[test_idx]
@@ -338,22 +320,28 @@ def _evaluate_single_seed(values: np.ndarray, labels: np.ndarray,
             auc = auc_score(scores, y_test)
         rows.append(MetricsRow(seed_index=seed_index, fold=fold, auc=auc,
                                n_test=int(test_idx.size), **metrics))
-    return rows, trace
+    return rows
 
 
-def _seed_worker(payload: tuple) -> tuple[int, list[MetricsRow], list[float]]:
-    values, labels, cfg_dict, seed_index = payload
-    cfg = TrainConfig.from_dict(cfg_dict)
-    rows, trace = _evaluate_single_seed(values, labels, cfg, seed_index)
-    return seed_index, rows, trace
+def _evaluate_single_seed(mg: MultiGraph, labels: np.ndarray,
+                          cfg: TrainConfig, seed_index: int
+                          ) -> tuple[list[MetricsRow], list[float]]:
+    run_cfg = dataclasses.replace(cfg, seed=cfg.seed + seed_index)
+    params, trace = train_unsupervised(mg, run_cfg)
+    embeddings = model.encode(mg.features, mg.norm_adjs, params,
+                              use_attention=cfg.use_attention)
+    return _fold_rows(embeddings, labels, cfg, seed_index), trace
 
 
 def run_cross_validation(values: np.ndarray, labels: np.ndarray,
                          cfg: TrainConfig, jobs: int = 1) -> MetricsReport:
     """Repeated k-fold evaluation: one unsupervised run per seed (the
     stage is label-free, so refitting it per fold would reproduce the
-    same parameters), then one classifier per fold. Rows are sorted by
-    (seed, fold) so parallel execution cannot reorder the report."""
+    same parameters), then one classifier per fold. The graphs use ALL
+    samples and no seed, so they are built once and shared by every
+    seed and every worker; the split only gates which labels the
+    classifier sees. Rows come in (seed, fold) order whatever ``jobs``
+    is."""
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
     if labels.shape != (values.shape[0],):
@@ -361,20 +349,17 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
             f"labels shape {labels.shape} does not match {values.shape[0]} samples")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    indices = list(range(cfg.eval_seeds))
-    results: list[tuple[int, list[MetricsRow], list[float]]] = []
+    mg = build_multigraph(values, cfg.threshold)
+    indices = range(cfg.eval_seeds)
     if jobs == 1 or len(indices) == 1:
-        for i in indices:
-            rows, trace = _evaluate_single_seed(values, labels, cfg, i)
-            results.append((i, rows, trace))
+        results = [_evaluate_single_seed(mg, labels, cfg, i) for i in indices]
     else:
-        payloads = [(values, labels, cfg.as_dict(), i) for i in indices]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
-            results = list(pool.map(_seed_worker, payloads))
-    results.sort(key=lambda item: item[0])
-    rows = [row for _, seed_rows, _ in results for row in seed_rows]
-    rows.sort(key=lambda r: (r.seed_index, r.fold))
-    traces = [trace for _, _, trace in results]
+        n = len(indices)
+        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+            results = list(pool.map(_evaluate_single_seed, [mg] * n,
+                                    [labels] * n, [cfg] * n, indices))
+    rows = [row for seed_rows, _ in results for row in seed_rows]
+    traces = [trace for _, trace in results]
     return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
                          config=cfg.as_dict(), traces=traces)
 
@@ -383,27 +368,11 @@ def evaluate_with_params(values: np.ndarray, labels: np.ndarray,
                          params: model.ModelParams, cfg: TrainConfig
                          ) -> MetricsReport:
     """Fold evaluation against an already-trained encoder (checkpoint
-    path): single seed, no unsupervised training."""
-    labels = np.asarray(labels)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
-    embeddings = embeddings_for(mg, params, cfg)
-    folds = kfold_split(values.shape[0], cfg.folds, seed=cfg.seed)
-    rows: list[MetricsRow] = []
-    for fold in range(cfg.folds):
-        head = train_classifier(embeddings, labels, folds.train_indices(fold),
-                                cfg, seed=(cfg.seed, fold))
-        test_idx = folds.test_indices(fold)
-        scores = head_scores(head, embeddings[test_idx])
-        y_test = labels[test_idx]
-        metrics = threshold_metrics(scores, y_test)
-        if np.unique(y_test).size < 2:
-            warnings.warn(f"fold {fold}: single-class test fold, AUC excluded",
-                          RuntimeWarning)
-            auc = None
-        else:
-            auc = auc_score(scores, y_test)
-        rows.append(MetricsRow(seed_index=0, fold=fold, auc=auc,
-                               n_test=int(test_idx.size), **metrics))
+    path): the folds of seed index 0, no unsupervised training."""
+    mg = build_multigraph(values, cfg.threshold)
+    embeddings = model.encode(mg.features, mg.norm_adjs, params,
+                              use_attention=cfg.use_attention)
+    rows = _fold_rows(embeddings, np.asarray(labels), cfg, 0)
     return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
                          config=cfg.as_dict())
 
@@ -442,47 +411,56 @@ def report_to_text(report: MetricsReport) -> str:
 
 
 class CheckpointError(ValueError):
-    """Corrupt, truncated, or version-mismatched checkpoint file."""
+    """Corrupt, truncated, or version-mismatched checkpoint file, or one
+    trained on other features than the table it is applied to."""
 
 
 _MAGIC = b"GGCK"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass
 class Checkpoint:
     version: int
     config: dict
+    feature_names: list[str]
     tensors: dict[str, np.ndarray]
     trace: list[float]
 
 
+def _put_text(buf: io.BytesIO, text: str) -> None:
+    encoded = text.encode("utf-8")
+    buf.write(struct.pack("<I", len(encoded)))
+    buf.write(encoded)
+
+
 def checkpoint_bytes(params: model.ModelParams, cfg: TrainConfig,
-                     trace: list[float]) -> bytes:
+                     trace: list[float], feature_names: list[str]) -> bytes:
+    """Version 2 layout, little-endian: magic, version, config JSON, the
+    training table's feature names in column order, loss trace, named
+    tensors. Every string is a u32 byte count plus UTF-8."""
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", _VERSION))
-    cfg_json = json.dumps(cfg.as_dict(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-    buf.write(struct.pack("<I", len(cfg_json)))
-    buf.write(cfg_json)
+    _put_text(buf, json.dumps(cfg.as_dict(), sort_keys=True, separators=(",", ":")))
+    buf.write(struct.pack("<I", len(feature_names)))
+    for name in feature_names:
+        _put_text(buf, name)
     buf.write(struct.pack("<I", len(trace)))
     buf.write(np.asarray(trace, dtype="<f8").tobytes())
     named = params.named_tensors()
     buf.write(struct.pack("<I", len(named)))
     for name, tensor in named.items():
-        encoded = name.encode("utf-8")
+        _put_text(buf, name)
         rows, cols = tensor.data.shape
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
         buf.write(struct.pack("<II", rows, cols))
         buf.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
     return buf.getvalue()
 
 
 def save_checkpoint(path: str, params: model.ModelParams, cfg: TrainConfig,
-                    trace: list[float]) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(params, cfg, trace))
+                    trace: list[float], feature_names: list[str]) -> None:
+    atomic_write_bytes(path, checkpoint_bytes(params, cfg, trace, feature_names))
 
 
 class _Reader:
@@ -502,36 +480,68 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self) -> str:
+        start = self._pos
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"corrupt string at offset {start}") from None
+
     def done(self) -> bool:
         return self._pos == len(self._blob)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def parse_checkpoint(blob: bytes) -> Checkpoint:
+    """Inverse of ``checkpoint_bytes``; any damage raises CheckpointError."""
     r = _Reader(blob)
     if r.take(4) != _MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.u32()
     if version != _VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint version {version}, expected {_VERSION}")
-    config = json.loads(r.take(r.u32()).decode("utf-8"))
+            f"unsupported checkpoint version {version}, expected {_VERSION}; "
+            "retrain the model with `gutgraph train`")
+    try:
+        config = json.loads(r.text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"corrupt config JSON: {exc}") from None
+    feature_names = [r.text() for _ in range(r.u32())]
     n_trace = r.u32()
     trace = np.frombuffer(r.take(8 * n_trace), dtype="<f8").tolist()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text()
         rows, cols = struct.unpack("<II", r.take(8))
         data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8")
         tensors[name] = data.reshape(rows, cols).copy()
     if not r.done():
         raise CheckpointError("trailing bytes after checkpoint payload")
-    return Checkpoint(version=version, config=config, tensors=tensors, trace=trace)
+    return Checkpoint(version=version, config=config, feature_names=feature_names,
+                      tensors=tensors, trace=trace)
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    with open(path, "rb") as fh:
+        return parse_checkpoint(fh.read())
+
+
+def check_feature_names(ckpt: Checkpoint, feature_names: list[str]) -> None:
+    """Refuse a table whose features differ from the training table's,
+    in name or in order: the encoder reads features by column."""
+    for i, (want, got) in enumerate(itertools.zip_longest(ckpt.feature_names,
+                                                          feature_names)):
+        if want != got:
+            raise CheckpointError(
+                f"table feature {i} is {'missing' if got is None else repr(got)}, "
+                f"the checkpoint was trained with "
+                f"{'none' if want is None else repr(want)} there")
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[model.ModelParams, TrainConfig]:
-    cfg = TrainConfig.from_dict(ckpt.config)
+    try:
+        cfg = TrainConfig.from_dict(ckpt.config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid checkpoint config: {exc}") from None
     tensors = ckpt.tensors
 
     def grab(name: str) -> Tensor:
@@ -554,9 +564,7 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[model.ModelParams, TrainCo
     discs = {kind: grab(f"discriminator/{kind.value}/weight") for kind in kinds}
     params = model.ModelParams(
         layers=layers, queries=queries, discriminators=discs,
-        eta_raw=grab("eta_raw"),
-        classifier_w=grab("classifier/weight"),
-        classifier_b=grab("classifier/bias"))
+        eta_raw=grab("eta_raw"))
     expected = set(params.named_tensors())
     extra = sorted(set(tensors) - expected)
     if extra:

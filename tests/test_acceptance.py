@@ -168,7 +168,7 @@ def test_criterion_4_corruption_contract():
         n = int(rng.integers(4, 24))
         f = int(rng.integers(3, 15))
         values = rng.uniform(0.01, 1.0, size=(n, f))
-        mg = build_multigraph(values, 0.6, seed=int(rng.integers(1 << 31)))
+        mg = build_multigraph(values, 0.6)
         before = {k: g.adjacency.tobytes() for k, g in mg.relations.items()}
         shuffled, perm = shuffle_features(mg.features, rng)
         if np.array_equal(perm, np.arange(n)):
@@ -279,16 +279,17 @@ def test_criterion_8_determinism(fixture_cohort, tmp_path):
     traces_ok = (np.asarray(reports[0].traces[0]).tobytes()
                  == np.asarray(reports[1].traces[0]).tobytes())
 
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
+    names = [f"taxon{j:04d}" for j in range(values.shape[1])]
     blobs = []
     for _ in range(2):
         params, trace = gt.train_unsupervised(mg, cfg)
-        blobs.append(gt.checkpoint_bytes(params, cfg, trace))
+        blobs.append(gt.checkpoint_bytes(params, cfg, trace, names))
     ckpt_ok = blobs[0] == blobs[1]
 
     path = str(tmp_path / "model.ckpt")
     params, trace = gt.train_unsupervised(mg, cfg)
-    gt.save_checkpoint(path, params, cfg, trace)
+    gt.save_checkpoint(path, params, cfg, trace, names)
     restored, rcfg = gt.params_from_checkpoint(gt.load_checkpoint(path))
     direct = gt.evaluate_with_params(values, labels, params, cfg)
     reloaded = gt.evaluate_with_params(values, labels, restored, rcfg)

@@ -124,16 +124,6 @@ def test_mean_rows_bit_invariant_under_row_permutation():
     assert a.tobytes() == b.tobytes()
 
 
-def test_softmax_over_set_matches_vector_softmax():
-    vals = [0.3, -1.2, 2.0]
-    parts = ad.softmax_over_set([ad.Tensor([[v]]) for v in vals])
-    expect = np.exp(vals - np.max(vals))
-    expect = expect / expect.sum()
-    got = np.array([p.item() for p in parts])
-    assert np.allclose(got, expect, atol=1e-15)
-    assert got.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference checks, one per primitive (20 random instances each)
 

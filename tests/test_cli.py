@@ -258,6 +258,29 @@ def test_embed_shape_and_checkpoint_equivalence(tmp_path, cohort):
         == (via_ckpt / "embeddings.tsv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "embed"])
+def test_checkpoint_refuses_reordered_table(tmp_path, cohort, capsys, command):
+    table_path, labels_path = cohort
+    train_out = tmp_path / "train"
+    assert main(["train", "--table", table_path,
+                 "--out-dir", str(train_out)] + FAST) == 0
+    # same features, same count, two of them swapped
+    header, first, second, *rest = open(table_path).read().splitlines()
+    reordered = tmp_path / "reordered.tsv"
+    reordered.write_text("\n".join([header, second, first] + rest) + "\n")
+    out = tmp_path / "out"
+    args = [command, "--table", str(reordered), "--out-dir", str(out),
+            "--checkpoint", str(train_out / "model.ckpt")]
+    if command == "evaluate":
+        args += ["--labels", labels_path]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: table feature 0 is 'taxon0001', "
+                          "the checkpoint was trained with 'taxon0000'")
+    assert [p.name for p in out.iterdir()] == ["config.json"]
+
+
 def test_config_file_and_flag_precedence(tmp_path, cohort):
     table_path, _ = cohort
     cfg_file = tmp_path / "cfg.json"

@@ -248,13 +248,13 @@ def test_relation_graph_validation():
 def test_normalize_two_node_edge():
     g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN,
                          np.array([[False, True], [True, False]]), 0.5)
-    m = gg.normalize_adjacency(g).matrix
+    m = gg.normalize_adjacency(g)
     assert np.array_equal(m, np.full((2, 2), 0.5))
 
 
 def test_normalize_edgeless_is_identity():
     g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN, np.zeros((3, 3), dtype=bool), 0.5)
-    m = gg.normalize_adjacency(g).matrix
+    m = gg.normalize_adjacency(g)
     assert np.array_equal(m, np.eye(3))
 
 
@@ -266,7 +266,7 @@ def test_normalize_spectral_radius_at_most_one():
         a = np.triu(a, k=1)
         a = a | a.T
         g = gg.RelationGraph(gg.DistanceKind.BRAY_CURTIS, a, 0.6)
-        m = gg.normalize_adjacency(g).matrix
+        m = gg.normalize_adjacency(g)
         assert np.array_equal(m, m.T)
         eig = np.linalg.eigvalsh(m)
         assert np.max(np.abs(eig)) <= 1.0 + 1e-9
@@ -280,7 +280,7 @@ def test_normalize_entry_formula():
         [0, 0, 1, 0],
     ], dtype=bool)
     g = gg.RelationGraph(gg.DistanceKind.CANBERRA, a, 0.6)
-    m = gg.normalize_adjacency(g).matrix
+    m = gg.normalize_adjacency(g)
     deg = a.sum(axis=1) + 1.0
     assert m[0, 1] == pytest.approx(1.0 / np.sqrt(deg[0] * deg[1]), abs=1e-15)
     assert m[1, 1] == pytest.approx(1.0 / deg[1], abs=1e-15)
@@ -327,32 +327,38 @@ def test_shuffle_deterministic():
 def test_build_multigraph():
     rng = np.random.default_rng(2)
     x = rng.random((10, 6)) + 0.01
-    mg = gg.build_multigraph(x, threshold=0.6, seed=3)
+    mg = gg.build_multigraph(x, threshold=0.6)
     assert mg.kinds == gg.ALL_KINDS
     assert mg.n_nodes == 10
     for kind in gg.ALL_KINDS:
         adj = mg.relations[kind].adjacency
         assert adj.shape == (10, 10)
         assert np.array_equal(adj, adj.T)
-    shuffled = mg.shuffled_features()
-    assert np.array_equal(np.sort(shuffled, axis=0), np.sort(x, axis=0))
+        # normalized once on construction, with the same bits as a fresh call
+        assert (mg.norm_adjs[kind].tobytes()
+                == gg.normalize_adjacency(mg.relations[kind]).tobytes())
 
 
-def test_multigraph_shares_one_permutation():
+def test_corruption_leaves_multigraph_unchanged():
     x = np.random.default_rng(9).random((7, 4)) + 0.01
-    mg = gg.build_multigraph(x, seed=1)
+    mg = gg.build_multigraph(x)
     # adjacency is a function of the ORIGINAL features only
-    before = {k: g.adjacency.tobytes() for k, g in mg.relations.items()}
-    _ = mg.shuffled_features()
-    after = {k: g.adjacency.tobytes() for k, g in mg.relations.items()}
+    before = ({k: g.adjacency.tobytes() for k, g in mg.relations.items()},
+              {k: m.tobytes() for k, m in mg.norm_adjs.items()},
+              mg.features.tobytes())
+    shuffled, _ = gg.shuffle_features(mg.features, 1)
+    shuffled[:] = 0.0
+    after = ({k: g.adjacency.tobytes() for k, g in mg.relations.items()},
+             {k: m.tobytes() for k, m in mg.norm_adjs.items()},
+             mg.features.tobytes())
     assert before == after
 
 
 def test_multigraph_validation():
     x = np.random.default_rng(9).random((5, 3)) + 0.01
-    mg = gg.build_multigraph(x, seed=1)
-    with pytest.raises(gg.GraphBuildError, match="permutation"):
-        gg.MultiGraph(x, mg.relations, np.array([0, 0, 1, 2, 3]))
+    mg = gg.build_multigraph(x)
+    with pytest.raises(gg.GraphBuildError, match="5 nodes for 4 samples"):
+        gg.MultiGraph(x[:4], mg.relations)
 
 
 def test_edge_list_export():

@@ -6,6 +6,7 @@ import pytest
 from gutgraph import autodiff as ad
 from gutgraph import graph as gg
 from gutgraph import ingest, model
+from gutgraph.gradcheck import DEFAULT_TOLERANCE, gradient_check
 
 
 def tiny_params(kinds=gg.ALL_KINDS, n_features=4, embed_dim=3, gcn_layers=2,
@@ -18,9 +19,9 @@ def tiny_params(kinds=gg.ALL_KINDS, n_features=4, embed_dim=3, gcn_layers=2,
 def tiny_problem(n=8, f=4, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.random((n, f)) + 0.01
-    mg = gg.build_multigraph(x, threshold=0.6, seed=seed)
-    adjs = {k: gg.normalize_adjacency(g).matrix for k, g in mg.relations.items()}
-    return x, mg, adjs
+    adjs = gg.build_multigraph(x, threshold=0.6).norm_adjs
+    x_shuffled, _ = gg.shuffle_features(x, seed)
+    return x, x_shuffled, adjs
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +32,8 @@ def test_init_bounds_zero_biases_and_determinism():
     p = tiny_params()
     names = list(p.named_tensors())
     assert names[0] == "encoder/bray_curtis/layer0/weight"
-    assert "eta_raw" in names and "classifier/weight" in names
+    assert "eta_raw" in names
+    assert not any(name.startswith("classifier/") for name in names)
     for name, t in p.named_tensors().items():
         if name.endswith("/bias"):
             assert np.all(t.data == 0.0)
@@ -81,7 +83,7 @@ def test_gcn_hand_case_one_layer():
 
 
 def test_gcn_row_permutation_equivariance():
-    x, mg, adjs = tiny_problem(n=7)
+    x, _, adjs = tiny_problem(n=7)
     p = tiny_params(n_features=4, gcn_layers=3)
     kind = gg.DistanceKind.BRAY_CURTIS
     perm = np.random.default_rng(1).permutation(7)
@@ -213,7 +215,7 @@ def test_attention_single_relation_is_identity():
 
 def test_attention_weights_sum_to_one():
     p = tiny_params(heads=4)
-    x, mg, adjs = tiny_problem()
+    x, xs, adjs = tiny_problem()
     hs = [ad.constant(np.random.default_rng(i).normal(size=(8, 3))) for i in range(3)]
     merged, weights = model.attention_merge(hs, p.queries, gg.ALL_KINDS,
                                             return_weights=True)
@@ -263,30 +265,22 @@ def test_average_merge():
 # discriminator and losses
 
 
-def test_discriminator_zero_weight_scores_half():
-    g = ad.constant(np.random.default_rng(8).normal(size=(1, 5)))
-    h = ad.constant(np.random.default_rng(9).normal(size=(1, 3)))
-    w = ad.constant(np.zeros((5, 3)))
-    assert model.discriminator_score(g, h, w).item() == 0.5
-
-
-def test_discriminator_hand_value():
-    g = ad.constant([[1.0, 0.0]])
-    h = ad.constant([[1.0, 0.0]])
-    w = ad.constant(np.eye(2))
-    s = model.discriminator_score(g, h, w).item()
-    assert s == pytest.approx(0.7310585786300049, abs=1e-15)
-
-
 def test_discriminator_matches_direct_formula():
+    # one relation: mean BCE of sigmoid(g W h^T) over positive and
+    # shuffled nodes, written out directly
     rng = np.random.default_rng(10)
     for _ in range(10):
+        n = int(rng.integers(1, 7))
         g = rng.normal(size=(1, 6))
-        h = rng.normal(size=(1, 4))
+        pos = rng.normal(size=(n, 4))
+        neg = rng.normal(size=(n, 4))
         w = rng.normal(size=(6, 4))
-        got = model.discriminator_score(ad.constant(g), ad.constant(h),
-                                        ad.constant(w)).item()
-        want = 1.0 / (1.0 + np.exp(-(g @ w @ h.T)[0, 0]))
+        got = model.adversarial_loss([ad.constant(g)], [ad.constant(pos)],
+                                     [ad.constant(neg)], [ad.constant(w)]).item()
+        def score(h):
+            return 1.0 / (1.0 + np.exp(-(g @ w @ h.T)[0]))
+
+        want = -(np.log(score(pos)).sum() + np.log(1.0 - score(neg)).sum()) / (2 * n)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -388,9 +382,9 @@ def test_predict_proba_matches_softmax_oracle():
 
 
 def test_joint_forward_smoke_and_parts():
-    x, mg, adjs = tiny_problem()
+    x, xs, adjs = tiny_problem()
     p = tiny_params()
-    res = model.joint_forward(x, mg.shuffled_features(), adjs, p, bins=3)
+    res = model.joint_forward(x, xs, adjs, p, bins=3)
     assert res.loss.data.shape == (1, 1)
     assert np.isfinite(res.loss.item())
     assert res.adversarial >= 0.0
@@ -400,10 +394,10 @@ def test_joint_forward_smoke_and_parts():
 
 
 def test_joint_forward_without_adversarial_gives_zero_disc_grads():
-    x, mg, adjs = tiny_problem()
+    x, xs, adjs = tiny_problem()
     p = tiny_params()
     with ad.Tape() as tape:
-        res = model.joint_forward(x, mg.shuffled_features(), adjs, p, bins=3,
+        res = model.joint_forward(x, xs, adjs, p, bins=3,
                                   use_adversarial=False)
         tape.backward(res.loss)
     assert res.adversarial == 0.0
@@ -413,33 +407,33 @@ def test_joint_forward_without_adversarial_gives_zero_disc_grads():
 
 
 def test_joint_forward_attention_off_matches_zeroed_queries():
-    x, mg, adjs = tiny_problem()
+    x, xs, adjs = tiny_problem()
     p = tiny_params()
     for per_kind in p.queries:
         for q in per_kind.values():
             q.data[:] = 0.0
-    with_attention = model.joint_forward(x, mg.shuffled_features(), adjs, p, bins=3)
-    without = model.joint_forward(x, mg.shuffled_features(), adjs, p, bins=3,
+    with_attention = model.joint_forward(x, xs, adjs, p, bins=3)
+    without = model.joint_forward(x, xs, adjs, p, bins=3,
                                   use_attention=False)
     assert with_attention.loss.item() == pytest.approx(without.loss.item(), abs=1e-9)
 
 
 def test_joint_forward_plain_summary_mode():
-    x, mg, adjs = tiny_problem()
+    x, xs, adjs = tiny_problem()
     p = tiny_params(two_stage=False)
-    res = model.joint_forward(x, mg.shuffled_features(), adjs, p, bins=3,
+    res = model.joint_forward(x, xs, adjs, p, bins=3,
                               two_stage_summary=False)
     assert np.isfinite(res.loss.item())
     assert res.histograms == {}
 
 
 def test_joint_forward_frozen_histograms_change_nothing_at_base_point():
-    x, mg, adjs = tiny_problem()
+    x, xs, adjs = tiny_problem()
 
     def run(frozen):
         p = tiny_params(seed=21)
         with ad.Tape() as tape:
-            res = model.joint_forward(x, mg.shuffled_features(), adjs, p, bins=3,
+            res = model.joint_forward(x, xs, adjs, p, bins=3,
                                       frozen_histograms=frozen)
             tape.backward(res.loss)
         grads = {k: t.grad.copy() if t.grad is not None else None
@@ -457,7 +451,7 @@ def test_joint_forward_frozen_histograms_change_nothing_at_base_point():
 
 
 def test_encode_shape_and_determinism():
-    x, mg, adjs = tiny_problem()
+    x, xs, adjs = tiny_problem()
     p = tiny_params()
     e1 = model.encode(x, adjs, p)
     e2 = model.encode(x, adjs, p)
@@ -465,3 +459,9 @@ def test_encode_shape_and_determinism():
     assert e1.tobytes() == e2.tobytes()
     avg = model.encode(x, adjs, p, use_attention=False)
     assert avg.shape == (8, 3)
+
+
+def test_gradcheck_negative_control_fails_only_the_corrupted_group():
+    errors = gradient_check(corrupt_group="classifier")
+    assert errors["classifier"] >= DEFAULT_TOLERANCE
+    assert all(e < DEFAULT_TOLERANCE for g, e in errors.items() if g != "classifier")

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import gutgraph.autodiff as ad
+import gutgraph.graph as gg
 import gutgraph.model as gm
 import gutgraph.train as gt
-from gutgraph.graph import build_multigraph
+from gutgraph.graph import build_multigraph, shuffle_features
 from gutgraph.ingest import synth_cohort
 
 
@@ -79,7 +80,7 @@ def test_config_from_dict_rejects_unknown_keys():
 def test_zero_learning_rate_keeps_params():
     values, _ = small_problem()
     cfg = small_cfg(learning_rate=0.0, epochs=3)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
     params, trace = gt.train_unsupervised(mg, cfg)
     init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
     fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
@@ -94,7 +95,7 @@ def test_zero_learning_rate_keeps_params():
 def test_loss_decreases_on_small_fixture():
     values, _ = small_problem()
     cfg = small_cfg(epochs=30, learning_rate=5e-3)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
     _, trace = gt.train_unsupervised(mg, cfg)
     assert len(trace) == 30
     assert trace[-1] < trace[0]
@@ -105,7 +106,7 @@ def test_training_is_bit_deterministic():
     cfg = small_cfg(epochs=4)
     runs = []
     for _ in range(2):
-        mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+        mg = build_multigraph(values, cfg.threshold)
         params, trace = gt.train_unsupervised(mg, cfg)
         blob = b"".join(t.data.tobytes() for t in params.named_tensors().values())
         runs.append((blob, np.asarray(trace).tobytes()))
@@ -114,12 +115,12 @@ def test_training_is_bit_deterministic():
 
 def test_static_corruption_differs_from_fresh():
     values, _ = small_problem()
-    mg = build_multigraph(values, 0.6, seed=0)
+    mg = build_multigraph(values, 0.6)
     _, trace_fresh = gt.train_unsupervised(mg, small_cfg(epochs=4))
     _, trace_static = gt.train_unsupervised(
         mg, small_cfg(epochs=4, fresh_corruption=False))
     # first epoch may already differ: the fresh stream is independent of
-    # the permutation stored on the multigraph
+    # the static permutation drawn from the seed
     assert trace_fresh != trace_static
 
 
@@ -128,7 +129,7 @@ def test_divergence_raises_with_trace():
     values, _ = small_problem()
     # an absurd step size overflows the embeddings on the second epoch
     cfg = small_cfg(epochs=50, learning_rate=1e100, clip_norm=1e30)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
     with pytest.raises(gt.TrainingDivergedError) as exc_info:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
@@ -142,7 +143,7 @@ def test_divergence_raises_with_trace():
 def test_adversarial_ablation_leaves_discriminators_untouched():
     values, _ = small_problem()
     cfg = small_cfg(use_adversarial=False, epochs=4)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
     params, _ = gt.train_unsupervised(mg, cfg)
     init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
     fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
@@ -162,7 +163,7 @@ def test_adversarial_ablation_leaves_discriminators_untouched():
 def test_attention_ablation_leaves_queries_untouched():
     values, _ = small_problem()
     cfg = small_cfg(use_attention=False, epochs=4)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
     params, _ = gt.train_unsupervised(mg, cfg)
     init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
     fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
@@ -354,14 +355,65 @@ def test_parallel_jobs_match_serial():
     assert gt.report_to_json(serial) == gt.report_to_json(parallel)
 
 
-def test_checkpoint_evaluation_matches_first_seed():
+def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     values, labels = small_problem(n_per_class=8, n_features=8)
     cfg = small_cfg(eval_seeds=1, epochs=4, classifier_steps=30)
     full = gt.run_cross_validation(values, labels, cfg)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
     params, _ = gt.train_unsupervised(mg, cfg)
     from_params = gt.evaluate_with_params(values, labels, params, cfg)
     assert gt.report_to_json(from_params) == gt.report_to_json(full)
+
+    # CV seed index 1 under static corruption is training alone at
+    # seed + 1: same static permutation, trace, embeddings and folds
+    cfg = small_cfg(eval_seeds=2, epochs=4, classifier_steps=30,
+                    fresh_corruption=False)
+    encoded = []
+    encode = gm.encode
+
+    def recording_encode(*args, **kwargs):
+        encoded.append(encode(*args, **kwargs))
+        return encoded[-1]
+
+    monkeypatch.setattr(gm, "encode", recording_encode)
+    full = gt.run_cross_validation(values, labels, cfg)
+    monkeypatch.undo()
+    alone_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
+    params, trace = gt.train_unsupervised(mg, alone_cfg)
+    assert np.asarray(full.traces[1]).tobytes() == np.asarray(trace).tobytes()
+    embeddings = gm.encode(mg.features, mg.norm_adjs, params)
+    assert len(encoded) == 2
+    assert encoded[1].tobytes() == embeddings.tobytes()
+    alone = gt.evaluate_with_params(values, labels, params, alone_cfg)
+    assert ([dataclasses.replace(r, seed_index=1) for r in alone.rows]
+            == full.rows[cfg.folds:])
+    # the static permutation is the one shuffle_features draws from the seed
+    init_ss = np.random.SeedSequence(alone_cfg.seed).spawn(2)[0]
+    fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
+                                 cfg.gcn_layers, cfg.bins, cfg.heads,
+                                 cfg.two_stage_summary,
+                                 np.random.default_rng(init_ss))
+    shuffled, _ = shuffle_features(mg.features, alone_cfg.seed)
+    first = gm.joint_forward(mg.features, shuffled, mg.norm_adjs, fresh,
+                             bins=cfg.bins).loss.item()
+    assert trace[0] == first
+
+
+def test_graph_is_built_once_per_cross_validation(monkeypatch):
+    values, labels = small_problem(n_per_class=12, n_features=8)
+    calls = {"pairwise_distances": 0, "normalize_adjacency": 0}
+    for name in calls:
+        original = getattr(gg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(gg, name, counted)
+    gt.run_cross_validation(values, labels,
+                            small_cfg(eval_seeds=3, epochs=2, classifier_steps=5))
+    # one call per relation, not one per relation and seed
+    assert calls == {"pairwise_distances": 3, "normalize_adjacency": 3}
 
 
 def test_report_text_renders_every_row():
@@ -377,10 +429,13 @@ def test_report_text_renders_every_row():
 # checkpoints
 
 
+NAMES = [f"taxon{j:04d}" for j in range(8)]
+
+
 def trained_fixture():
     values, labels = small_problem(n_per_class=6, n_features=8)
     cfg = small_cfg(epochs=3)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
+    mg = build_multigraph(values, cfg.threshold)
     params, trace = gt.train_unsupervised(mg, cfg)
     return values, labels, cfg, params, trace
 
@@ -388,21 +443,37 @@ def trained_fixture():
 def test_checkpoint_round_trip_bytes(tmp_path):
     _, _, cfg, params, trace = trained_fixture()
     path = str(tmp_path / "model.ckpt")
-    gt.save_checkpoint(path, params, cfg, trace)
+    gt.save_checkpoint(path, params, cfg, trace, NAMES)
     ckpt = gt.load_checkpoint(path)
-    assert ckpt.version == 1
+    assert ckpt.version == 2
     assert ckpt.config == cfg.as_dict()
+    assert ckpt.feature_names == NAMES
     assert np.asarray(ckpt.trace).tobytes() == np.asarray(trace).tobytes()
     restored, restored_cfg = gt.params_from_checkpoint(ckpt)
     assert restored_cfg == cfg
-    rebuilt = gt.checkpoint_bytes(restored, restored_cfg, ckpt.trace)
+    assert not any(name.startswith("classifier/") for name in ckpt.tensors)
+    rebuilt = gt.checkpoint_bytes(restored, restored_cfg, ckpt.trace,
+                                  ckpt.feature_names)
     with open(path, "rb") as fh:
         assert rebuilt == fh.read()
 
 
+def test_checkpoint_refuses_other_features():
+    _, _, cfg, params, trace = trained_fixture()
+    ckpt = gt.parse_checkpoint(gt.checkpoint_bytes(params, cfg, trace, NAMES))
+    gt.check_feature_names(ckpt, list(NAMES))
+    swapped = NAMES[:2] + [NAMES[3], NAMES[2]] + NAMES[4:]
+    with pytest.raises(gt.CheckpointError, match="feature 2 is 'taxon0003'"):
+        gt.check_feature_names(ckpt, swapped)
+    with pytest.raises(gt.CheckpointError, match="feature 7 is missing"):
+        gt.check_feature_names(ckpt, NAMES[:-1])
+    with pytest.raises(gt.CheckpointError, match="feature 8 is 'extra'"):
+        gt.check_feature_names(ckpt, NAMES + ["extra"])
+
+
 def test_checkpoint_restored_params_embed_identically():
     values, _, cfg, params, trace = trained_fixture()
-    blob = gt.checkpoint_bytes(params, cfg, trace)
+    blob = gt.checkpoint_bytes(params, cfg, trace, NAMES)
     import io
     import tempfile
     import os
@@ -413,9 +484,9 @@ def test_checkpoint_restored_params_embed_identically():
         restored, rcfg = gt.params_from_checkpoint(gt.load_checkpoint(path))
     finally:
         os.unlink(path)
-    mg = build_multigraph(values, cfg.threshold, seed=cfg.seed)
-    e1 = gt.embeddings_for(mg, params, cfg)
-    e2 = gt.embeddings_for(mg, restored, rcfg)
+    mg = build_multigraph(values, cfg.threshold)
+    e1 = gm.encode(mg.features, mg.norm_adjs, params, cfg.use_attention)
+    e2 = gm.encode(mg.features, mg.norm_adjs, restored, rcfg.use_attention)
     assert e1.tobytes() == e2.tobytes()
 
 
@@ -428,17 +499,43 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_bad_version(tmp_path):
     _, _, cfg, params, trace = trained_fixture()
-    blob = bytearray(gt.checkpoint_bytes(params, cfg, trace))
+    blob = bytearray(gt.checkpoint_bytes(params, cfg, trace, NAMES))
     blob[4:8] = struct.pack("<I", 99)
     path = tmp_path / "v99.ckpt"
     path.write_bytes(bytes(blob))
     with pytest.raises(gt.CheckpointError, match="version 99"):
         gt.load_checkpoint(str(path))
+    # version 1 files (untrained classifier, no feature names) are not read
+    blob[4:8] = struct.pack("<I", 1)
+    with pytest.raises(gt.CheckpointError, match="version 1, .*retrain"):
+        gt.parse_checkpoint(bytes(blob))
+
+
+def test_checkpoint_damage_raises_only_checkpoint_error():
+    values, _ = small_problem(n_per_class=3, n_features=3)
+    cfg = small_cfg(embed_dim=2, gcn_layers=1, bins=2, heads=1, epochs=2)
+    params, trace = gt.train_unsupervised(build_multigraph(values, cfg.threshold),
+                                          cfg)
+    blob = gt.checkpoint_bytes(params, cfg, trace, ["f0", "f1", "f2"])
+
+    def load(damaged: bytes) -> None:
+        try:
+            gt.params_from_checkpoint(gt.parse_checkpoint(damaged))
+        except gt.CheckpointError:
+            pass
+
+    for cut in range(len(blob)):
+        with pytest.raises(gt.CheckpointError):
+            gt.parse_checkpoint(blob[:cut])
+    for bit in range(8 * len(blob)):
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        load(bytes(damaged))
 
 
 def test_checkpoint_truncation(tmp_path):
     _, _, cfg, params, trace = trained_fixture()
-    blob = gt.checkpoint_bytes(params, cfg, trace)
+    blob = gt.checkpoint_bytes(params, cfg, trace, NAMES)
     path = tmp_path / "cut.ckpt"
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(gt.CheckpointError, match="truncated"):
@@ -447,7 +544,7 @@ def test_checkpoint_truncation(tmp_path):
 
 def test_checkpoint_trailing_bytes(tmp_path):
     _, _, cfg, params, trace = trained_fixture()
-    blob = gt.checkpoint_bytes(params, cfg, trace)
+    blob = gt.checkpoint_bytes(params, cfg, trace, NAMES)
     path = tmp_path / "extra.ckpt"
     path.write_bytes(blob + b"\x00")
     with pytest.raises(gt.CheckpointError, match="trailing"):
@@ -456,7 +553,7 @@ def test_checkpoint_trailing_bytes(tmp_path):
 
 def test_checkpoint_missing_tensor(tmp_path):
     _, _, cfg, params, trace = trained_fixture()
-    blob = gt.checkpoint_bytes(params, cfg, trace)
+    blob = gt.checkpoint_bytes(params, cfg, trace, NAMES)
     ckpt_path = tmp_path / "full.ckpt"
     ckpt_path.write_bytes(blob)
     ckpt = gt.load_checkpoint(str(ckpt_path))
