@@ -7,6 +7,14 @@ propagating vector-Jacobian products. Gradients land on leaves only
 (parameters and inputs, never recorded intermediates), in
 ``Tensor.grad``; each intermediate's adjoint is freed as soon as the
 sweep has passed the record that produced it.
+
+Besides elementwise and matrix primitives there are two fused kernels,
+``gcn_layer`` and ``relation_attention``: each is one record with a
+hand-written VJP for a whole model stage (a GCN layer over every
+stacked view; the attention merge over every head), so the tape holds
+a handful of stacked products per epoch instead of one output per
+small op. ``slice_rows`` hands out views of a stacked result without
+copying it.
 """
 
 from __future__ import annotations
@@ -111,9 +119,12 @@ class Tape:
                     continue
                 prev = pending.get(id(inp))
                 pending[id(inp)] = (inp, contrib if prev is None else prev[1] + contrib)
+        # A deposited adjoint may be shared (``add`` hands one array to
+        # both inputs) and is never written in place; ``gather_grads``
+        # makes the one copy the optimizer may scale.
         for t, g in pending.values():
             if t.requires_grad:
-                t.grad = g.copy() if t.grad is None else t.grad + g
+                t.grad = g if t.grad is None else t.grad + g
 
 
 def _current_tape() -> Tape | None:
@@ -195,12 +206,6 @@ def square(x: Tensor) -> Tensor:
     return _make(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
 
 
-def relu(x: Tensor) -> Tensor:
-    # Subgradient 0 at exactly 0.
-    mask = x.data > 0
-    return _make(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Piecewise form avoids exp overflow for large |x|.
     out = np.empty_like(x)
@@ -237,17 +242,17 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.data.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] of {x.data.shape}")
-    out = x.data[:, start:stop].copy()
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows [start, stop) of x as a view of its data, not a copy."""
+    if not (0 <= start < stop <= x.data.shape[0]):
+        raise ShapeError(f"slice_rows [{start}:{stop}] of {x.data.shape}")
 
     def vjp(g):
         full = np.zeros_like(x.data)
-        full[:, start:stop] = g
+        full[start:stop] = g
         return (full,)
 
-    return _make(out, (x,), vjp)
+    return _make(x.data[start:stop], (x,), vjp)
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -264,29 +269,6 @@ def mean_rows(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     out = np.array([[x.data.sum()]])
     return _make(out, (x,), lambda g: (np.full_like(x.data, g[0, 0]),))
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
-
-    return _make(s, (x,), vjp)
-
-
-def scale_rows(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply row i of x by scalar w[i, 0]."""
-    if w.data.shape != (x.data.shape[0], 1):
-        raise ShapeError(f"scale_rows: {x.data.shape} with weights {w.data.shape}")
-    out = x.data * w.data
-
-    def vjp(g):
-        return g * w.data, (g * x.data).sum(axis=1, keepdims=True)
-
-    return _make(out, (x, w), vjp)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -309,6 +291,89 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         return (g[0, 0] * (sm - onehot) / n,)
 
     return _make(out, (logits,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# fused kernels: one record, one hand-written VJP, for an operation the
+# model runs over every relation and both views each epoch
+
+
+def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(A @ H_v @ W + b) for every view H_v of the N nodes stacked
+    row-wise in ``h`` (V*N rows). ``adj`` is the constant N x N
+    normalized adjacency; the relu's subgradient at exactly 0 is 0.
+
+    The record keeps A @ H for the weight gradient, which is one GEMM
+    over all V*N rows; the relu mask is read back from the output. No
+    adjoint is formed for a constant ``h`` (the feature matrix).
+    """
+    n = adj.shape[0]
+    rows, d_in = h.data.shape
+    if adj.shape != (n, n) or rows % n or w.data.shape[0] != d_in \
+            or b.data.shape != (1, w.data.shape[1]):
+        raise ShapeError(f"gcn_layer: adjacency {adj.shape}, input {h.data.shape}, "
+                         f"weight {w.data.shape}, bias {b.data.shape}")
+    views = rows // n
+    ah = np.matmul(adj, h.data.reshape(views, n, d_in)).reshape(rows, d_in)
+    pre = ah @ w.data
+    pre += b.data
+    out = np.where(pre > 0, pre, 0.0)
+
+    def vjp(g):
+        gz = g * (out > 0)
+        gh = None
+        if h.requires_grad:
+            gah = (gz @ w.data.T).reshape(views, n, d_in)
+            gh = np.matmul(adj.T, gah).reshape(rows, d_in)
+        return (gh,
+                ah.T @ gz if w.requires_grad else None,
+                gz.sum(axis=0, keepdims=True) if b.requires_grad else None)
+
+    return _make(out, (h, w, b), vjp)
+
+
+def relation_attention(embeddings: Sequence[Tensor],
+                       queries: Sequence[Sequence[Tensor]]
+                       ) -> tuple[Tensor, np.ndarray]:
+    """Attention merge of T relation embeddings E_t (M x D each) under
+    H heads; ``queries[t][h]`` is the D x 1 query of head h for
+    relation t. Per row and head, softmax over t of E_t @ q_{h,t};
+    the merge is sum_t (mean_h w_{h,t}) * E_t.
+
+    Returns the merged M x D tensor and the T x M x H softmax weights,
+    which are all the record keeps for its VJP.
+    """
+    if len(embeddings) != len(queries) or not embeddings:
+        raise ShapeError(f"{len(embeddings)} embeddings for {len(queries)} query sets")
+    m, d = embeddings[0].data.shape
+    heads = len(queries[0])
+    q = [np.concatenate([qh.data for qh in per_t], axis=1) for per_t in queries]
+    for e, qt in zip(embeddings, q):
+        if e.data.shape != (m, d) or qt.shape != (d, heads):
+            raise ShapeError(f"relation_attention: embedding {e.data.shape} with "
+                             f"queries {qt.shape}, expected ({m}, {d}) and ({d}, {heads})")
+    scores = np.stack([e.data @ qt for e, qt in zip(embeddings, q)])  # T x M x H
+    weights = np.exp(scores - scores.max(axis=0))
+    weights /= weights.sum(axis=0)
+    per_row = weights.mean(axis=2)  # T x M
+    out = per_row[0][:, None] * embeddings[0].data
+    for e, c in zip(embeddings[1:], per_row[1:]):
+        out += c[:, None] * e.data
+
+    def vjp(g):
+        g_row = np.stack([np.einsum("ij,ij->i", g, e.data) for e in embeddings]) / heads
+        g_scores = weights * (g_row[:, :, None]
+                              - (weights * g_row[:, :, None]).sum(axis=0))
+        g_emb, g_q = [], []
+        for e, qt, c, gs, per_t in zip(embeddings, q, per_row, g_scores, queries):
+            g_emb.append(c[:, None] * g + gs @ qt.T if e.requires_grad else None)
+            gq = e.data.T @ gs
+            g_q.extend(gq[:, i:i + 1] if qh.requires_grad else None
+                       for i, qh in enumerate(per_t))
+        return (*g_emb, *g_q)
+
+    inputs = (*embeddings, *(qh for per_t in queries for qh in per_t))
+    return _make(out, inputs, vjp), weights
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +427,8 @@ class Adam:
 
 
 def gather_grads(params: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradients aligned with ``params``; unreached parameters get zeros."""
+    """Gradients aligned with ``params``; unreached parameters get zeros.
+    Each is a fresh array, so ``clip_global_norm`` may scale it in place
+    even where leaves share one ``.grad`` array."""
     return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
             for p in params]

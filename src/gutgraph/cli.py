@@ -96,7 +96,11 @@ def _resolve_config(args) -> tr.TrainConfig:
     data = tr.TrainConfig().as_dict()
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object, "
+                             f"got {type(loaded).__name__}")
+        data.update(loaded)
     for _, dest, _ in _CONFIG_FLAGS:
         value = getattr(args, dest)
         if value is not None:

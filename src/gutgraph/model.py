@@ -6,6 +6,11 @@ graph; a bilinear discriminator scores node/summary pairs; per-head
 attention merges the relation-specific embeddings into one matrix. The
 joint loss couples the discriminator objective with an attention
 alignment term through a trainable, softplus-positive weight.
+
+Training stacks the two views row-wise (2N rows) and runs them through
+the fused tape kernels of ``autodiff``: one record per GCN layer and
+relation, one record for the attention merge over every head. The
+per-view consumers read their N rows as views of the stacked products.
 """
 
 from __future__ import annotations
@@ -99,13 +104,15 @@ def init_model_params(kinds, n_features: int, embed_dim: int, gcn_layers: int,
 # encoder and readout
 
 
-def gcn_forward(norm_adj: Tensor, x: Tensor,
+def gcn_forward(norm_adj: np.ndarray, x: Tensor,
                 layers: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """relu(A_norm @ H @ W + b) stacked; the normalized adjacency is
-    applied at every layer and the last layer keeps its relu."""
+    """relu(A_norm @ H @ W + b) stacked, one fused record per layer;
+    the normalized adjacency is applied at every layer and the last
+    layer keeps its relu. ``x`` may stack several views of the nodes
+    row-wise; each is propagated over the same graph."""
     h = x
     for w, b in layers:
-        h = ad.relu(ad.add_bias(ad.matmul(ad.matmul(norm_adj, h), w), b))
+        h = ad.gcn_layer(norm_adj, h, w, b)
     return h
 
 
@@ -174,33 +181,21 @@ def attention_merge(embeddings: list[Tensor],
                     return_weights: bool = False):
     """Per head, per node: softmax over relation types of query . H_i,
     then the weighted sum of the relation embeddings; heads are
-    averaged. A single relation type merges to itself exactly (weights
-    forced to 1)."""
+    averaged. One fused record (``autodiff.relation_attention``) covers
+    every head. A single relation type merges to itself exactly
+    (weights forced to 1). ``return_weights`` adds one N x T weight
+    matrix per head."""
     if len(embeddings) != len(kinds) or not embeddings:
         raise ValueError(f"{len(embeddings)} embeddings for {len(kinds)} kinds")
     n = embeddings[0].data.shape[0]
     if len(embeddings) == 1:
         weights = [np.ones((n, 1))] * len(queries_per_head)
         return (embeddings[0], weights) if return_weights else embeddings[0]
-    head_outputs = []
-    head_weights = []
-    for queries in queries_per_head:
-        scores = None
-        for h_t, kind in zip(embeddings, kinds):
-            s = ad.matmul(h_t, queries[kind])  # N x 1
-            scores = s if scores is None else ad.concat_cols(scores, s)
-        w = ad.softmax_rows(scores)  # N x T
-        merged = None
-        for t, h_t in enumerate(embeddings):
-            part = ad.scale_rows(h_t, ad.slice_cols(w, t, t + 1))
-            merged = part if merged is None else ad.add(merged, part)
-        head_outputs.append(merged)
-        head_weights.append(w.data.copy())
-    out = head_outputs[0]
-    for ho in head_outputs[1:]:
-        out = ad.add(out, ho)
-    out = ad.mul_scalar(out, 1.0 / len(head_outputs))
-    return (out, head_weights) if return_weights else out
+    out, w = ad.relation_attention(
+        embeddings, [[queries[kind] for queries in queries_per_head] for kind in kinds])
+    if not return_weights:
+        return out
+    return out, [w[:, :, h].T.copy() for h in range(w.shape[2])]
 
 
 def average_merge(embeddings: list[Tensor]) -> Tensor:
@@ -310,21 +305,25 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
                   ) -> ForwardResult:
     """One training pass over every relation type: encode both views,
     summarize, score the discriminator, merge, and combine the losses.
+
+    The two views run stacked, original rows [0, N) over shuffled rows
+    [N, 2N), through one GCN record per layer and relation and one
+    attention record; the summary, discriminator and hybrid loss read
+    each view's rows as a view of the stacked result.
     ``frozen_histograms`` substitutes stored graph-level readouts (they
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""
     kinds = params.kinds
-    xt = ad.constant(x)
-    xs = ad.constant(x_shuffled)
     n = x.shape[0]
+    stacked = ad.constant(np.concatenate([x, x_shuffled]))
+    embeddings = [gcn_forward(norm_adjs[kind], stacked, params.layers[kind])
+                  for kind in kinds]
     positives, negatives, summaries, node_parts = [], [], [], []
     histograms: dict[DistanceKind, np.ndarray] = {}
-    for kind in kinds:
-        adj = ad.constant(norm_adjs[kind])
-        h_pos = gcn_forward(adj, xt, params.layers[kind])
-        h_neg = gcn_forward(adj, xs, params.layers[kind])
+    for kind, h in zip(kinds, embeddings):
+        h_pos = ad.slice_rows(h, 0, n)
         positives.append(h_pos)
-        negatives.append(h_neg)
+        negatives.append(ad.slice_rows(h, n, 2 * n))
         if two_stage_summary:
             frozen = None if frozen_histograms is None else frozen_histograms[kind]
             summary, p, q = graph_summary(h_pos, bins, weighting, frozen)
@@ -342,14 +341,13 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
         l_adv = adversarial_loss(summaries, positives, negatives, discs)
 
     if use_attention:
-        merged_pos = attention_merge(positives, params.queries, kinds)
-        merged_neg = attention_merge(negatives, params.queries, kinds)
+        merged = attention_merge(embeddings, params.queries, kinds)
     else:
-        merged_pos = average_merge(positives)
-        merged_neg = average_merge(negatives)
+        merged = average_merge(embeddings)
 
     target = global_target(node_parts, n)
-    l_hybrid = hybrid_attention_loss(target, merged_pos, merged_neg)
+    l_hybrid = hybrid_attention_loss(target, ad.slice_rows(merged, 0, n),
+                                     ad.slice_rows(merged, n, 2 * n))
     loss = joint_loss(l_adv, l_hybrid, params.eta_raw)
     return ForwardResult(
         loss=loss,
@@ -361,10 +359,11 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
 
 def encode(x: np.ndarray, norm_adjs: dict[DistanceKind, np.ndarray],
            params: ModelParams, use_attention: bool = True) -> np.ndarray:
-    """N x D merged embedding of the original view (no tape, no grads)."""
+    """N x D merged embedding of the original view (no tape, no grads),
+    through the same fused kernels as ``joint_forward``."""
     kinds = params.kinds
     xt = ad.constant(x)
-    embeddings = [gcn_forward(ad.constant(norm_adjs[kind]), xt, params.layers[kind])
+    embeddings = [gcn_forward(norm_adjs[kind], xt, params.layers[kind])
                   for kind in kinds]
     if use_attention:
         merged = attention_merge(embeddings, params.queries, kinds)

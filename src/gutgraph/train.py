@@ -32,6 +32,16 @@ from .graph import ALL_KINDS, MultiGraph, build_multigraph, shuffle_features
 from .ingest import kfold_split
 
 
+# accepted values per annotated field type; bool is an int subclass in
+# Python, so it is refused where a number is expected
+_FIELD_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
 @dataclass
 class TrainConfig:
     """Everything a run needs; serialized verbatim into checkpoints and
@@ -56,6 +66,11 @@ class TrainConfig:
     use_adversarial: bool = True
 
     def __post_init__(self):
+        # JSON and checkpoints can carry any type: check types before ranges
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_TYPES[f.type](value):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.embed_dim < 1 or self.gcn_layers < 1 or self.bins < 1 or self.heads < 1:
             raise ValueError("embed_dim, gcn_layers, bins, heads must be >= 1")
         if not (0.0 < self.threshold < 1.0):

@@ -308,6 +308,29 @@ def test_config_file_unknown_key_exits_nonzero(tmp_path, cohort, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"gcn_layers": 2.5},
+    {"epochs": "3"},
+    {"threshold": "0.5"},
+    [1, 2],
+    {"use_attention": "no"},
+], ids=["float-int", "str-int", "str-float", "non-object", "str-bool"])
+def test_config_file_wrong_type_exits_in_one_line(tmp_path, cohort, capsys, payload):
+    table_path, _ = cohort
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    # the fast flags, less any that would override the field under test
+    flags = [a for pair in zip(FAST[::2], FAST[1::2])
+             if pair[0][2:].replace("-", "_") not in payload for a in pair]
+    code = main(["train", "--table", table_path, "--out-dir", str(out),
+                 "--config", str(cfg_file)] + flags)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (out / "model.ckpt").exists()
+
+
 def test_ablation_flags_land_in_config(tmp_path, cohort):
     table_path, _ = cohort
     out = tmp_path / "run"

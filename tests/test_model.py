@@ -67,14 +67,13 @@ def test_gcn_zero_weights_give_zero_embedding():
         w.data[:] = 0.0
         b.data[:] = 0.0
     x = ad.constant(np.random.default_rng(0).random((5, 4)))
-    adj = ad.constant(np.eye(5))
-    h = model.gcn_forward(adj, x, p.layers[gg.DistanceKind.EUCLIDEAN])
+    h = model.gcn_forward(np.eye(5), x, p.layers[gg.DistanceKind.EUCLIDEAN])
     assert np.all(h.data == 0.0)
 
 
 def test_gcn_hand_case_one_layer():
     # two connected nodes: A_norm is all 0.5; relu clips the first column
-    adj = ad.constant(np.full((2, 2), 0.5))
+    adj = np.full((2, 2), 0.5)
     x = ad.constant(np.array([[2.0, 0.0], [0.0, 4.0]]))
     w = ad.Tensor(np.eye(2))
     b = ad.Tensor(np.array([[-1.5, 0.0]]))
@@ -87,11 +86,9 @@ def test_gcn_row_permutation_equivariance():
     p = tiny_params(n_features=4, gcn_layers=3)
     kind = gg.DistanceKind.BRAY_CURTIS
     perm = np.random.default_rng(1).permutation(7)
-    h = model.gcn_forward(ad.constant(adjs[kind]), ad.constant(x),
-                          p.layers[kind]).data
+    h = model.gcn_forward(adjs[kind], ad.constant(x), p.layers[kind]).data
     a_perm = adjs[kind][perm][:, perm]
-    h_perm = model.gcn_forward(ad.constant(a_perm), ad.constant(x[perm]),
-                               p.layers[kind]).data
+    h_perm = model.gcn_forward(a_perm, ad.constant(x[perm]), p.layers[kind]).data
     assert np.max(np.abs(h_perm - h[perm])) < 1e-9
 
 
@@ -99,7 +96,7 @@ def test_gcn_final_layer_keeps_relu():
     p = tiny_params()
     kind = gg.DistanceKind.EUCLIDEAN
     x = ad.constant(np.random.default_rng(2).normal(size=(6, 4)) * 10)
-    h = model.gcn_forward(ad.constant(np.eye(6)), x, p.layers[kind])
+    h = model.gcn_forward(np.eye(6), x, p.layers[kind])
     assert np.all(h.data >= 0.0)
 
 
@@ -448,6 +445,27 @@ def test_joint_forward_frozen_histograms_change_nothing_at_base_point():
         assert (a is None) == (b is None)
         if a is not None:
             assert a.tobytes() == b.tobytes()
+
+
+def test_joint_forward_tape_is_fused():
+    # default shape: 3 relations, 3 GCN layers, 4 heads; both views run
+    # stacked through 9 GCN records and 1 attention record. The other 70:
+    # 8 row views, 9 summary, 39 adversarial, 4 target, 7 hybrid, 3 joint.
+    n, d = 64, 32
+    x, xs, adjs = tiny_problem(n=n, f=8)
+    p = tiny_params(n_features=8, embed_dim=d, gcn_layers=3, bins=16, heads=4)
+    with ad.Tape() as tape:
+        model.joint_forward(x, xs, adjs, p, bins=16)
+    assert len(tape) == 80
+    # distinct buffers of the recorded outputs (a row view holds none of its
+    # own): the ten stacked 2N x D products, five N x D loss temporaries and
+    # the small rest
+    buffers = {}
+    for out, _, _ in tape._records:
+        base = out.data if out.data.base is None else out.data.base
+        buffers[id(base)] = base.nbytes
+    stacked, per_view = 2 * n * d * 8, n * d * 8
+    assert sum(buffers.values()) <= 10 * stacked + 5 * per_view + 16 * 1024
 
 
 def test_encode_shape_and_determinism():

@@ -66,6 +66,29 @@ def test_config_dict_round_trip():
     assert gt.TrainConfig.from_dict(cfg.as_dict()) == cfg
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gcn_layers", 2.5),
+    ("epochs", "3"),
+    ("threshold", "0.5"),
+    ("use_attention", "no"),
+    ("embed_dim", True),
+    ("seed", 1.0),
+    ("learning_rate", False),
+    ("fresh_corruption", 0),
+    ("histogram_weighting", 1),
+])
+def test_config_from_dict_rejects_wrong_types(name, value):
+    data = gt.TrainConfig().as_dict()
+    data[name] = value
+    with pytest.raises(ValueError, match=name):
+        gt.TrainConfig.from_dict(data)
+
+
+def test_config_from_dict_accepts_int_for_float():
+    cfg = gt.TrainConfig.from_dict({"clip_norm": 2, "learning_rate": 0})
+    assert cfg.clip_norm == 2 and cfg.learning_rate == 0
+
+
 def test_config_from_dict_rejects_unknown_keys():
     data = gt.TrainConfig().as_dict()
     data["momentum"] = 0.9
