@@ -15,6 +15,10 @@ stacked view; the attention merge over every head), so the tape holds
 a handful of stacked products per epoch instead of one output per
 small op. ``slice_rows`` hands out views of a stacked result without
 copying it.
+
+The tape serves the unsupervised objective only; the supervised
+softmax head trains on its closed-form gradient
+(``train.head_gradients``) without recording anything.
 """
 
 from __future__ import annotations
@@ -190,18 +194,6 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     return _make(x.data * c, (x,), lambda g: (g * c,))
 
 
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Broadcast a 1xC bias row across the rows of an NxC tensor."""
-    if bias.data.shape != (1, x.data.shape[1]):
-        raise ShapeError(f"add_bias: {x.data.shape} with bias {bias.data.shape}")
-    out = x.data + bias.data
-
-    def vjp(g):
-        return g, g.sum(axis=0, keepdims=True)
-
-    return _make(out, (x, bias), vjp)
-
-
 def square(x: Tensor) -> Tensor:
     return _make(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
 
@@ -269,28 +261,6 @@ def mean_rows(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     out = np.array([[x.data.sum()]])
     return _make(out, (x,), lambda g: (np.full_like(x.data, g[0, 0]),))
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of row-wise softmax against integer labels."""
-    y = np.asarray(labels)
-    n, c = logits.data.shape
-    if y.shape != (n,):
-        raise ShapeError(f"labels shape {y.shape} for logits {logits.data.shape}")
-    if y.min() < 0 or y.max() >= c:
-        raise ValueError(f"labels out of range [0, {c})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logsm = z - logsumexp
-    out = np.array([[-logsm[np.arange(n), y].mean()]])
-    sm = np.exp(logsm)
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
-
-    def vjp(g):
-        return (g[0, 0] * (sm - onehot) / n,)
-
-    return _make(out, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

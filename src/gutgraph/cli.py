@@ -15,6 +15,7 @@ directory; the resolved path is always echoed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,22 +31,10 @@ from .ingest import (FilterPolicy, TableFormatError, filter_low_abundance,
 
 OUTDIR_ENV = "GUTGRAPH_OUTDIR"
 
-# (flag, TrainConfig field, parser) for every scalar config field
-_CONFIG_FLAGS = [
-    ("--embed-dim", "embed_dim", int),
-    ("--gcn-layers", "gcn_layers", int),
-    ("--bins", "bins", int),
-    ("--heads", "heads", int),
-    ("--threshold", "threshold", float),
-    ("--epochs", "epochs", int),
-    ("--learning-rate", "learning_rate", float),
-    ("--clip-norm", "clip_norm", float),
-    ("--seed", "seed", int),
-    ("--folds", "folds", int),
-    ("--eval-seeds", "eval_seeds", int),
-    ("--classifier-steps", "classifier_steps", int),
-    ("--histogram-weighting", "histogram_weighting", str),
-]
+# every TrainConfig field that is not a switch, set by --field-name
+_SCALAR_FIELDS = [(f.name, {"int": int, "float": float, "str": str}[f.type])
+                  for f in dataclasses.fields(tr.TrainConfig) if f.type != "bool"]
+# (flag, TrainConfig switch) for the switches, each turning a feature off
 _ABLATION_FLAGS = [
     ("--static-corruption", "fresh_corruption"),
     ("--no-attention", "use_attention"),
@@ -57,8 +46,9 @@ _ABLATION_FLAGS = [
 def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="JSON file with training config fields")
-    for flag, dest, typ in _CONFIG_FLAGS:
-        p.add_argument(flag, dest=dest, type=typ, default=None)
+    for dest, typ in _SCALAR_FIELDS:
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=typ,
+                       default=None)
     for flag, dest in _ABLATION_FLAGS:
         # store_true with a None default so "not given" is detectable
         p.add_argument(flag, dest=f"flag_{dest}", action="store_true",
@@ -87,7 +77,7 @@ def _resolve_out_dir(args) -> str:
 def _explicit_config_given(args) -> bool:
     if getattr(args, "config", None):
         return True
-    if any(getattr(args, dest) is not None for _, dest, _ in _CONFIG_FLAGS):
+    if any(getattr(args, dest) is not None for dest, _ in _SCALAR_FIELDS):
         return True
     return any(getattr(args, f"flag_{dest}") for _, dest in _ABLATION_FLAGS)
 
@@ -101,7 +91,7 @@ def _resolve_config(args) -> tr.TrainConfig:
             raise ValueError(f"{args.config}: config must be a JSON object, "
                              f"got {type(loaded).__name__}")
         data.update(loaded)
-    for _, dest, _ in _CONFIG_FLAGS:
+    for dest, _ in _SCALAR_FIELDS:
         value = getattr(args, dest)
         if value is not None:
             data[dest] = value

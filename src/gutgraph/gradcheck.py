@@ -4,9 +4,14 @@ Central finite differences against the tape's analytic gradients, one
 relative error per parameter group. The graph-level histogram readout
 is a constant under autodiff (stop-gradient), so perturbed evaluations
 reuse the base-point histograms; differencing across histogram
-re-binning would measure a derivative the model does not define. The
-classifier group is the softmax head ``train.train_classifier`` fits,
-on standardized embeddings with freshly drawn weights.
+re-binning would measure a derivative the model does not define.
+
+The classifier group checks the closed-form ``train.head_gradients``
+of the head ``train.train_classifier`` fits (standardized embeddings,
+freshly drawn weights) against central differences of the
+cross-entropy of ``model.predict_proba``, the function that scores the
+test folds: the gradient the head trains with must be the gradient of
+the scores it is judged on.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .graph import ALL_KINDS, build_multigraph, shuffle_features
-from .train import TrainConfig, train_classifier
+from .train import TrainConfig, head_gradients, train_classifier
 
 DEFAULT_TOLERANCE = 1e-4
 
@@ -78,25 +83,23 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for name, t in named.items()}
 
-    # analytic pass for the classifier head on frozen embeddings: the
-    # standardized input and freshly drawn weights of train_classifier
+    # closed-form gradient of the classifier head on frozen embeddings:
+    # the standardized input and freshly drawn weights of train_classifier
     embeddings = model.encode(x, adjs, params)
     labels = np.arange(n_nodes) % 2
     head = train_classifier(embeddings, labels, np.arange(n_nodes),
                             TrainConfig(classifier_steps=0), seed=seed)
-    head_x = ad.constant((embeddings - head.mean) / head.scale)
-    head_w = ad.Tensor(head.weight, requires_grad=True)
-    head_b = ad.Tensor(head.bias, requires_grad=True)
+    head_x = (embeddings - head.mean) / head.scale
+    head_w = ad.Tensor(head.weight)
+    head_b = ad.Tensor(head.bias)
     named.update({"classifier/weight": head_w, "classifier/bias": head_b})
+    analytic["classifier/weight"], analytic["classifier/bias"] = head_gradients(
+        head_x, head_w.data, head_b.data, labels)
 
-    def classifier_ce() -> ad.Tensor:
-        return ad.softmax_cross_entropy(
-            model.classifier_logits(head_x, head_w, head_b), labels)
-
-    with ad.Tape() as tape:
-        tape.backward(classifier_ce())
-    analytic["classifier/weight"] = head_w.grad.copy()
-    analytic["classifier/bias"] = head_b.grad.copy()
+    def classifier_ce() -> float:
+        # cross-entropy of the scores the test folds are judged on
+        p1 = model.predict_proba(head_x, head_w.data, head_b.data)
+        return float(-np.mean(np.log(np.where(labels == 1, p1, 1.0 - p1))))
 
     if corrupt_group is not None:
         if corrupt_group not in _GROUP_PREFIXES:
@@ -113,8 +116,7 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
     groups_f: dict[str, list[np.ndarray]] = {g: [] for g in _GROUP_PREFIXES}
     for name, tensor in named.items():
         group = _group_of(name)
-        loss_fn = ((lambda: classifier_ce().item()) if group == "classifier"
-                   else unsupervised_loss)
+        loss_fn = classifier_ce if group == "classifier" else unsupervised_loss
         fd = _fd_grad(loss_fn, tensor, step)
         groups_a[group].append(analytic[name].ravel())
         groups_f[group].append(fd.ravel())

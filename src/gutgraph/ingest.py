@@ -105,10 +105,30 @@ class FoldAssignment:
         return np.sort(np.flatnonzero(self.fold_of_sample != fold))
 
 
-def _reader(stream, delimiter: str):
+def _records(stream, delimiter: str):
+    """(1-based record number, fields) of every non-blank record. A
+    record csv cannot split, such as one a stray quote runs past the
+    field size limit, raises TableFormatError naming its first line."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    return csv.reader(stream, delimiter=delimiter)
+    reader = csv.reader(stream, delimiter=delimiter)
+    line = 1
+    try:
+        for rownum, row in enumerate(reader, start=1):
+            line = reader.line_num + 1
+            if row:
+                yield rownum, row
+    except csv.Error as exc:
+        raise TableFormatError(f"line {line}: {exc}") from None
+
+
+def _quote(cell: str, delimiter: str) -> str:
+    """``cell`` as the csv module's minimal quoting writes it: quoted,
+    with quotes doubled, only if it holds the delimiter, a quote or a
+    line break."""
+    if delimiter in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def parse_abundance_table(stream, delimiter: str = "\t") -> AbundanceTable:
@@ -118,8 +138,7 @@ def parse_abundance_table(stream, delimiter: str = "\t") -> AbundanceTable:
     ids. Every later row is one feature: name, then one value per
     sample. Errors carry 1-based row (and column) positions.
     """
-    rows = [(i, row) for i, row in enumerate(_reader(stream, delimiter), start=1)
-            if row]
+    rows = list(_records(stream, delimiter))
     if not rows:
         raise TableFormatError("empty input: no header row")
     _, header = rows[0]
@@ -165,10 +184,13 @@ def parse_abundance_table(stream, delimiter: str = "\t") -> AbundanceTable:
 
 
 def serialize_abundance_table(table: AbundanceTable, delimiter: str = "\t") -> str:
-    """Feature-major text form; parse(serialize(t)) reproduces t exactly."""
-    lines = [delimiter.join(["feature_id"] + table.sample_ids)]
+    """Feature-major text form; parse(serialize(t)) reproduces t exactly.
+    Names and ids are quoted only where csv needs it; values never are."""
+    lines = [delimiter.join(_quote(c, delimiter)
+                            for c in ["feature_id"] + table.sample_ids)]
     for j, name in enumerate(table.feature_names):
-        cells = [name] + [repr(float(v)) for v in table.values[:, j]]
+        cells = [_quote(name, delimiter)]
+        cells += [repr(float(v)) for v in table.values[:, j]]
         lines.append(delimiter.join(cells))
     return "\n".join(lines) + "\n"
 
@@ -218,9 +240,7 @@ def kfold_split(n_samples: int, k: int, seed: int) -> FoldAssignment:
 def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> LabelVector:
     """Two-column id/label file, reordered to match ``sample_ids``."""
     mapping: dict[str, int] = {}
-    for rownum, row in enumerate(_reader(stream, delimiter), start=1):
-        if not row:
-            continue
+    for rownum, row in _records(stream, delimiter):
         if len(row) != 2:
             raise TableFormatError(
                 f"row {rownum}: expected 2 fields, found {len(row)}")
@@ -241,7 +261,8 @@ def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> LabelVe
 
 def serialize_labels(sample_ids: list[str], labels: LabelVector,
                      delimiter: str = "\t") -> str:
-    lines = [f"{sid}{delimiter}{int(y)}" for sid, y in zip(sample_ids, labels.labels)]
+    lines = [f"{_quote(sid, delimiter)}{delimiter}{int(y)}"
+             for sid, y in zip(sample_ids, labels.labels)]
     return "\n".join(lines) + "\n"
 
 

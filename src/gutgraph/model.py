@@ -270,10 +270,6 @@ def joint_loss(l_adv: Tensor | None, l_hybrid: Tensor, eta_raw: Tensor) -> Tenso
 # classifier head
 
 
-def classifier_logits(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add_bias(ad.matmul(x, w), b)
-
-
 def predict_proba(embeddings: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """P(class 1) per row from the linear head, via stable softmax."""
     z = embeddings @ w + b

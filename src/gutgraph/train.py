@@ -3,7 +3,9 @@
 Two stages: the unsupervised stage fits the encoder/attention/
 discriminator parameters against the joint loss and never sees labels
 (they are not even a parameter); the supervised stage freezes the
-encoder and fits a small softmax head on the merged embeddings.
+encoder and fits a small softmax head on the merged embeddings. The
+head is plain numpy with its closed-form gradient (``head_gradients``),
+so the tape serves only the unsupervised objective.
 
 The corruption permutation of the Shuffled-Graph belongs to training:
 ``train_unsupervised`` draws it from the run's seed, so one
@@ -176,15 +178,35 @@ class ClassifierHead:
 _HEAD_LEARNING_RATE = 0.05
 
 
+def head_gradients(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                   y: np.ndarray) -> list[np.ndarray]:
+    """[dL/dw, dL/db] of the mean softmax cross-entropy L of the linear
+    head ``x @ w + b`` against integer labels ``y``, in closed form:
+    the logit gradient is (softmax - onehot) / n. The softmax subtracts
+    the row max and exponentiates the log-softmax, so the gradient keeps
+    its bits whatever the logit scale."""
+    n = x.shape[0]
+    z = x @ w + b
+    z = z - z.max(axis=1, keepdims=True)
+    g = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+    g[np.arange(n), y] -= 1.0
+    g /= n
+    return [x.T @ g, g.sum(axis=0, keepdims=True)]
+
+
 def train_classifier(embeddings: np.ndarray, labels: np.ndarray,
                      train_idx: np.ndarray, cfg: TrainConfig,
                      seed=None) -> ClassifierHead:
-    """Fit the softmax head on frozen embeddings with full-batch Adam.
-    A zero-step budget returns the freshly initialized head."""
+    """Fit the softmax head on frozen embeddings with full-batch Adam on
+    the closed-form ``head_gradients``. A zero-step budget returns the
+    freshly initialized head."""
     train_idx = np.asarray(train_idx)
     if train_idx.size == 0:
         raise ValueError("empty training fold")
     y = np.asarray(labels)[train_idx]
+    bad = sorted(set(y.tolist()) - {0, 1})
+    if bad:
+        raise ValueError(f"labels must be 0 or 1, found {bad}")
     if np.unique(y).size < 2:
         raise ValueError("training fold contains a single class")
     x_train = embeddings[train_idx]
@@ -194,17 +216,12 @@ def train_classifier(embeddings: np.ndarray, labels: np.ndarray,
     d = embeddings.shape[1]
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     bound = 1.0 / np.sqrt(d)
-    w = Tensor(rng.uniform(-bound, bound, size=(d, 2)), requires_grad=True)
-    b = Tensor(np.zeros((1, 2)), requires_grad=True)
-    x = ad.constant((x_train - mean) / scale)
+    w = Tensor(rng.uniform(-bound, bound, size=(d, 2)))
+    b = Tensor(np.zeros((1, 2)))
+    x = (x_train - mean) / scale
     optimizer = ad.Adam([w, b], lr=_HEAD_LEARNING_RATE)
     for _ in range(cfg.classifier_steps):
-        w.zero_grad()
-        b.zero_grad()
-        with ad.Tape() as tape:
-            ce = ad.softmax_cross_entropy(model.classifier_logits(x, w, b), y)
-            tape.backward(ce)
-        optimizer.step(ad.gather_grads([w, b]))
+        optimizer.step(head_gradients(x, w.data, b.data, y))
     return ClassifierHead(w.data.copy(), b.data.copy(), mean, scale)
 
 
@@ -553,35 +570,33 @@ def check_feature_names(ckpt: Checkpoint, feature_names: list[str]) -> None:
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[model.ModelParams, TrainConfig]:
+    """The parameters the checkpoint's config describes, filled with its
+    tensors by name; a missing, extra or wrong-shaped tensor is refused."""
     try:
         cfg = TrainConfig.from_dict(ckpt.config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from None
-    tensors = ckpt.tensors
-
-    def grab(name: str) -> Tensor:
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-        return Tensor(tensors[name].copy(), requires_grad=True)
-
     kinds = tuple(k for k in ALL_KINDS
-                  if f"encoder/{k.value}/layer0/weight" in tensors)
+                  if f"encoder/{k.value}/layer0/weight" in ckpt.tensors)
     if not kinds:
         raise CheckpointError("checkpoint holds no encoder tensors")
-    layers = {}
-    for kind in kinds:
-        layers[kind] = [(grab(f"encoder/{kind.value}/layer{i}/weight"),
-                         grab(f"encoder/{kind.value}/layer{i}/bias"))
-                        for i in range(cfg.gcn_layers)]
-    queries = [{kind: grab(f"attention/head{h}/{kind.value}/query")
-                for kind in kinds}
-               for h in range(cfg.heads)]
-    discs = {kind: grab(f"discriminator/{kind.value}/weight") for kind in kinds}
-    params = model.ModelParams(
-        layers=layers, queries=queries, discriminators=discs,
-        eta_raw=grab("eta_raw"))
-    expected = set(params.named_tensors())
-    extra = sorted(set(tensors) - expected)
+    if not ckpt.feature_names:
+        raise CheckpointError("checkpoint names no features")
+    # every initial value is overwritten below; the draw only sets shapes
+    params = model.init_model_params(
+        kinds, len(ckpt.feature_names), cfg.embed_dim, cfg.gcn_layers, cfg.bins,
+        cfg.heads, cfg.two_stage_summary, np.random.default_rng(0))
+    named = params.named_tensors()
+    for name, tensor in named.items():
+        stored = ckpt.tensors.get(name)
+        if stored is None:
+            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+        if stored.shape != tensor.data.shape:
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} has shape {stored.shape}, "
+                f"its config needs {tensor.data.shape}")
+        tensor.data[...] = stored
+    extra = sorted(set(ckpt.tensors) - set(named))
     if extra:
         raise CheckpointError(f"unexpected tensors in checkpoint: {extra[:3]}")
     return params, cfg

@@ -1,12 +1,15 @@
 """End-to-end tests that drive the CLI through main(argv)."""
 
+import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from gutgraph.cli import main
+from gutgraph.train import TrainConfig
 
 FAST = ["--embed-dim", "5", "--gcn-layers", "2", "--bins", "3",
         "--heads", "2", "--epochs", "3", "--classifier-steps", "20",
@@ -279,6 +282,69 @@ def test_checkpoint_refuses_reordered_table(tmp_path, cohort, capsys, command):
     assert err.startswith("error: table feature 0 is 'taxon0001', "
                           "the checkpoint was trained with 'taxon0000'")
     assert [p.name for p in out.iterdir()] == ["config.json"]
+
+
+def test_checkpoint_with_reshaped_tensor_exits_in_one_line(tmp_path, cohort, capsys):
+    table_path, labels_path = cohort
+    train_out = tmp_path / "train"
+    assert main(["train", "--table", table_path,
+                 "--out-dir", str(train_out)] + FAST) == 0
+    # store the discriminator weight transposed: same byte count, wrong shape
+    blob = bytearray((train_out / "model.ckpt").read_bytes())
+    name = b"discriminator/bray_curtis/weight"
+    at = blob.index(name) + len(name)
+    rows, cols = struct.unpack("<II", blob[at:at + 8])
+    blob[at:at + 8] = struct.pack("<II", cols, rows)
+    reshaped = tmp_path / "reshaped.ckpt"
+    reshaped.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["evaluate", "--table", table_path, "--labels", labels_path,
+                 "--out-dir", str(out), "--checkpoint", str(reshaped)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == (f"error: checkpoint tensor {name.decode()!r} has shape "
+                      f"{(cols, rows)}, its config needs {(rows, cols)}")
+    assert not (out / "metrics.json").exists()
+
+
+def test_stray_quote_in_table_exits_in_one_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--n-per-class", "200", "--n-features", "40",
+                 "--out-dir", str(data)]) == 0
+    lines = (data / "abundance.tsv").read_text().splitlines(keepends=True)
+    lines[5] = '"' + lines[5]
+    table = tmp_path / "quoted.tsv"
+    table.write_text("".join(lines))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["preprocess", "--table", str(table), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 6: field larger than field limit (131072)"]
+    assert not (out / "filtered.tsv").exists()
+
+
+def test_every_scalar_config_field_has_a_flag(tmp_path, cohort):
+    table_path, _ = cohort
+    defaults = TrainConfig()
+    given = {}
+    for f in dataclasses.fields(TrainConfig):
+        default = getattr(defaults, f.name)
+        if f.type == "int":
+            given[f.name] = default + 1
+        elif f.type == "float":
+            given[f.name] = default / 2
+        elif f.type == "str":
+            given[f.name] = "count" if default != "count" else "magnitude"
+        else:
+            assert f.type == "bool"  # switches: see test_ablation_flags_land_in_config
+    flags = [a for name, value in given.items()
+             for a in ("--" + name.replace("_", "-"), str(value))]
+    out = tmp_path / "run"
+    assert main(["build-graphs", "--table", table_path,
+                 "--out-dir", str(out)] + flags) == 0
+    config = json.loads((out / "config.json").read_text())["config"]
+    assert {name: config[name] for name in given} == given
 
 
 def test_config_file_and_flag_precedence(tmp_path, cohort):

@@ -79,6 +79,52 @@ def test_serialize_parse_round_trip_is_exact():
     assert back.values.tobytes() == t.values.tobytes()
 
 
+def _csv_safe_names(alphabet):
+    """Distinct non-blank names that ``.strip()`` leaves unchanged."""
+    return st.lists(st.text(alphabet, min_size=1, max_size=6)
+                    .filter(lambda s: s.strip() == s),
+                    min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(delimiter=st.sampled_from(["\t", ","]), data=st.data())
+def test_round_trip_names_with_quotes_and_delimiters(delimiter, data):
+    alphabet = 'ab" ,\t'
+    ids = data.draw(_csv_safe_names(alphabet))
+    names = data.draw(_csv_safe_names(alphabet))
+    values = np.arange(len(ids) * len(names), dtype=np.float64).reshape(
+        len(ids), len(names))
+    t = ingest.AbundanceTable(ids, names, values)
+    back = ingest.parse_abundance_table(
+        ingest.serialize_abundance_table(t, delimiter), delimiter)
+    assert back.sample_ids == ids
+    assert back.feature_names == names
+    assert back.values.tobytes() == values.tobytes()
+    labels = ingest.LabelVector(np.arange(len(ids)) % 2)
+    again = ingest.read_labels(ingest.serialize_labels(ids, labels, delimiter),
+                               ids, delimiter)
+    assert again.labels.tolist() == labels.labels.tolist()
+
+
+def test_plain_names_are_not_quoted():
+    t = ingest.parse_abundance_table(SMALL_TABLE)
+    assert ingest.serialize_abundance_table(t) == (
+        "feature_id\tS1\tS2\tS3\n"
+        "taxonA\t0.1\t0.2\t0.3\n"
+        "taxonB\t0.9\t0.8\t0.7\n")
+
+
+def test_unsplittable_record_names_its_line():
+    # a stray quote opens a field that runs past csv's field size limit
+    table = "id\tS1\n" + "taxon0\t0.5\n" + '"taxon1\t0.5\n' \
+        + "".join(f"taxon{i}\t0.5\n" for i in range(2, 20000))
+    with pytest.raises(ingest.TableFormatError, match="^line 3: field larger"):
+        ingest.parse_abundance_table(table)
+    labels = '"s0\t0\n' + "".join(f"s{i}\t1\n" for i in range(1, 20000))
+    with pytest.raises(ingest.TableFormatError, match="^line 1: field larger"):
+        ingest.read_labels(labels, ["s0"])
+
+
 def test_filter_threshold_is_strict():
     # Feature is dropped when #(samples strictly below 0.01) >= 2.
     t = ingest.AbundanceTable(

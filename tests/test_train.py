@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gutgraph.autodiff as ad
 import gutgraph.graph as gg
@@ -260,6 +262,69 @@ def test_classifier_rejects_empty_fold():
     with pytest.raises(ValueError, match="empty"):
         gt.train_classifier(np.ones((4, 2)), np.array([0, 1, 0, 1]),
                             np.array([], dtype=int), cfg)
+
+
+def test_classifier_rejects_labels_outside_zero_one():
+    cfg = small_cfg()
+    with pytest.raises(ValueError, match=r"0 or 1, found \[2\]"):
+        gt.train_classifier(np.ones((4, 2)), np.array([0, 1, 2, 1]),
+                            np.arange(4), cfg)
+
+
+def test_classifier_records_nothing_on_a_tape(monkeypatch):
+    def no_tape(*args, **kwargs):
+        raise AssertionError("the head must not open a tape")
+
+    monkeypatch.setattr(ad, "Tape", no_tape)
+    emb = np.random.default_rng(4).normal(size=(12, 3))
+    gt.train_classifier(emb, np.array([0, 1] * 6), np.arange(12),
+                        small_cfg(classifier_steps=5), seed=1)
+
+
+def _head_cross_entropy(x, w, b, y):
+    """Mean softmax cross-entropy through a log-sum-exp, independent of
+    the code under test."""
+    z = x @ w + b
+    top = z.max(axis=1, keepdims=True)
+    lse = (top + np.log(np.exp(z - top).sum(axis=1, keepdims=True)))[:, 0]
+    return float(np.mean(lse - z[np.arange(len(y)), y]))
+
+
+def test_head_gradients_at_zero_weights():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(5, 3))
+    y = np.array([0, 1, 0, 1, 0])
+    w, b = np.zeros((3, 2)), np.zeros((1, 2))
+    assert np.all(gm.predict_proba(x, w, b) == 0.5)
+    assert _head_cross_entropy(x, w, b, y) == pytest.approx(np.log(2.0), abs=1e-15)
+    onehot = np.eye(2)[y]
+    gw, gb = gt.head_gradients(x, w, b, y)
+    assert gw.tobytes() == (x.T @ ((0.5 - onehot) / 5)).tobytes()
+    assert gb.tobytes() == ((0.5 - onehot) / 5).sum(axis=0, keepdims=True).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 30), d=st.integers(1, 8), scale=st.floats(0.1, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_head_gradients_match_finite_differences(n, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    w = scale * rng.normal(size=(d, 2))
+    b = scale * rng.normal(size=(1, 2))
+    y = rng.permutation(np.arange(n) % 2)  # both classes present
+    gw, gb = gt.head_gradients(x, w, b, y)
+    for analytic, param in ((gw, w), (gb, b)):
+        fd = np.zeros_like(param)
+        for idx in np.ndindex(param.shape):
+            keep = param[idx]
+            param[idx] = keep + 1e-6
+            up = _head_cross_entropy(x, w, b, y)
+            param[idx] = keep - 1e-6
+            down = _head_cross_entropy(x, w, b, y)
+            param[idx] = keep
+            fd[idx] = (up - down) / 2e-6
+        err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-3)
+        assert err < 1e-6
 
 
 # ---------------------------------------------------------------------------
