@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gutgraph import autodiff as ad
+from gutgraph.train import head_gradients
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -104,6 +105,29 @@ def test_sigmoid_softplus_values_and_extremes():
     assert sp.data[0, 1] == pytest.approx(800.0)
     assert sp.data[0, 2] == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(sp.data))
+
+
+def test_cross_entropy_uniform_logits():
+    # Two-class softmax cross-entropy is softplus(z_other - z_true); at
+    # uniform logits it is ln 2 and its tape gradient is the head's
+    # closed-form one.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(4, 3))
+    y = np.array([0, 1, 0, 1])
+    w = ad.Tensor(np.zeros((3, 2)), requires_grad=True)
+    b = ad.Tensor(np.zeros((1, 2)), requires_grad=True)
+    sign = np.where(y == 0, 1.0, -1.0)[:, None]
+    with ad.Tape() as tape:
+        logits = ad.add(ad.matmul(ad.constant(x), w),
+                        ad.matmul(ad.constant(np.ones((4, 1))), b))
+        margin = ad.mul(ad.matmul(logits, ad.constant([[-1.0], [1.0]])),
+                        ad.constant(sign))
+        loss = ad.mul_scalar(ad.sum_all(ad.softplus(margin)), 1.0 / 4)
+        tape.backward(loss)
+    assert loss.item() == pytest.approx(math.log(2.0), abs=1e-15)
+    gw, gb = head_gradients(x, w.data, b.data, y)
+    assert np.allclose(w.grad, gw, rtol=1e-12, atol=1e-15)
+    assert np.allclose(b.grad, gb, rtol=1e-12, atol=1e-15)
 
 
 def test_mean_rows_bit_invariant_under_row_permutation():

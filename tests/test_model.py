@@ -353,6 +353,15 @@ def test_joint_loss_combination_and_eta_gradient():
     assert only_h.item() == pytest.approx(math.log(2.0) * 3.0, abs=1e-12)
 
 
+def test_classifier_uniform_at_zero_init():
+    x = np.random.default_rng(13).normal(size=(5, 3))
+    probs = model.predict_proba(x, np.zeros((3, 2)), np.zeros((1, 2)))
+    assert np.all(probs == 0.5)
+    y = np.array([0, 1, 0, 1, 0])
+    ce = -np.mean(np.log(np.where(y == 1, probs, 1.0 - probs)))
+    assert ce == pytest.approx(math.log(2.0), abs=1e-12)
+
+
 def test_predict_proba_matches_softmax_oracle():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(6, 3))
