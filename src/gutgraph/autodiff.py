@@ -3,10 +3,10 @@
 Everything is a (rows, cols) matrix; scalars are 1x1. Operations record
 onto the innermost active ``Tape`` (define-by-run, rebuilt every
 iteration) and ``Tape.backward`` replays the record in reverse,
-propagating vector-Jacobian products. Gradients land on leaves only
-(parameters and inputs, never recorded intermediates), in
-``Tensor.grad``; each intermediate's adjoint is freed as soon as the
-sweep has passed the record that produced it.
+propagating vector-Jacobian products. Gradients are return values:
+``backward`` hands back one array per requested leaf, ``clip_global_norm``
+returns scaled arrays, and ``Adam`` updates parameter arrays in place.
+No tensor keeps gradient state between passes.
 
 Besides elementwise and matrix primitives there are two fused kernels,
 ``gcn_layer`` and ``relation_attention``: each is one record with a
@@ -33,13 +33,9 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A 2-D float64 array plus gradient bookkeeping.
+    """A 2-D float64 array and whether gradients flow to it."""
 
-    ``grad`` is ``None`` until a backward pass deposits something;
-    repeated backward passes without ``zero_grad`` accumulate.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -53,7 +49,6 @@ class Tensor:
             raise ShapeError(f"zero-size tensor with shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,9 +58,6 @@ class Tensor:
         if self.data.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -79,11 +71,12 @@ _ACTIVE_TAPES: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of executed operations for one backward pass.
+    """Ordered record of executed operations.
 
-    ``backward`` writes ``grad`` on leaf tensors only and frees each
-    intermediate adjoint once the sweep has passed it, so a pass holds
-    at most the adjoints still waiting for their producing record.
+    ``backward`` frees each intermediate adjoint once the sweep has
+    passed it, so a pass holds at most the adjoints still waiting for
+    their producing record. It writes nothing back to the tape or its
+    tensors, so every call on one tape returns the same gradients.
     """
 
     def __init__(self):
@@ -99,36 +92,33 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf that
-        requires gradients. ``loss`` must be 1x1.
+    def backward(self, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+        """d(loss)/d(t) for each tensor t of ``wrt``, in order, with zeros
+        where the loss does not reach t. ``loss`` must be 1x1.
 
-        A leaf is a tensor this tape did not record as an output: a
-        parameter or an input. Recorded intermediates never receive
-        ``grad``. Each intermediate's adjoint is complete once the sweep
-        reaches the record that produced it, and is freed there.
+        Every tensor of ``wrt`` must be a leaf, a tensor this tape did not
+        record as an output (a parameter or an input): an intermediate's
+        adjoint is freed once the sweep reaches the record that produced
+        it. The returned arrays may share memory (``add`` hands one
+        adjoint to both inputs); read them, do not write them.
         """
         if loss.data.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got {loss.data.shape}")
-        # Adjoints for THIS pass live in a local map so earlier passes
-        # (accumulated in .grad) never feed back into the sweep.
-        pending: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones((1, 1)))}
+        recorded = {id(out) for out, _, _ in self._records}
+        if any(id(t) in recorded for t in wrt):
+            raise ValueError("backward: wrt holds an output this tape recorded")
+        pending: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
         for out, inputs, vjp in reversed(self._records):
-            entry = pending.pop(id(out), None)
-            if entry is None:
+            g = pending.pop(id(out), None)
+            if g is None:
                 continue
-            for inp, contrib in zip(inputs, vjp(entry[1])):
+            for inp, contrib in zip(inputs, vjp(g)):
                 if contrib is None or not inp.requires_grad:
                     continue
                 prev = pending.get(id(inp))
-                pending[id(inp)] = (inp, contrib if prev is None else prev[1] + contrib)
-        # A deposited adjoint may be shared (``add`` hands one array to
-        # both inputs) and is never written in place; ``gather_grads``
-        # makes the one copy the optimizer may scale.
-        for t, g in pending.values():
-            if t.requires_grad:
-                t.grad = g if t.grad is None else t.grad + g
+                pending[id(inp)] = contrib if prev is None else prev + contrib
+        return [pending[id(t)] if id(t) in pending else np.zeros_like(t.data)
+                for t in wrt]
 
 
 def _current_tape() -> Tape | None:
@@ -350,24 +340,29 @@ def relation_attention(embeddings: Sequence[Tensor],
 # optimization
 
 
-def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float) -> None:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm."""
+def clip_global_norm(grads: Sequence[np.ndarray],
+                     max_norm: float) -> list[np.ndarray]:
+    """``grads`` scaled by one factor so their joint L2 norm is <= max_norm,
+    as new arrays; the inputs themselves when no clip is needed. Never
+    writes its inputs, so gradients that share memory are safe."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for g in grads:
         total += float((g * g).sum())
     norm = np.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
+    if norm <= max_norm:
+        return list(grads)
+    scale = max_norm / norm
+    return [g * scale for g in grads]
 
 
 class Adam:
-    """Adam with bias correction over a fixed ordered parameter list."""
+    """Adam with bias correction over a fixed ordered list of parameter
+    arrays, which ``step`` updates in place: pass each tensor's ``data``
+    and never rebind it, or the optimizer updates a stale array."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
+    def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr < 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
@@ -376,8 +371,8 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
@@ -387,18 +382,11 @@ class Adam:
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g.shape != p.data.shape:
-                raise ShapeError(f"grad shape {g.shape} for param {p.data.shape}")
+            if g.shape != p.shape:
+                raise ShapeError(f"grad shape {g.shape} for param {p.shape}")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-
-def gather_grads(params: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradients aligned with ``params``; unreached parameters get zeros.
-    Each is a fresh array, so ``clip_global_norm`` may scale it in place
-    even where leaves share one ``.grad`` array."""
-    return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            for p in params]

@@ -26,8 +26,9 @@ from .gradcheck import DEFAULT_TOLERANCE, gradient_check
 from .graph import GraphBuildError, build_multigraph, edge_list_lines, \
     edge_list_sidecar
 from .ingest import (FilterPolicy, TableFormatError, filter_low_abundance,
-                     parse_abundance_table, read_labels, removal_report,
-                     serialize_abundance_table, serialize_labels, synth_cohort)
+                     parse_abundance_table, quote_field, read_labels,
+                     removal_report, serialize_abundance_table,
+                     serialize_labels, synth_cohort)
 
 OUTDIR_ENV = "GUTGRAPH_OUTDIR"
 
@@ -137,7 +138,8 @@ def cmd_preprocess(args) -> int:
     d = args.delimiter
     tr.atomic_write_text(os.path.join(out_dir, "filtered.tsv"),
                          serialize_abundance_table(filtered, d))
-    report = "".join(f"{name}{d}{count}\n" for name, count in removed)
+    report = "".join(f"{quote_field(name, d)}{d}{count}\n"
+                     for name, count in removed)
     tr.atomic_write_text(os.path.join(out_dir, "removed_features.tsv"), report)
     print(f"kept {filtered.n_features} of {table.n_features} features "
           f"({len(removed)} removed)")
@@ -246,7 +248,7 @@ def cmd_embed(args) -> int:
                        use_attention=cfg.use_attention)
     d = args.delimiter
     body = "".join(
-        sid + d + d.join(repr(v) for v in row) + "\n"
+        quote_field(sid, d) + d + d.join(repr(v) for v in row) + "\n"
         for sid, row in zip(table.sample_ids, emb.tolist()))
     tr.atomic_write_text(os.path.join(out_dir, "embeddings.tsv"), body)
     print(f"wrote {emb.shape[0]} x {emb.shape[1]} embedding matrix")
@@ -274,10 +276,10 @@ def cmd_synth(args) -> int:
 def cmd_gradcheck(args) -> int:
     out_dir = _resolve_out_dir(args)
     _echo_config(out_dir, "gradcheck", {
-        "seed": args.seed if args.seed is not None else 0,
+        "seed": args.seed,
         "tolerance": DEFAULT_TOLERANCE,
     })
-    errors = gradient_check(seed=args.seed if args.seed is not None else 0)
+    errors = gradient_check(seed=args.seed)
     failing = []
     for group in sorted(errors):
         status = "ok" if errors[group] < DEFAULT_TOLERANCE else "FAIL"
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     _add_common(p, table=False)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -41,17 +41,19 @@ def _group_of(name: str) -> str:
     raise KeyError(name)
 
 
-def _fd_grad(loss_fn, tensor: ad.Tensor, step: float) -> np.ndarray:
-    out = np.zeros_like(tensor.data)
-    it = np.nditer(tensor.data, flags=["multi_index"])
+def _fd_grad(loss_fn, param: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of ``loss_fn`` in each entry of ``param``,
+    which is perturbed in place and restored."""
+    out = np.zeros_like(param)
+    it = np.nditer(param, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
-        keep = tensor.data[idx]
-        tensor.data[idx] = keep + step
+        keep = param[idx]
+        param[idx] = keep + step
         fp = loss_fn()
-        tensor.data[idx] = keep - step
+        param[idx] = keep - step
         fm = loss_fn()
-        tensor.data[idx] = keep
+        param[idx] = keep
         out[idx] = (fp - fm) / (2.0 * step)
     return out
 
@@ -78,10 +80,10 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
     # analytic pass for the unsupervised objective
     with ad.Tape() as tape:
         result = model.joint_forward(x, x_shuffled, adjs, params, bins=bins)
-        tape.backward(result.loss)
+        grads = tape.backward(result.loss, list(named.values()))
     histograms = dict(result.histograms)
-    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for name, t in named.items()}
+    analytic = dict(zip(named, grads))
+    arrays = {name: t.data for name, t in named.items()}
 
     # closed-form gradient of the classifier head on frozen embeddings:
     # the standardized input and freshly drawn weights of train_classifier
@@ -90,15 +92,13 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
     head = train_classifier(embeddings, labels, np.arange(n_nodes),
                             TrainConfig(classifier_steps=0), seed=seed)
     head_x = (embeddings - head.mean) / head.scale
-    head_w = ad.Tensor(head.weight)
-    head_b = ad.Tensor(head.bias)
-    named.update({"classifier/weight": head_w, "classifier/bias": head_b})
+    arrays.update({"classifier/weight": head.weight, "classifier/bias": head.bias})
     analytic["classifier/weight"], analytic["classifier/bias"] = head_gradients(
-        head_x, head_w.data, head_b.data, labels)
+        head_x, head.weight, head.bias, labels)
 
     def classifier_ce() -> float:
         # cross-entropy of the scores the test folds are judged on
-        p1 = model.predict_proba(head_x, head_w.data, head_b.data)
+        p1 = model.predict_proba(head_x, head.weight, head.bias)
         return float(-np.mean(np.log(np.where(labels == 1, p1, 1.0 - p1))))
 
     if corrupt_group is not None:
@@ -114,10 +114,10 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
 
     groups_a: dict[str, list[np.ndarray]] = {g: [] for g in _GROUP_PREFIXES}
     groups_f: dict[str, list[np.ndarray]] = {g: [] for g in _GROUP_PREFIXES}
-    for name, tensor in named.items():
+    for name, param in arrays.items():
         group = _group_of(name)
         loss_fn = classifier_ce if group == "classifier" else unsupervised_loss
-        fd = _fd_grad(loss_fn, tensor, step)
+        fd = _fd_grad(loss_fn, param, step)
         groups_a[group].append(analytic[name].ravel())
         groups_f[group].append(fd.ravel())
 

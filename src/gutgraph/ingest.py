@@ -122,7 +122,7 @@ def _records(stream, delimiter: str):
         raise TableFormatError(f"line {line}: {exc}") from None
 
 
-def _quote(cell: str, delimiter: str) -> str:
+def quote_field(cell: str, delimiter: str) -> str:
     """``cell`` as the csv module's minimal quoting writes it: quoted,
     with quotes doubled, only if it holds the delimiter, a quote or a
     line break."""
@@ -186,10 +186,10 @@ def parse_abundance_table(stream, delimiter: str = "\t") -> AbundanceTable:
 def serialize_abundance_table(table: AbundanceTable, delimiter: str = "\t") -> str:
     """Feature-major text form; parse(serialize(t)) reproduces t exactly.
     Names and ids are quoted only where csv needs it; values never are."""
-    lines = [delimiter.join(_quote(c, delimiter)
+    lines = [delimiter.join(quote_field(c, delimiter)
                             for c in ["feature_id"] + table.sample_ids)]
     for j, name in enumerate(table.feature_names):
-        cells = [_quote(name, delimiter)]
+        cells = [quote_field(name, delimiter)]
         cells += [repr(float(v)) for v in table.values[:, j]]
         lines.append(delimiter.join(cells))
     return "\n".join(lines) + "\n"
@@ -253,7 +253,8 @@ def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> LabelVe
     missing = [s for s in sample_ids if s not in mapping]
     if missing:
         raise TableFormatError(f"no label for sample id {missing[0]!r}")
-    unknown = [s for s in mapping if s not in set(sample_ids)]
+    known = set(sample_ids)
+    unknown = [s for s in mapping if s not in known]
     if unknown:
         raise TableFormatError(f"label for unknown sample id {unknown[0]!r}")
     return LabelVector(np.array([mapping[s] for s in sample_ids]))
@@ -261,7 +262,7 @@ def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> LabelVe
 
 def serialize_labels(sample_ids: list[str], labels: LabelVector,
                      delimiter: str = "\t") -> str:
-    lines = [f"{_quote(sid, delimiter)}{delimiter}{int(y)}"
+    lines = [f"{quote_field(sid, delimiter)}{delimiter}{int(y)}"
              for sid, y in zip(sample_ids, labels.labels)]
     return "\n".join(lines) + "\n"
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model
-from .autodiff import Tensor
 from .graph import ALL_KINDS, MultiGraph, build_multigraph, shuffle_features
 from .ingest import kfold_split
 
@@ -128,7 +127,7 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
         mg.kinds, mg.features.shape[1], cfg.embed_dim, cfg.gcn_layers,
         cfg.bins, cfg.heads, cfg.two_stage_summary, np.random.default_rng(init_ss))
     tensors = list(params.named_tensors().values())
-    optimizer = ad.Adam(tensors, lr=cfg.learning_rate)
+    optimizer = ad.Adam([t.data for t in tensors], lr=cfg.learning_rate)
     corrupt_rng = np.random.default_rng(corrupt_ss)
     if not cfg.fresh_corruption:
         static_shuffled, _ = shuffle_features(mg.features, cfg.seed)
@@ -138,8 +137,6 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
             x_shuffled, _ = shuffle_features(mg.features, corrupt_rng)
         else:
             x_shuffled = static_shuffled
-        for t in tensors:
-            t.zero_grad()
         with ad.Tape() as tape:
             result = model.joint_forward(
                 mg.features, x_shuffled, mg.norm_adjs, params,
@@ -151,9 +148,10 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch + 1, trace)
             trace.append(value)
-            tape.backward(result.loss)
-        grads = ad.gather_grads(tensors)
-        ad.clip_global_norm(grads, cfg.clip_norm)
+            grads = tape.backward(result.loss, tensors)
+        # bound until the next backward: freeing the clipped arrays right
+        # after the step makes the allocator return and re-fault them
+        grads = ad.clip_global_norm(grads, cfg.clip_norm)
         optimizer.step(grads)
     return params, trace
 
@@ -216,13 +214,13 @@ def train_classifier(embeddings: np.ndarray, labels: np.ndarray,
     d = embeddings.shape[1]
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     bound = 1.0 / np.sqrt(d)
-    w = Tensor(rng.uniform(-bound, bound, size=(d, 2)))
-    b = Tensor(np.zeros((1, 2)))
+    w = rng.uniform(-bound, bound, size=(d, 2))
+    b = np.zeros((1, 2))
     x = (x_train - mean) / scale
     optimizer = ad.Adam([w, b], lr=_HEAD_LEARNING_RATE)
     for _ in range(cfg.classifier_steps):
-        optimizer.step(head_gradients(x, w.data, b.data, y))
-    return ClassifierHead(w.data.copy(), b.data.copy(), mean, scale)
+        optimizer.step(head_gradients(x, w, b, y))
+    return ClassifierHead(w, b, mean, scale)
 
 
 def head_scores(head: ClassifierHead, embeddings: np.ndarray) -> np.ndarray:

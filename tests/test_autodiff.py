@@ -32,16 +32,6 @@ def numeric_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
-def analytic_grads(build, arrays):
-    for a in arrays:
-        if isinstance(a, ad.Tensor):
-            a.zero_grad()
-    with ad.Tape() as tape:
-        loss = build()
-        tape.backward(loss)
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # hand-checked forward examples
 
@@ -70,8 +60,8 @@ def test_backward_of_sum_is_ones():
     x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.sum_all(x)
-        tape.backward(loss)
-    assert np.array_equal(x.grad, np.ones((2, 3)))
+        (gx,) = tape.backward(loss, [x])
+    assert np.array_equal(gx, np.ones((2, 3)))
 
 
 def test_backward_rejects_non_scalar_loss():
@@ -79,7 +69,7 @@ def test_backward_rejects_non_scalar_loss():
     with ad.Tape() as tape:
         y = ad.square(x)
         with pytest.raises(ad.ShapeError):
-            tape.backward(y)
+            tape.backward(y, [x])
 
 
 def test_relu_subgradient_zero_at_zero():
@@ -90,8 +80,8 @@ def test_relu_subgradient_zero_at_zero():
     b = ad.constant(np.zeros((1, 3)))
     with ad.Tape() as tape:
         loss = ad.sum_all(ad.gcn_layer(np.ones((1, 1)), x, w, b))
-        tape.backward(loss)
-    assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        (gx,) = tape.backward(loss, [x])
+    assert np.array_equal(gx, [[0.0, 0.0, 1.0]])
 
 
 def test_sigmoid_softplus_values_and_extremes():
@@ -123,11 +113,11 @@ def test_cross_entropy_uniform_logits():
         margin = ad.mul(ad.matmul(logits, ad.constant([[-1.0], [1.0]])),
                         ad.constant(sign))
         loss = ad.mul_scalar(ad.sum_all(ad.softplus(margin)), 1.0 / 4)
-        tape.backward(loss)
+        tape_w, tape_b = tape.backward(loss, [w, b])
     assert loss.item() == pytest.approx(math.log(2.0), abs=1e-15)
     gw, gb = head_gradients(x, w.data, b.data, y)
-    assert np.allclose(w.grad, gw, rtol=1e-12, atol=1e-15)
-    assert np.allclose(b.grad, gb, rtol=1e-12, atol=1e-15)
+    assert np.allclose(tape_w, gw, rtol=1e-12, atol=1e-15)
+    assert np.allclose(tape_b, gb, rtol=1e-12, atol=1e-15)
 
 
 def test_mean_rows_bit_invariant_under_row_permutation():
@@ -259,15 +249,14 @@ def test_finite_differences(name):
         tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
         with ad.Tape() as tape:
             loss = build(*tensors)
-            tape.backward(loss)
-        for t in tensors:
+            grads = tape.backward(loss, tensors)
+        for t, g in zip(tensors, grads):
             def f(t=t):
                 fresh = [ad.Tensor(u.data) for u in tensors]
                 fresh[tensors.index(t)] = ad.Tensor(t.data)
                 return build(*fresh).item()
             fd = numeric_grad(f, t.data)
-            assert t.grad is not None
-            assert rel_error(t.grad, fd) < 1e-4, f"{name}: rel err too high"
+            assert rel_error(g, fd) < 1e-4, f"{name}: rel err too high"
 
 
 def test_composed_gcn_style_layer_fd():
@@ -286,14 +275,14 @@ def test_composed_gcn_style_layer_fd():
 
     with ad.Tape() as tape:
         loss = build(w, b)
-        tape.backward(loss)
+        gw, gb = tape.backward(loss, [w, b])
     pre = (a_norm @ x.data) @ w.data + b.data
     assert np.min(np.abs(pre)) > 1e-3  # keep FD away from the relu kink
 
     fd_w = numeric_grad(lambda: build(ad.Tensor(w.data), ad.Tensor(b.data)).item(), w.data)
     fd_b = numeric_grad(lambda: build(ad.Tensor(w.data), ad.Tensor(b.data)).item(), b.data)
-    assert rel_error(w.grad, fd_w) < 1e-4
-    assert rel_error(b.grad, fd_b) < 1e-4
+    assert rel_error(gw, fd_w) < 1e-4
+    assert rel_error(gb, fd_b) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +352,11 @@ def test_relation_attention_matches_per_head_oracle(n, d, heads, relations, view
 def _check_vjp_against_fd(build, tensors, step=1e-6):
     """Central differences of the scalar ``build()`` for every entry of
     every tensor, against one backward pass."""
-    for t in tensors:
-        t.zero_grad()
     with ad.Tape() as tape:
-        tape.backward(build())
-    for t in tensors:
+        grads = tape.backward(build(), tensors)
+    for t, g in zip(tensors, grads):
         fd = numeric_grad(lambda: build().item(), t.data, h=step)
-        assert rel_error(t.grad, fd) < 1e-6
+        assert rel_error(g, fd) < 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,9 +427,9 @@ def test_slice_rows_is_a_view():
     x = ad.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     with ad.Tape() as tape:
         top = ad.slice_rows(x, 0, 2)
-        tape.backward(ad.sum_all(top))
+        (gx,) = tape.backward(ad.sum_all(top), [x])
     assert np.shares_memory(top.data, x.data)
-    assert np.array_equal(x.grad, [[1.0] * 3, [1.0] * 3, [0.0] * 3, [0.0] * 3])
+    assert np.array_equal(gx, [[1.0] * 3, [1.0] * 3, [0.0] * 3, [0.0] * 3])
     with pytest.raises(ad.ShapeError):
         ad.slice_rows(x, 2, 2)
 
@@ -451,16 +438,26 @@ def test_slice_rows_is_a_view():
 # tape semantics
 
 
-def test_grad_accumulates_across_backward_calls():
+def test_repeated_backward_returns_equal_bytes():
+    # the tape keeps no gradient state, so nothing accumulates
+    x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    w = ad.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.square(ad.add(ad.matmul(x, w), x)))
+        first = tape.backward(loss, [x, w])
+        second = tape.backward(loss, [x, w])
+    assert [g.tobytes() for g in first] == [g.tobytes() for g in second]
+
+
+def test_backward_refuses_a_recorded_output():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.square(x))
-        tape.backward(loss)
-        first = x.grad.copy()
-        tape.backward(loss)
-    assert np.array_equal(x.grad, 2.0 * first)
-    x.zero_grad()
-    assert x.grad is None
+        y = ad.square(x)
+        loss = ad.sum_all(y)
+        with pytest.raises(ValueError, match="recorded"):
+            tape.backward(loss, [x, y])
+        with pytest.raises(ValueError, match="recorded"):
+            tape.backward(loss, [loss])
 
 
 def test_unreached_parameter_has_zero_grad():
@@ -468,8 +465,7 @@ def test_unreached_parameter_has_zero_grad():
     other = ad.Tensor(np.ones((3, 3)), requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.sum_all(x)
-        tape.backward(loss)
-    grads = ad.gather_grads([x, other])
+        grads = tape.backward(loss, [x, other])
     assert np.array_equal(grads[0], np.ones((2, 2)))
     assert np.array_equal(grads[1], np.zeros((3, 3)))
 
@@ -482,8 +478,8 @@ def test_identical_tapes_give_bit_identical_grads():
         x = ad.Tensor(data.copy(), requires_grad=True)
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.square(ad.sigmoid(ad.matmul(x, x))))
-            tape.backward(loss)
-        return x.grad
+            (gx,) = tape.backward(loss, [x])
+        return gx
 
     assert run().tobytes() == run().tobytes()
 
@@ -493,11 +489,11 @@ def test_reused_tensor_receives_summed_adjoints():
     with ad.Tape() as tape:
         y = ad.mul(x, x)  # d/dx = 2x
         loss = ad.add(y, x)  # d/dx = 2x + 1 = 5
-        tape.backward(loss)
-    assert x.grad[0, 0] == pytest.approx(5.0, abs=1e-12)
+        (gx,) = tape.backward(loss, [x])
+    assert gx[0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
-def test_backward_deposits_grad_on_leaves_only_and_leaves_accumulate():
+def test_backward_reaches_parameter_leaves_only():
     rng = np.random.default_rng(11)
     adj = ad.constant(rng.random((4, 4)))
     feats = ad.constant(rng.normal(size=(4, 3)))
@@ -508,15 +504,14 @@ def test_backward_deposits_grad_on_leaves_only_and_leaves_accumulate():
         h = ad.sigmoid(ad.add(ad.matmul(adj, ad.matmul(feats, w)),
                               ad.matmul(ones, b)))
         loss = ad.sum_all(ad.square(h))
-        tape.backward(loss)
-        first = {"w": w.grad.copy(), "b": b.grad.copy()}
-        tape.backward(loss)
+        gw, gb, g_adj, g_feats, g_ones = tape.backward(loss, [w, b, adj, feats, ones])
     intermediates = [out for out, _, _ in tape._records]
     assert len(intermediates) == 7
-    assert all(t.grad is None for t in intermediates)
-    assert adj.grad is None and feats.grad is None and ones.grad is None
-    assert np.array_equal(w.grad, 2.0 * first["w"])
-    assert np.array_equal(b.grad, 2.0 * first["b"])
+    for t in intermediates:
+        with pytest.raises(ValueError):
+            tape.backward(loss, [t])
+    assert not g_adj.any() and not g_feats.any() and not g_ones.any()
+    assert gw.any() and gb.any()
 
 
 def test_matmul_vjp_returns_none_for_constant_operand():
@@ -541,67 +536,68 @@ def test_matmul_vjp_returns_none_for_constant_operand():
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
-    p = ad.Tensor(np.full((2, 2), 3.0), requires_grad=True)
-    before = p.data.tobytes()
+    p = np.full((2, 2), 3.0)
+    before = p.tobytes()
     opt = ad.Adam([p], lr=0.1)
     opt.step([np.zeros((2, 2))])
-    assert p.data.tobytes() == before
+    assert p.tobytes() == before
 
 
 def test_adam_first_step_magnitude_close_to_lr():
-    p = ad.Tensor(np.array([[5.0, -2.0]]), requires_grad=True)
-    before = p.data.copy()
+    p = np.array([[5.0, -2.0]])
+    before = p.copy()
     opt = ad.Adam([p], lr=1e-3)
     g = np.array([[4.0, -3.0]])
     opt.step([g])
-    delta = p.data - before
+    delta = p - before
     assert np.allclose(delta, -1e-3 * np.sign(g), atol=1e-8)
 
 
 def test_adam_lr_zero_is_bit_identity():
     rng = np.random.default_rng(0)
-    p = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    before = p.data.tobytes()
+    p = rng.normal(size=(3, 3))
+    before = p.tobytes()
     opt = ad.Adam([p], lr=0.0)
     for _ in range(5):
         opt.step([rng.normal(size=(3, 3))])
-    assert p.data.tobytes() == before
+    assert p.tobytes() == before
 
 
 def test_adam_rejects_misaligned_grads():
-    p = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    p = np.ones((2, 2))
     opt = ad.Adam([p])
     with pytest.raises(ValueError):
         opt.step([])
 
 
-def test_clip_scales_each_leaf_gradient_once():
-    # add hands one adjoint array to both leaves; clipping the gathered
-    # gradients must scale each once and leave the leaves' .grad alone
+def test_clip_scales_a_shared_adjoint_once_per_entry():
+    # add hands one adjoint array to both leaves; clipping must scale
+    # each entry once and leave the shared input's bytes alone
     a = ad.Tensor(np.zeros((3, 2)), requires_grad=True)
     b = ad.Tensor(np.zeros((3, 2)), requires_grad=True)
     with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.add(a, b)))
-    grads = ad.gather_grads([a, b])
-    ad.clip_global_norm(grads, 1.0)
+        grads = tape.backward(ad.sum_all(ad.add(a, b)), [a, b])
+    clipped = ad.clip_global_norm(grads, 1.0)
     want = np.full((3, 2), 1.0 / np.sqrt(12.0)).tobytes()
-    assert grads[0].tobytes() == want and grads[1].tobytes() == want
-    assert a.grad.tobytes() == b.grad.tobytes() == np.ones((3, 2)).tobytes()
+    assert clipped[0].tobytes() == want and clipped[1].tobytes() == want
+    assert grads[0].tobytes() == grads[1].tobytes() == np.ones((3, 2)).tobytes()
 
 
 def test_clip_global_norm():
     g1 = np.array([[3.0, 0.0]])
     g2 = np.array([[0.0, 4.0]])
-    ad.clip_global_norm([g1, g2], 5.0)  # joint norm exactly 5: untouched
+    out = ad.clip_global_norm([g1, g2], 5.0)  # joint norm exactly 5: untouched
+    assert out[0] is g1 and out[1] is g2
     assert g1[0, 0] == 3.0 and g2[0, 1] == 4.0
     g1 = np.array([[6.0, 0.0]])
     g2 = np.array([[0.0, 8.0]])
-    ad.clip_global_norm([g1, g2], 5.0)  # joint norm 10 -> scaled by 0.5
-    total = np.sqrt((g1 ** 2).sum() + (g2 ** 2).sum())
+    before = g1.tobytes() + g2.tobytes()
+    out = ad.clip_global_norm([g1, g2], 5.0)  # joint norm 10 -> scaled by 0.5
+    total = np.sqrt((out[0] ** 2).sum() + (out[1] ** 2).sum())
     assert total == pytest.approx(5.0, abs=1e-12)
+    assert g1.tobytes() + g2.tobytes() == before
     small = np.array([[0.1]])
     before = small.tobytes()
-    ad.clip_global_norm([small], 5.0)
-    assert small.tobytes() == before
+    assert ad.clip_global_norm([small], 5.0)[0].tobytes() == before
     with pytest.raises(ValueError):
         ad.clip_global_norm([small], 0.0)

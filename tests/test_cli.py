@@ -1,9 +1,11 @@
 """End-to-end tests that drive the CLI through main(argv)."""
 
+import csv
 import dataclasses
+import io
 import json
-import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ def test_synth_is_byte_deterministic(tmp_path):
         assert main(["synth", "--n-per-class", "5", "--n-features", "7",
                      "--seed", "11", "--out-dir", d]) == 0
     for name in ("abundance.tsv", "labels.tsv"):
-        blobs = [open(os.path.join(d, name), "rb").read() for d in dirs]
+        blobs = [Path(d, name).read_bytes() for d in dirs]
         assert blobs[0] == blobs[1]
 
 
@@ -50,7 +52,7 @@ def test_synth_echoes_resolved_config(tmp_path):
 
 def test_synth_label_balance(cohort):
     _, labels_path = cohort
-    lines = open(labels_path).read().splitlines()
+    lines = Path(labels_path).read_text().splitlines()
     values = [int(line.split("\t")[1]) for line in lines]
     assert values.count(0) == 8 and values.count(1) == 8
 
@@ -80,6 +82,37 @@ def test_preprocess_reports_removed_features(tmp_path):
     assert "f_keep" in filtered
 
 
+def _tsv_rows(path):
+    return list(csv.reader(io.StringIO(path.read_text()), delimiter="\t"))
+
+
+# a feature and a sample whose names hold the delimiter, quoted on input
+_TAB_NAMES_TABLE = ('feature_id\t"s\t1"\ts2\ts3\n'
+                    'f_keep\t0.5\t0.6\t0.7\n'
+                    '"f\tdrop"\t0.001\t0.002\t0.003\n')
+
+
+def test_preprocess_quotes_removed_names_holding_the_delimiter(tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_text(_TAB_NAMES_TABLE)
+    out = tmp_path / "out"
+    assert main(["preprocess", "--table", str(table), "--out-dir", str(out),
+                 "--host-count-threshold", "3"]) == 0
+    assert _tsv_rows(out / "removed_features.tsv") == [["f\tdrop", "3"]]
+
+
+def test_embed_quotes_sample_ids_holding_the_delimiter(tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_text(_TAB_NAMES_TABLE)
+    out = tmp_path / "out"
+    assert main(["embed", "--table", str(table), "--out-dir", str(out),
+                 "--embed-dim", "3", "--gcn-layers", "1", "--bins", "3",
+                 "--heads", "1", "--epochs", "1"]) == 0
+    rows = _tsv_rows(out / "embeddings.tsv")
+    assert [row[0] for row in rows] == ["s\t1", "s2", "s3"]
+    assert all(len(row) == 1 + 3 for row in rows)
+
+
 def test_preprocess_no_removals_copies_table(tmp_path, cohort):
     table_path, _ = cohort
     out = tmp_path / "out"
@@ -87,7 +120,7 @@ def test_preprocess_no_removals_copies_table(tmp_path, cohort):
     assert main(["preprocess", "--table", table_path,
                  "--out-dir", str(out)]) == 0
     assert (out / "removed_features.tsv").read_text() == ""
-    assert open(table_path, "rb").read() == (out / "filtered.tsv").read_bytes()
+    assert Path(table_path).read_bytes() == (out / "filtered.tsv").read_bytes()
 
 
 def test_preprocess_is_idempotent(tmp_path):
@@ -193,7 +226,7 @@ def test_train_rerun_is_byte_identical(tmp_path, cohort):
     for out in outs:
         assert main(["train", "--table", table_path, "--out-dir", out] + FAST) == 0
     for name in ("model.ckpt", "loss_trace.tsv"):
-        blobs = [open(os.path.join(out, name), "rb").read() for out in outs]
+        blobs = [Path(out, name).read_bytes() for out in outs]
         assert blobs[0] == blobs[1]
 
 
@@ -204,9 +237,9 @@ def test_evaluate_end_to_end_and_rerun_identical(tmp_path, cohort):
         assert main(["evaluate", "--table", table_path, "--labels", labels_path,
                      "--out-dir", out] + FAST) == 0
     for name in ("metrics.json", "metrics.txt"):
-        blobs = [open(os.path.join(out, name), "rb").read() for out in outs]
+        blobs = [Path(out, name).read_bytes() for out in outs]
         assert blobs[0] == blobs[1]
-    doc = json.loads(open(os.path.join(outs[0], "metrics.json")).read())
+    doc = json.loads(Path(outs[0], "metrics.json").read_text())
     assert len(doc["rows"]) == 2  # folds * eval_seeds
     assert set(doc["aggregate"]) == {"accuracy", "precision", "recall",
                                      "f1", "auc"}
@@ -268,7 +301,7 @@ def test_checkpoint_refuses_reordered_table(tmp_path, cohort, capsys, command):
     assert main(["train", "--table", table_path,
                  "--out-dir", str(train_out)] + FAST) == 0
     # same features, same count, two of them swapped
-    header, first, second, *rest = open(table_path).read().splitlines()
+    header, first, second, *rest = Path(table_path).read_text().splitlines()
     reordered = tmp_path / "reordered.tsv"
     reordered.write_text("\n".join([header, second, first] + rest) + "\n")
     out = tmp_path / "out"
@@ -412,6 +445,7 @@ def test_ablation_flags_land_in_config(tmp_path, cohort):
 
 def test_gradcheck_passes_and_lists_groups(tmp_path, capsys):
     assert main(["gradcheck", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "config.json").read_text())["seed"] == 0
     out = capsys.readouterr().out
     for group in ("encoder", "queries", "discriminator", "eta", "classifier"):
         assert group in out

@@ -26,6 +26,15 @@ def small_cfg(**overrides) -> gt.TrainConfig:
     return gt.TrainConfig(**base)
 
 
+def fresh_params(mg, cfg) -> gm.ModelParams:
+    """The initial draw ``train_unsupervised`` starts from under ``cfg``."""
+    init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+    return gm.init_model_params(mg.kinds, mg.features.shape[1], cfg.embed_dim,
+                                cfg.gcn_layers, cfg.bins, cfg.heads,
+                                cfg.two_stage_summary,
+                                np.random.default_rng(init_ss))
+
+
 def small_problem(n_per_class=6, n_features=10, separation=2.0, seed=3):
     table, labels = synth_cohort(n_per_class, n_features, separation, seed)
     return table.values, np.asarray(labels.labels)
@@ -107,14 +116,24 @@ def test_zero_learning_rate_keeps_params():
     cfg = small_cfg(learning_rate=0.0, epochs=3)
     mg = build_multigraph(values, cfg.threshold)
     params, trace = gt.train_unsupervised(mg, cfg)
-    init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
-                                 cfg.gcn_layers, cfg.bins, cfg.heads,
-                                 cfg.two_stage_summary,
-                                 np.random.default_rng(init_ss))
+    fresh = fresh_params(mg, cfg)
     for name, tensor in params.named_tensors().items():
         assert tensor.data.tobytes() == fresh.named_tensors()[name].data.tobytes()
     assert len(trace) == 3
+
+
+def test_one_epoch_moves_every_parameter():
+    # Adam updates the tensors' own arrays; a tensor whose data were
+    # rebound would silently stop training
+    values, _ = small_problem()
+    cfg = small_cfg(epochs=1)
+    mg = build_multigraph(values, cfg.threshold)
+    params, _ = gt.train_unsupervised(mg, cfg)
+    fresh = fresh_params(mg, cfg).named_tensors()
+    trained = params.named_tensors()
+    assert trained.keys() == fresh.keys()
+    for name, tensor in trained.items():
+        assert tensor.data.tobytes() != fresh[name].data.tobytes(), name
 
 
 def test_loss_decreases_on_small_fixture():
@@ -170,11 +189,7 @@ def test_adversarial_ablation_leaves_discriminators_untouched():
     cfg = small_cfg(use_adversarial=False, epochs=4)
     mg = build_multigraph(values, cfg.threshold)
     params, _ = gt.train_unsupervised(mg, cfg)
-    init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
-                                 cfg.gcn_layers, cfg.bins, cfg.heads,
-                                 cfg.two_stage_summary,
-                                 np.random.default_rng(init_ss))
+    fresh = fresh_params(mg, cfg)
     for kind in mg.kinds:
         name = f"discriminator/{kind.value}/weight"
         assert (params.named_tensors()[name].data.tobytes()
@@ -190,11 +205,7 @@ def test_attention_ablation_leaves_queries_untouched():
     cfg = small_cfg(use_attention=False, epochs=4)
     mg = build_multigraph(values, cfg.threshold)
     params, _ = gt.train_unsupervised(mg, cfg)
-    init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
-                                 cfg.gcn_layers, cfg.bins, cfg.heads,
-                                 cfg.two_stage_summary,
-                                 np.random.default_rng(init_ss))
+    fresh = fresh_params(mg, cfg)
     for h in range(cfg.heads):
         for kind in mg.kinds:
             name = f"attention/head{h}/{kind.value}/query"
@@ -476,11 +487,7 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     assert ([dataclasses.replace(r, seed_index=1) for r in alone.rows]
             == full.rows[cfg.folds:])
     # the static permutation is the one shuffle_features draws from the seed
-    init_ss = np.random.SeedSequence(alone_cfg.seed).spawn(2)[0]
-    fresh = gm.init_model_params(mg.kinds, values.shape[1], cfg.embed_dim,
-                                 cfg.gcn_layers, cfg.bins, cfg.heads,
-                                 cfg.two_stage_summary,
-                                 np.random.default_rng(init_ss))
+    fresh = fresh_params(mg, alone_cfg)
     shuffled, _ = shuffle_features(mg.features, alone_cfg.seed)
     first = gm.joint_forward(mg.features, shuffled, mg.norm_adjs, fresh,
                              bins=cfg.bins).loss.item()
