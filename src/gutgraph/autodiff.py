@@ -2,19 +2,26 @@
 
 Everything is a (rows, cols) matrix; scalars are 1x1. Operations record
 onto the innermost active ``Tape`` (define-by-run, rebuilt every
-iteration) and ``Tape.backward`` replays the record in reverse,
+iteration) and ``Tape.backward`` sweeps the record once in reverse,
 propagating vector-Jacobian products. Gradients are return values:
 ``backward`` hands back one array per requested leaf, ``clip_global_norm``
 returns scaled arrays, and ``Adam`` updates parameter arrays in place.
 No tensor keeps gradient state between passes.
+
+A tape is single-use. Each record keeps its output and a VJP closure
+over what the VJP reads; the sweep releases every record once it has
+passed it, so the forward pass's memory falls while the backward pass
+runs, and a second ``backward`` on the same tape raises.
 
 Besides elementwise and matrix primitives there are two fused kernels,
 ``gcn_layer`` and ``relation_attention``: each is one record with a
 hand-written VJP for a whole model stage (a GCN layer over every
 stacked view; the attention merge over every head), so the tape holds
 a handful of stacked products per epoch instead of one output per
-small op. ``slice_rows`` hands out views of a stacked result without
-copying it.
+small op. ``gcn_layer`` picks its product order by multiply-add count,
+A (H W) or (A H) W, and only the latter keeps A H on the tape.
+``slice_rows`` hands out views of a stacked result without copying it,
+and its adjoint is added into the stacked adjoint's rows in place.
 
 The tape serves the unsupervised objective only; the supervised
 softmax head trains on its closed-form gradient
@@ -23,7 +30,7 @@ softmax head trains on its closed-form gradient
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,23 +71,37 @@ class Tensor:
 
 
 # A record is (output, inputs, vjp) where vjp maps the output adjoint to
-# one adjoint per input (None for inputs that do not need one).
+# one adjoint per input: an array, a _RowAdjoint, or None for inputs that
+# do not need one.
 _Record = tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], tuple]]
 
 _ACTIVE_TAPES: list["Tape"] = []
 
 
-class Tape:
-    """Ordered record of executed operations.
+class _RowAdjoint(NamedTuple):
+    """Adjoint ``g`` of rows [start, stop) of an input, zero elsewhere."""
 
-    ``backward`` frees each intermediate adjoint once the sweep has
-    passed it, so a pass holds at most the adjoints still waiting for
-    their producing record. It writes nothing back to the tape or its
-    tensors, so every call on one tape returns the same gradients.
+    start: int
+    stop: int
+    g: np.ndarray
+
+
+class Tape:
+    """Ordered record of executed operations, swept once.
+
+    Each record keeps its output and a VJP closure over what that VJP
+    reads: its inputs and whatever the kernel saved (``gcn_layer``'s
+    docstring says what a GCN record saves). ``backward`` releases each
+    record, output and closure, once the sweep has passed it, and frees
+    each intermediate adjoint once its producing record has consumed it,
+    so memory falls as the sweep proceeds. A swept tape holds nothing
+    and cannot be swept again; ``len`` still counts the operations it
+    recorded.
     """
 
     def __init__(self):
-        self._records: list[_Record] = []
+        self._records: list[_Record] | None = []
+        self._ops = 0
 
     def __enter__(self) -> "Tape":
         _ACTIVE_TAPES.append(self)
@@ -90,7 +111,13 @@ class Tape:
         _ACTIVE_TAPES.pop()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._ops
+
+    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
+        if self._records is None:
+            raise ValueError("cannot record onto a tape that backward has swept")
+        self._records.append((out, inputs, vjp))
+        self._ops += 1
 
     def backward(self, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
         """d(loss)/d(t) for each tensor t of ``wrt``, in order, with zeros
@@ -99,24 +126,48 @@ class Tape:
         Every tensor of ``wrt`` must be a leaf, a tensor this tape did not
         record as an output (a parameter or an input): an intermediate's
         adjoint is freed once the sweep reaches the record that produced
-        it. The returned arrays may share memory (``add`` hands one
-        adjoint to both inputs); read them, do not write them.
+        it. The sweep consumes the tape: a second call raises
+        ``ValueError``. The returned arrays may share memory (``add``
+        hands one adjoint to both inputs); read them, do not write them.
+
+        Adjoints are summed in arrays the sweep allocated itself, never in
+        one a VJP returned; a row slice's adjoint is added into the rows
+        it came from, without a zero-padded copy of the whole input.
         """
+        if self._records is None:
+            raise ValueError("backward: this tape has already been swept")
         if loss.data.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got {loss.data.shape}")
-        recorded = {id(out) for out, _, _ in self._records}
+        records = self._records
+        recorded = {id(out) for out, _, _ in records}
         if any(id(t) in recorded for t in wrt):
             raise ValueError("backward: wrt holds an output this tape recorded")
+        self._records = None
         pending: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        for out, inputs, vjp in reversed(self._records):
+        owned: set[int] = set()  # keys whose pending array the sweep allocated
+        while records:
+            out, inputs, vjp = records.pop()
             g = pending.pop(id(out), None)
             if g is None:
                 continue
             for inp, contrib in zip(inputs, vjp(g)):
                 if contrib is None or not inp.requires_grad:
                     continue
-                prev = pending.get(id(inp))
-                pending[id(inp)] = contrib if prev is None else prev + contrib
+                key = id(inp)
+                prev = pending.get(key)
+                if isinstance(contrib, _RowAdjoint):
+                    if key not in owned:
+                        pending[key] = (np.zeros_like(inp.data) if prev is None
+                                        else prev.copy())
+                        owned.add(key)
+                    pending[key][contrib.start:contrib.stop] += contrib.g
+                elif prev is None:
+                    pending[key] = contrib
+                elif key in owned:
+                    prev += contrib
+                else:
+                    pending[key] = prev + contrib
+                    owned.add(key)
         return [pending[id(t)] if id(t) in pending else np.zeros_like(t.data)
                 for t in wrt]
 
@@ -129,7 +180,7 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     tape = _current_tape()
     if tape is not None and out.requires_grad:
-        tape._records.append((out, inputs, vjp))
+        tape._record(out, inputs, vjp)
     return out
 
 
@@ -225,16 +276,12 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) of x as a view of its data, not a copy."""
+    """Rows [start, stop) of x as a view of its data, not a copy. Its
+    adjoint goes back as those rows only; ``Tape.backward`` adds it into
+    x's adjoint in place."""
     if not (0 <= start < stop <= x.data.shape[0]):
         raise ShapeError(f"slice_rows [{start}:{stop}] of {x.data.shape}")
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        return (full,)
-
-    return _make(x.data[start:stop], (x,), vjp)
+    return _make(x.data[start:stop], (x,), lambda g: (_RowAdjoint(start, stop, g),))
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -263,31 +310,48 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     row-wise in ``h`` (V*N rows). ``adj`` is the constant N x N
     normalized adjacency; the relu's subgradient at exactly 0 is 0.
 
-    The record keeps A @ H for the weight gradient, which is one GEMM
-    over all V*N rows; the relu mask is read back from the output. No
-    adjoint is formed for a constant ``h`` (the feature matrix).
+    The layer takes whichever product order costs fewer multiply-adds
+    for the forward pass and the VJP together, A (H W) on a tie. The
+    H W-sized GEMMs cost the same in both orders, so per row A (H W)
+    pays A and A^T over d_out columns, and (A H) W pays A over d_in
+    columns, plus A^T over d_in more when H needs an adjoint:
+
+    - A (H W): the record keeps only its output; the VJP is
+      q = A^T gz, dW = H^T q, dH = q W^T.
+    - (A H) W: the record also keeps A H for the weight gradient.
+
+    So a square layer on a trainable input runs A (H W), and a layer
+    that widens a constant input (the feature matrix) runs (A H) W.
+    Each A product is one GEMM per view; the relu mask is read back
+    from the output. No adjoint is formed for a constant ``h``.
     """
     n = adj.shape[0]
     rows, d_in = h.data.shape
+    d_out = w.data.shape[1]
     if adj.shape != (n, n) or rows % n or w.data.shape[0] != d_in \
-            or b.data.shape != (1, w.data.shape[1]):
+            or b.data.shape != (1, d_out):
         raise ShapeError(f"gcn_layer: adjacency {adj.shape}, input {h.data.shape}, "
                          f"weight {w.data.shape}, bias {b.data.shape}")
     views = rows // n
-    ah = np.matmul(adj, h.data.reshape(views, n, d_in)).reshape(rows, d_in)
-    pre = ah @ w.data
+
+    def per_view(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return np.matmul(a, m.reshape(views, n, -1)).reshape(rows, -1)
+
+    weight_first = 2 * d_out <= d_in * (2 if h.requires_grad else 1)
+    ah = None if weight_first else per_view(adj, h.data)
+    pre = per_view(adj, h.data @ w.data) if weight_first else ah @ w.data
     pre += b.data
     out = np.where(pre > 0, pre, 0.0)
 
     def vjp(g):
         gz = g * (out > 0)
-        gh = None
-        if h.requires_grad:
-            gah = (gz @ w.data.T).reshape(views, n, d_in)
-            gh = np.matmul(adj.T, gah).reshape(rows, d_in)
-        return (gh,
-                ah.T @ gz if w.requires_grad else None,
-                gz.sum(axis=0, keepdims=True) if b.requires_grad else None)
+        gb = gz.sum(axis=0, keepdims=True) if b.requires_grad else None
+        if weight_first:
+            q = per_view(adj.T, gz)
+            return (q @ w.data.T if h.requires_grad else None,
+                    h.data.T @ q if w.requires_grad else None, gb)
+        return (per_view(adj.T, gz @ w.data.T) if h.requires_grad else None,
+                ah.T @ gz if w.requires_grad else None, gb)
 
     return _make(out, (h, w, b), vjp)
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,6 +464,66 @@ def test_joint_forward_tape_is_fused():
         buffers[id(base)] = base.nbytes
     stacked, per_view = 2 * n * d * 8, n * d * 8
     assert sum(buffers.values()) <= 10 * stacked + 5 * per_view + 16 * 1024
+
+
+def _tape_bytes_in_stacks(n=64, d=32):
+    """(bytes the tape holds after ``joint_forward``, backward's peak above
+    that), traced by tracemalloc, in 2N x D stacks, at the fused test's
+    shape."""
+    x, xs, adjs = tiny_problem(n=n, f=8)
+    p = tiny_params(n_features=8, embed_dim=d, gcn_layers=3, bins=16, heads=4)
+    wrt = list(p.named_tensors().values())
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            res = model.joint_forward(x, xs, adjs, p, bins=16)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(res.loss, wrt)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    stack = 2 * n * d * 8
+    return held / stack, (peak - held) / stack
+
+
+def test_joint_forward_tape_holds_outputs_not_square_layer_inputs():
+    # ten stacked outputs, five N x D loss temporaries, layer 0's A X and
+    # the small rest come to about 16 stacks; keeping A H for the square
+    # layers 1-2 as well, as (A H) W does, came to about 22
+    held, _ = _tape_bytes_in_stacks()
+    assert held < 19.0
+
+
+def test_backward_peak_stays_small_above_the_tape():
+    # released records and in-place row-slice adjoints: about 4.3 stacks
+    # above what the forward pass left; a sweep that keeps every record
+    # and pads each row view's adjoint to 2N x D took about 10
+    _, increment = _tape_bytes_in_stacks()
+    assert increment < 7.0
+
+
+def test_gradcheck_instance_product_orders():
+    # gradcheck's shape: 5 features, D = 4, 3 layers. Layer 0 widens the
+    # constant input (2 * 4 > 5) and runs (A H) W, keeping A H beside its
+    # output; layers 1-2 are square on a trainable input and run A (H W),
+    # keeping only their output (and the adjacency).
+    n, f, d = 6, 5, 4
+    x, xs, adjs = tiny_problem(n=n, f=f)
+    p = tiny_params(n_features=f, embed_dim=d, gcn_layers=3, heads=4)
+    with ad.Tape() as tape:
+        model.joint_forward(x, xs, adjs, p, bins=3)
+    kept = [sorted(c.cell_contents.shape for c in vjp.__closure__
+                   if isinstance(c.cell_contents, np.ndarray))
+            for _, _, vjp in tape._records if vjp.__qualname__.startswith("gcn_layer.")]
+    layer0 = sorted([(n, n), (2 * n, d), (2 * n, f)])
+    square = sorted([(n, n), (2 * n, d)])
+    assert kept == [layer0, square, square] * len(gg.ALL_KINDS)
 
 
 def test_encode_shape_and_determinism():

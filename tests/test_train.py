@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gutgraph.autodiff as ad
@@ -317,6 +317,7 @@ def test_head_gradients_at_zero_weights():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 30), d=st.integers(1, 8), scale=st.floats(0.1, 3.0),
        seed=st.integers(0, 2**32 - 1))
+@example(n=2, d=7, scale=2.25, seed=2280834176)
 def test_head_gradients_match_finite_differences(n, d, scale, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
@@ -324,16 +325,21 @@ def test_head_gradients_match_finite_differences(n, d, scale, seed):
     b = scale * rng.normal(size=(1, 2))
     y = rng.permutation(np.arange(n) % 2)  # both classes present
     gw, gb = gt.head_gradients(x, w, b, y)
+    # five-point central stencil at step 1e-3: the three-point one at step
+    # 1e-6 reads 1.0096e-6 on the pinned example, from rounding noise
+    step = 1e-3
     for analytic, param in ((gw, w), (gb, b)):
         fd = np.zeros_like(param)
         for idx in np.ndindex(param.shape):
             keep = param[idx]
-            param[idx] = keep + 1e-6
-            up = _head_cross_entropy(x, w, b, y)
-            param[idx] = keep - 1e-6
-            down = _head_cross_entropy(x, w, b, y)
+
+            def at(offset):
+                param[idx] = keep + offset
+                return _head_cross_entropy(x, w, b, y)
+
+            fd[idx] = (8.0 * (at(step) - at(-step))
+                       - (at(2 * step) - at(-2 * step))) / (12.0 * step)
             param[idx] = keep
-            fd[idx] = (up - down) / 2e-6
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-3)
         assert err < 1e-6
 
