@@ -47,13 +47,13 @@ _ABLATION_FLAGS = [
 def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="JSON file with training config fields")
+    # a config flag that is not given leaves no attribute behind
     for dest, typ in _SCALAR_FIELDS:
         p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=typ,
-                       default=None)
+                       default=argparse.SUPPRESS)
     for flag, dest in _ABLATION_FLAGS:
-        # store_true with a None default so "not given" is detectable
-        p.add_argument(flag, dest=f"flag_{dest}", action="store_true",
-                       default=None)
+        p.add_argument(flag, dest=dest, action="store_false",
+                       default=argparse.SUPPRESS)
 
 
 def _add_common(p: argparse.ArgumentParser, table: bool = True,
@@ -75,12 +75,10 @@ def _resolve_out_dir(args) -> str:
     return out
 
 
-def _explicit_config_given(args) -> bool:
-    if getattr(args, "config", None):
-        return True
-    if any(getattr(args, dest) is not None for dest, _ in _SCALAR_FIELDS):
-        return True
-    return any(getattr(args, f"flag_{dest}") for _, dest in _ABLATION_FLAGS)
+def _config_flags(args) -> dict:
+    """The TrainConfig fields set on the command line."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(tr.TrainConfig)
+            if hasattr(args, f.name)}
 
 
 def _resolve_config(args) -> tr.TrainConfig:
@@ -92,13 +90,7 @@ def _resolve_config(args) -> tr.TrainConfig:
             raise ValueError(f"{args.config}: config must be a JSON object, "
                              f"got {type(loaded).__name__}")
         data.update(loaded)
-    for dest, _ in _SCALAR_FIELDS:
-        value = getattr(args, dest)
-        if value is not None:
-            data[dest] = value
-    for _, dest in _ABLATION_FLAGS:
-        if getattr(args, f"flag_{dest}"):
-            data[dest] = False  # every switch turns its feature off
+    data.update(_config_flags(args))
     return tr.TrainConfig.from_dict(data)
 
 
@@ -199,7 +191,7 @@ def _model_and_table(args, out_dir: str, command: str, echo: dict):
             "delimiter": args.delimiter, **echo}
     ckpt = params = None
     if args.checkpoint:
-        if _explicit_config_given(args):
+        if args.config or _config_flags(args):
             raise ValueError(
                 "--checkpoint carries its own configuration; drop the "
                 f"config flags or {command} end-to-end without --checkpoint")
@@ -222,10 +214,9 @@ def cmd_evaluate(args) -> int:
         "labels": os.path.abspath(args.labels), "jobs": args.jobs})
     labels = _read_labels(args, table)
     if params is None:
-        report = tr.run_cross_validation(table.values, labels.labels, cfg,
-                                         jobs=args.jobs)
+        report = tr.run_cross_validation(table.values, labels, cfg, jobs=args.jobs)
     else:
-        report = tr.evaluate_with_params(table.values, labels.labels, params, cfg)
+        report = tr.evaluate_with_params(table.values, labels, params, cfg)
     tr.atomic_write_text(os.path.join(out_dir, "metrics.json"),
                          tr.report_to_json(report))
     tr.atomic_write_text(os.path.join(out_dir, "metrics.txt"),
@@ -244,8 +235,7 @@ def cmd_embed(args) -> int:
     mg = build_multigraph(table.values, cfg.threshold)
     if params is None:
         params, _ = tr.train_unsupervised(mg, cfg)
-    emb = model.encode(mg.features, mg.norm_adjs, params,
-                       use_attention=cfg.use_attention)
+    emb = model.encode(mg.features, mg.norm_adjs, params, cfg)
     d = args.delimiter
     body = "".join(
         quote_field(sid, d) + d + d.join(repr(v) for v in row) + "\n"

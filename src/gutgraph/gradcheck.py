@@ -25,6 +25,14 @@ from .train import TrainConfig, head_gradients, train_classifier
 
 DEFAULT_TOLERANCE = 1e-4
 
+# the checked instance: a 6-node, 5-feature, 3-relation graph under a
+# small model with every part switched on; its zero-step budget makes
+# the classifier head the freshly drawn one
+_CFG = TrainConfig(embed_dim=4, bins=3, gcn_layers=3, heads=4, classifier_steps=0)
+_N_NODES = 6
+_N_FEATURES = 5
+_STEP = 1e-5
+
 _GROUP_PREFIXES = {
     "encoder": "encoder/",
     "queries": "attention/",
@@ -58,28 +66,27 @@ def _fd_grad(loss_fn, param: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
-                   embed_dim: int = 4, bins: int = 3, gcn_layers: int = 3,
-                   heads: int = 4, step: float = 1e-5,
+def gradient_check(seed: int = 0, *,
                    corrupt_group: str | None = None) -> dict[str, float]:
-    """Relative error per parameter group on a 6-node, 3-relation
-    instance. ``corrupt_group`` deliberately damages that group's
-    analytic gradient first (negative control for the harness itself).
+    """Relative error per parameter group on the instance ``_CFG``,
+    ``_N_NODES`` and ``_N_FEATURES`` describe, drawn from ``seed``, with
+    central differences of step ``_STEP``. ``corrupt_group``
+    deliberately damages that group's analytic gradient first
+    (negative control for the harness itself).
     """
     root = np.random.SeedSequence(seed)
     data_rng = np.random.default_rng(root.spawn(1)[0])
-    x = data_rng.random((n_nodes, n_features)) + 0.05
+    x = data_rng.random((_N_NODES, _N_FEATURES)) + 0.05
     adjs = build_multigraph(x, threshold=0.6).norm_adjs
     x_shuffled, _ = shuffle_features(x, seed=seed + 1)
 
     init_rng = np.random.default_rng(root.spawn(2)[1])
-    params = model.init_model_params(ALL_KINDS, n_features, embed_dim,
-                                     gcn_layers, bins, heads, True, init_rng)
+    params = model.init_model_params(ALL_KINDS, _N_FEATURES, _CFG, init_rng)
     named = params.named_tensors()
 
     # analytic pass for the unsupervised objective
     with ad.Tape() as tape:
-        result = model.joint_forward(x, x_shuffled, adjs, params, bins=bins)
+        result = model.joint_forward(x, x_shuffled, adjs, params, _CFG)
         grads = tape.backward(result.loss, list(named.values()))
     histograms = dict(result.histograms)
     analytic = dict(zip(named, grads))
@@ -87,10 +94,9 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
 
     # closed-form gradient of the classifier head on frozen embeddings:
     # the standardized input and freshly drawn weights of train_classifier
-    embeddings = model.encode(x, adjs, params)
-    labels = np.arange(n_nodes) % 2
-    head = train_classifier(embeddings, labels, np.arange(n_nodes),
-                            TrainConfig(classifier_steps=0), seed=seed)
+    embeddings = model.encode(x, adjs, params, _CFG)
+    labels = np.arange(_N_NODES) % 2
+    head = train_classifier(embeddings, labels, np.arange(_N_NODES), _CFG, seed=seed)
     head_x = (embeddings - head.mean) / head.scale
     arrays.update({"classifier/weight": head.weight, "classifier/bias": head.bias})
     analytic["classifier/weight"], analytic["classifier/bias"] = head_gradients(
@@ -109,15 +115,15 @@ def gradient_check(seed: int = 0, *, n_nodes: int = 6, n_features: int = 5,
                 analytic[name] = g * 1.5 + 0.01
 
     def unsupervised_loss() -> float:
-        return model.joint_forward(x, x_shuffled, adjs, params, bins=bins,
-                                   frozen_histograms=histograms).loss.item()
+        return model.joint_forward(x, x_shuffled, adjs, params, _CFG,
+                                   histograms).loss.item()
 
     groups_a: dict[str, list[np.ndarray]] = {g: [] for g in _GROUP_PREFIXES}
     groups_f: dict[str, list[np.ndarray]] = {g: [] for g in _GROUP_PREFIXES}
     for name, param in arrays.items():
         group = _group_of(name)
         loss_fn = classifier_ce if group == "classifier" else unsupervised_loss
-        fd = _fd_grad(loss_fn, param, step)
+        fd = _fd_grad(loss_fn, param, _STEP)
         groups_a[group].append(analytic[name].ravel())
         groups_f[group].append(fd.ravel())
 

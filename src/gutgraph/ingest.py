@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,24 +58,6 @@ class AbundanceTable:
         return self.values.shape[1]
 
 
-@dataclass
-class LabelVector:
-    """Binary disease labels (1 = diseased), aligned with a table's rows."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1:
-            raise TableFormatError("labels must be a 1-D vector")
-        bad = set(np.unique(self.labels)) - {0, 1}
-        if bad:
-            raise TableFormatError(f"labels must be 0/1, found {sorted(bad)}")
-
-    def __len__(self) -> int:
-        return int(self.labels.shape[0])
-
-
 @dataclass(frozen=True)
 class FilterPolicy:
     """Drop a feature when at least ``host_count_threshold`` samples sit
@@ -89,20 +71,6 @@ class FilterPolicy:
             raise ValueError("abundance_threshold must be positive")
         if self.host_count_threshold < 1:
             raise ValueError("host_count_threshold must be >= 1")
-
-
-@dataclass
-class FoldAssignment:
-    """Partition of sample indices into k cross-validation folds."""
-
-    fold_of_sample: np.ndarray
-    k: int
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.sort(np.flatnonzero(self.fold_of_sample == fold))
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.sort(np.flatnonzero(self.fold_of_sample != fold))
 
 
 def _records(stream, delimiter: str):
@@ -219,9 +187,10 @@ def removal_report(table: AbundanceTable, policy: FilterPolicy
             if count >= policy.host_count_threshold]
 
 
-def kfold_split(n_samples: int, k: int, seed: int) -> FoldAssignment:
-    """Random partition into k folds; the first n % k folds get the
-    extra sample, so sizes differ by at most one."""
+def kfold_split(n_samples: int, k: int, seed: int) -> np.ndarray:
+    """Random partition into k folds, as the int64 fold of each sample;
+    the first n % k folds get the extra sample, so sizes differ by at
+    most one."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n_samples:
@@ -234,11 +203,12 @@ def kfold_split(n_samples: int, k: int, seed: int) -> FoldAssignment:
         size = base + (1 if fold < extra else 0)
         fold_of_sample[perm[start:start + size]] = fold
         start += size
-    return FoldAssignment(fold_of_sample, k)
+    return fold_of_sample
 
 
-def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> LabelVector:
-    """Two-column id/label file, reordered to match ``sample_ids``."""
+def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> np.ndarray:
+    """Two-column id/label file, as int64 0/1 disease labels (1 =
+    diseased) reordered to match ``sample_ids``."""
     mapping: dict[str, int] = {}
     for rownum, row in _records(stream, delimiter):
         if len(row) != 2:
@@ -257,13 +227,13 @@ def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> LabelVe
     unknown = [s for s in mapping if s not in known]
     if unknown:
         raise TableFormatError(f"label for unknown sample id {unknown[0]!r}")
-    return LabelVector(np.array([mapping[s] for s in sample_ids]))
+    return np.array([mapping[s] for s in sample_ids], dtype=np.int64)
 
 
-def serialize_labels(sample_ids: list[str], labels: LabelVector,
+def serialize_labels(sample_ids: list[str], labels: np.ndarray,
                      delimiter: str = "\t") -> str:
     lines = [f"{quote_field(sid, delimiter)}{delimiter}{int(y)}"
-             for sid, y in zip(sample_ids, labels.labels)]
+             for sid, y in zip(sample_ids, labels)]
     return "\n".join(lines) + "\n"
 
 
@@ -272,7 +242,7 @@ _PROFILE_SPREAD = 0.2
 
 
 def synth_cohort(n_per_class: int, n_features: int, separation: float,
-                 seed: int) -> tuple[AbundanceTable, LabelVector]:
+                 seed: int) -> tuple[AbundanceTable, np.ndarray]:
     """Two-class synthetic cohort with a tunable class gap.
 
     Each class has a log-space profile; the profiles sit ``separation``
@@ -309,5 +279,5 @@ def synth_cohort(n_per_class: int, n_features: int, separation: float,
     n = 2 * n_per_class
     sample_ids = [f"sample{i:04d}" for i in range(n)]
     feature_names = [f"taxon{j:04d}" for j in range(n_features)]
-    labels = LabelVector(np.repeat([0, 1], n_per_class))
+    labels = np.repeat(np.array([0, 1], dtype=np.int64), n_per_class)
     return AbundanceTable(sample_ids, feature_names, values), labels

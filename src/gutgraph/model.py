@@ -16,12 +16,16 @@ per-view consumers read their N rows as views of the stacked products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import ALL_KINDS, DistanceKind
+
+if TYPE_CHECKING:
+    from .train import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +34,9 @@ from .graph import ALL_KINDS, DistanceKind
 
 @dataclass
 class ModelParams:
-    """All trainable tensors, keyed the way checkpoints store them."""
+    """The tensors a run trains, keyed the way checkpoints store them.
+    ``queries`` is empty when the run merges without attention and
+    ``discriminators`` when it trains without the adversarial loss."""
 
     layers: dict[DistanceKind, list[tuple[Tensor, Tensor]]]
     queries: list[dict[DistanceKind, Tensor]]
@@ -54,8 +60,8 @@ class ModelParams:
         for h, per_kind in enumerate(self.queries):
             for kind in self.kinds:
                 out[f"attention/head{h}/{kind.value}/query"] = per_kind[kind]
-        for kind in self.kinds:
-            out[f"discriminator/{kind.value}/weight"] = self.discriminators[kind]
+        for kind, w in self.discriminators.items():
+            out[f"discriminator/{kind.value}/weight"] = w
         out["eta_raw"] = self.eta_raw
         return out
 
@@ -65,33 +71,33 @@ def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def init_model_params(kinds, n_features: int, embed_dim: int, gcn_layers: int,
-                      bins: int, heads: int, two_stage_summary: bool,
+def init_model_params(kinds, n_features: int, cfg: TrainConfig,
                       rng: np.random.Generator) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases,
-    zero loss-weight raw scalar. Draw order is fixed so a seed pins
-    every tensor."""
-    if embed_dim < 1 or gcn_layers < 1 or bins < 1 or heads < 1:
-        raise ValueError("embed_dim, gcn_layers, bins and heads must be positive")
+    zero loss-weight raw scalar, shaped by ``cfg``'s ``embed_dim``,
+    ``gcn_layers``, ``bins`` and ``heads``. Queries are drawn only under
+    ``use_attention`` and discriminator weights only under
+    ``use_adversarial``. Draw order is fixed (encoder, queries,
+    discriminators) so a seed pins every tensor."""
     kinds = tuple(kinds)
-    summary_dim = embed_dim + bins if two_stage_summary else embed_dim
+    d = cfg.embed_dim
+    summary_dim = d + cfg.bins if cfg.two_stage_summary else d
     layers: dict[DistanceKind, list[tuple[Tensor, Tensor]]] = {}
     for kind in kinds:
         stack = []
         in_dim = n_features
-        for _ in range(gcn_layers):
-            w = Tensor(_uniform_init(rng, in_dim, embed_dim), requires_grad=True)
-            b = Tensor(np.zeros((1, embed_dim)), requires_grad=True)
+        for _ in range(cfg.gcn_layers):
+            w = Tensor(_uniform_init(rng, in_dim, d), requires_grad=True)
+            b = Tensor(np.zeros((1, d)), requires_grad=True)
             stack.append((w, b))
-            in_dim = embed_dim
+            in_dim = d
         layers[kind] = stack
-    queries = []
-    for _ in range(heads):
-        queries.append({kind: Tensor(_uniform_init(rng, embed_dim, 1), requires_grad=True)
-                        for kind in kinds})
-    discriminators = {kind: Tensor(_uniform_init(rng, summary_dim, embed_dim),
+    queries = [{kind: Tensor(_uniform_init(rng, d, 1), requires_grad=True)
+                for kind in kinds}
+               for _ in range(cfg.heads if cfg.use_attention else 0)]
+    discriminators = {kind: Tensor(_uniform_init(rng, summary_dim, d),
                                    requires_grad=True)
-                      for kind in kinds}
+                      for kind in kinds} if cfg.use_adversarial else {}
     return ModelParams(
         layers=layers,
         queries=queries,
@@ -292,15 +298,14 @@ class ForwardResult:
 
 def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
                   norm_adjs: dict[DistanceKind, np.ndarray],
-                  params: ModelParams, *, bins: int,
-                  weighting: str = "magnitude",
-                  use_attention: bool = True,
-                  two_stage_summary: bool = True,
-                  use_adversarial: bool = True,
+                  params: ModelParams, cfg: TrainConfig,
                   frozen_histograms: dict[DistanceKind, np.ndarray] | None = None
                   ) -> ForwardResult:
     """One training pass over every relation type: encode both views,
     summarize, score the discriminator, merge, and combine the losses.
+    ``cfg`` supplies ``bins``, ``histogram_weighting`` and the switches
+    ``use_attention``, ``two_stage_summary`` and ``use_adversarial``;
+    ``params`` must hold the tensors those switches train.
 
     The two views run stacked, original rows [0, N) over shuffled rows
     [N, 2N), through one GCN record per layer and relation and one
@@ -320,9 +325,10 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
         h_pos = ad.slice_rows(h, 0, n)
         positives.append(h_pos)
         negatives.append(ad.slice_rows(h, n, 2 * n))
-        if two_stage_summary:
+        if cfg.two_stage_summary:
             frozen = None if frozen_histograms is None else frozen_histograms[kind]
-            summary, p, q = graph_summary(h_pos, bins, weighting, frozen)
+            summary, p, q = graph_summary(h_pos, cfg.bins, cfg.histogram_weighting,
+                                          frozen)
             histograms[kind] = q
             summaries.append(summary)
             node_parts.append(p)
@@ -332,15 +338,11 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
             node_parts.append(summary)
 
     l_adv = None
-    if use_adversarial:
+    if cfg.use_adversarial:
         discs = [params.discriminators[kind] for kind in kinds]
         l_adv = adversarial_loss(summaries, positives, negatives, discs)
 
-    if use_attention:
-        merged = attention_merge(embeddings, params.queries, kinds)
-    else:
-        merged = average_merge(embeddings)
-
+    merged = _merge(embeddings, params, cfg)
     target = global_target(node_parts, n)
     l_hybrid = hybrid_attention_loss(target, ad.slice_rows(merged, 0, n),
                                      ad.slice_rows(merged, n, 2 * n))
@@ -353,16 +355,19 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     )
 
 
+def _merge(embeddings: list[Tensor], params: ModelParams,
+           cfg: TrainConfig) -> Tensor:
+    if cfg.use_attention:
+        return attention_merge(embeddings, params.queries, params.kinds)
+    return average_merge(embeddings)
+
+
 def encode(x: np.ndarray, norm_adjs: dict[DistanceKind, np.ndarray],
-           params: ModelParams, use_attention: bool = True) -> np.ndarray:
+           params: ModelParams, cfg: TrainConfig) -> np.ndarray:
     """N x D merged embedding of the original view (no tape, no grads),
-    through the same fused kernels as ``joint_forward``."""
-    kinds = params.kinds
+    through the same fused kernels as ``joint_forward``; ``cfg``'s
+    ``use_attention`` picks the merge."""
     xt = ad.constant(x)
     embeddings = [gcn_forward(norm_adjs[kind], xt, params.layers[kind])
-                  for kind in kinds]
-    if use_attention:
-        merged = attention_merge(embeddings, params.queries, kinds)
-    else:
-        merged = average_merge(embeddings)
-    return merged.data.copy()
+                  for kind in params.kinds]
+    return _merge(embeddings, params, cfg).data.copy()

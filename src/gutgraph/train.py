@@ -123,9 +123,8 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
     """
     root = np.random.SeedSequence(cfg.seed)
     init_ss, corrupt_ss = root.spawn(2)
-    params = model.init_model_params(
-        mg.kinds, mg.features.shape[1], cfg.embed_dim, cfg.gcn_layers,
-        cfg.bins, cfg.heads, cfg.two_stage_summary, np.random.default_rng(init_ss))
+    params = model.init_model_params(mg.kinds, mg.features.shape[1], cfg,
+                                     np.random.default_rng(init_ss))
     tensors = list(params.named_tensors().values())
     optimizer = ad.Adam([t.data for t in tensors], lr=cfg.learning_rate)
     corrupt_rng = np.random.default_rng(corrupt_ss)
@@ -138,12 +137,8 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
         else:
             x_shuffled = static_shuffled
         with ad.Tape() as tape:
-            result = model.joint_forward(
-                mg.features, x_shuffled, mg.norm_adjs, params,
-                bins=cfg.bins, weighting=cfg.histogram_weighting,
-                use_attention=cfg.use_attention,
-                two_stage_summary=cfg.two_stage_summary,
-                use_adversarial=cfg.use_adversarial)
+            result = model.joint_forward(mg.features, x_shuffled, mg.norm_adjs,
+                                         params, cfg)
             value = result.loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch + 1, trace)
@@ -331,11 +326,11 @@ def _fold_rows(embeddings: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     """One head per fold of the split drawn at seed ``cfg.seed +
     seed_index``, each scored on its held-out fold."""
     run_seed = cfg.seed + seed_index
-    folds = kfold_split(embeddings.shape[0], cfg.folds, seed=run_seed)
+    fold_of_sample = kfold_split(embeddings.shape[0], cfg.folds, seed=run_seed)
     rows: list[MetricsRow] = []
     for fold in range(cfg.folds):
-        train_idx = folds.train_indices(fold)
-        test_idx = folds.test_indices(fold)
+        train_idx = np.flatnonzero(fold_of_sample != fold)
+        test_idx = np.flatnonzero(fold_of_sample == fold)
         head = train_classifier(embeddings, labels, train_idx, cfg,
                                 seed=(run_seed, fold))
         scores = head_scores(head, embeddings[test_idx])
@@ -358,9 +353,20 @@ def _evaluate_single_seed(mg: MultiGraph, labels: np.ndarray,
                           ) -> tuple[list[MetricsRow], list[float]]:
     run_cfg = dataclasses.replace(cfg, seed=cfg.seed + seed_index)
     params, trace = train_unsupervised(mg, run_cfg)
-    embeddings = model.encode(mg.features, mg.norm_adjs, params,
-                              use_attention=cfg.use_attention)
+    embeddings = model.encode(mg.features, mg.norm_adjs, params, cfg)
     return _fold_rows(embeddings, labels, cfg, seed_index), trace
+
+
+def _labelled_values(values: np.ndarray, labels: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(values as float64, labels) after checking there is one label
+    per sample row."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    if labels.shape != (values.shape[0],):
+        raise ValueError(
+            f"labels shape {labels.shape} does not match {values.shape[0]} samples")
+    return values, labels
 
 
 def run_cross_validation(values: np.ndarray, labels: np.ndarray,
@@ -372,11 +378,7 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
     seed and every worker; the split only gates which labels the
     classifier sees. Rows come in (seed, fold) order whatever ``jobs``
     is."""
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.shape != (values.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match {values.shape[0]} samples")
+    values, labels = _labelled_values(values, labels)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     mg = build_multigraph(values, cfg.threshold)
@@ -399,10 +401,10 @@ def evaluate_with_params(values: np.ndarray, labels: np.ndarray,
                          ) -> MetricsReport:
     """Fold evaluation against an already-trained encoder (checkpoint
     path): the folds of seed index 0, no unsupervised training."""
+    values, labels = _labelled_values(values, labels)
     mg = build_multigraph(values, cfg.threshold)
-    embeddings = model.encode(mg.features, mg.norm_adjs, params,
-                              use_attention=cfg.use_attention)
-    rows = _fold_rows(embeddings, np.asarray(labels), cfg, 0)
+    embeddings = model.encode(mg.features, mg.norm_adjs, params, cfg)
+    rows = _fold_rows(embeddings, labels, cfg, 0)
     return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
                          config=cfg.as_dict())
 
@@ -581,9 +583,8 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[model.ModelParams, TrainCo
     if not ckpt.feature_names:
         raise CheckpointError("checkpoint names no features")
     # every initial value is overwritten below; the draw only sets shapes
-    params = model.init_model_params(
-        kinds, len(ckpt.feature_names), cfg.embed_dim, cfg.gcn_layers, cfg.bins,
-        cfg.heads, cfg.two_stage_summary, np.random.default_rng(0))
+    params = model.init_model_params(kinds, len(ckpt.feature_names), cfg,
+                                     np.random.default_rng(0))
     named = params.named_tensors()
     for name, tensor in named.items():
         stored = ckpt.tensors.get(name)

@@ -27,7 +27,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def fixture_cohort():
     table, labels = synth_cohort(60, 60, 2.0, 7)
-    return table.values, np.asarray(labels.labels)
+    return table.values, labels
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_criterion_10_external_cohort_gate():
         labels = read_labels(fh, table.sample_ids)
     filtered = filter_low_abundance(table, FilterPolicy())
     cfg = gt.TrainConfig()  # full protocol: 5 folds x 5 seeds
-    report = gt.run_cross_validation(filtered.values, labels.labels, cfg)
+    report = gt.run_cross_validation(filtered.values, labels, cfg)
     acc = report.aggregate["accuracy"]["mean"]
     auc = report.aggregate["auc"]["mean"]
     # the pipeline completing without error is the binding part; the

@@ -7,7 +7,6 @@ import json
 import struct
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gutgraph.cli import main

@@ -100,10 +100,10 @@ def test_round_trip_names_with_quotes_and_delimiters(delimiter, data):
     assert back.sample_ids == ids
     assert back.feature_names == names
     assert back.values.tobytes() == values.tobytes()
-    labels = ingest.LabelVector(np.arange(len(ids)) % 2)
+    labels = np.arange(len(ids)) % 2
     again = ingest.read_labels(ingest.serialize_labels(ids, labels, delimiter),
                                ids, delimiter)
-    assert again.labels.tolist() == labels.labels.tolist()
+    assert again.tolist() == labels.tolist()
 
 
 def test_plain_names_are_not_quoted():
@@ -176,14 +176,9 @@ def test_removal_report_names_and_counts():
 
 
 def test_kfold_sizes():
-    fa = ingest.kfold_split(10, 5, seed=0)
-    sizes = [len(fa.test_indices(f)) for f in range(5)]
-    assert sizes == [2, 2, 2, 2, 2]
-    fa = ingest.kfold_split(11, 5, seed=0)
-    sizes = [len(fa.test_indices(f)) for f in range(5)]
-    assert sizes == [3, 2, 2, 2, 2]
-    fa = ingest.kfold_split(5, 5, seed=0)
-    assert [len(fa.test_indices(f)) for f in range(5)] == [1] * 5
+    assert np.bincount(ingest.kfold_split(10, 5, seed=0)).tolist() == [2] * 5
+    assert np.bincount(ingest.kfold_split(11, 5, seed=0)).tolist() == [3, 2, 2, 2, 2]
+    assert np.bincount(ingest.kfold_split(5, 5, seed=0)).tolist() == [1] * 5
 
 
 def test_kfold_validation():
@@ -194,9 +189,10 @@ def test_kfold_validation():
 
 
 def test_kfold_deterministic_and_seed_sensitive():
-    a = ingest.kfold_split(20, 4, seed=9).fold_of_sample
-    b = ingest.kfold_split(20, 4, seed=9).fold_of_sample
-    c = ingest.kfold_split(20, 4, seed=10).fold_of_sample
+    a = ingest.kfold_split(20, 4, seed=9)
+    b = ingest.kfold_split(20, 4, seed=9)
+    c = ingest.kfold_split(20, 4, seed=10)
+    assert a.dtype == np.int64
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -206,25 +202,21 @@ def test_kfold_deterministic_and_seed_sensitive():
 def test_kfold_is_a_partition(n, k, seed):
     if k > n:
         k = n
-    fa = ingest.kfold_split(n, k, seed)
-    seen = np.concatenate([fa.test_indices(f) for f in range(k)])
-    assert sorted(seen.tolist()) == list(range(n))
-    sizes = sorted(len(fa.test_indices(f)) for f in range(k))
-    assert sizes[-1] - sizes[0] <= 1
-    for f in range(k):
-        train = fa.train_indices(f)
-        test = fa.test_indices(f)
-        assert len(np.intersect1d(train, test)) == 0
-        assert len(train) + len(test) == n
+    fold_of_sample = ingest.kfold_split(n, k, seed)
+    assert fold_of_sample.shape == (n,)
+    assert set(fold_of_sample.tolist()) == set(range(k))
+    sizes = np.bincount(fold_of_sample, minlength=k)
+    assert sizes.max() - sizes.min() <= 1
 
 
 def test_labels_round_trip_and_alignment():
     text = "s2\t1\ns0\t0\ns1\t1\n"
-    lv = ingest.read_labels(text, ["s0", "s1", "s2"])
-    assert lv.labels.tolist() == [0, 1, 1]
-    out = ingest.serialize_labels(["s0", "s1", "s2"], lv)
+    labels = ingest.read_labels(text, ["s0", "s1", "s2"])
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0, 1, 1]
+    out = ingest.serialize_labels(["s0", "s1", "s2"], labels)
     again = ingest.read_labels(out, ["s0", "s1", "s2"])
-    assert np.array_equal(again.labels, lv.labels)
+    assert np.array_equal(again, labels)
 
 
 def test_labels_errors():
@@ -243,7 +235,8 @@ def test_labels_errors():
 def test_synth_cohort_shapes_and_composition():
     table, labels = ingest.synth_cohort(6, 20, 2.0, seed=7)
     assert table.values.shape == (12, 20)
-    assert labels.labels.tolist() == [0] * 6 + [1] * 6
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0] * 6 + [1] * 6
     sums = table.values.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) < 1e-12)
     assert np.all(table.values > 0)
@@ -259,12 +252,12 @@ def test_synth_cohort_deterministic():
 
 def test_synth_separation_zero_shares_one_profile():
     table, labels = ingest.synth_cohort(200, 12, 0.0, seed=1)
-    m0 = table.values[labels.labels == 0].mean(axis=0)
-    m1 = table.values[labels.labels == 1].mean(axis=0)
+    m0 = table.values[labels == 0].mean(axis=0)
+    m1 = table.values[labels == 1].mean(axis=0)
     gap_null = np.abs(m0 - m1).max()
     table2, labels2 = ingest.synth_cohort(200, 12, 2.0, seed=1)
-    s0 = table2.values[labels2.labels == 0].mean(axis=0)
-    s1 = table2.values[labels2.labels == 1].mean(axis=0)
+    s0 = table2.values[labels2 == 0].mean(axis=0)
+    s1 = table2.values[labels2 == 1].mean(axis=0)
     gap_sep = np.abs(s0 - s1).max()
     assert gap_null < 0.01
     assert gap_sep > 5 * gap_null

@@ -2,7 +2,6 @@
 checkpoint format."""
 
 import dataclasses
-import json
 import struct
 
 import numpy as np
@@ -29,15 +28,13 @@ def small_cfg(**overrides) -> gt.TrainConfig:
 def fresh_params(mg, cfg) -> gm.ModelParams:
     """The initial draw ``train_unsupervised`` starts from under ``cfg``."""
     init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    return gm.init_model_params(mg.kinds, mg.features.shape[1], cfg.embed_dim,
-                                cfg.gcn_layers, cfg.bins, cfg.heads,
-                                cfg.two_stage_summary,
+    return gm.init_model_params(mg.kinds, mg.features.shape[1], cfg,
                                 np.random.default_rng(init_ss))
 
 
 def small_problem(n_per_class=6, n_features=10, separation=2.0, seed=3):
     table, labels = synth_cohort(n_per_class, n_features, separation, seed)
-    return table.values, np.asarray(labels.labels)
+    return table.values, labels
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +121,52 @@ def test_zero_learning_rate_keeps_params():
 
 def test_one_epoch_moves_every_parameter():
     # Adam updates the tensors' own arrays; a tensor whose data were
-    # rebound would silently stop training
+    # rebound would silently stop training. Under each switch the model
+    # holds no tensor its objective leaves untrained: no queries without
+    # attention, no discriminators without the adversarial loss.
     values, _ = small_problem()
-    cfg = small_cfg(epochs=1)
+    mg = build_multigraph(values, 0.6)
+    dropped = {"use_attention": "attention/", "use_adversarial": "discriminator/"}
+    for switch in (None, "fresh_corruption", "use_attention",
+                   "two_stage_summary", "use_adversarial"):
+        cfg = small_cfg(epochs=1, **({} if switch is None else {switch: False}))
+        params, _ = gt.train_unsupervised(mg, cfg)
+        fresh = fresh_params(mg, cfg).named_tensors()
+        trained = params.named_tensors()
+        assert trained.keys() == fresh.keys()
+        assert not any(name.startswith(dropped.get(switch, "-")) for name in trained)
+        for name, tensor in trained.items():
+            assert tensor.data.tobytes() != fresh[name].data.tobytes(), (switch, name)
+
+
+def test_adversarial_ablation_leaves_discriminators_untouched():
+    # without the adversarial loss the model carries no discriminators at
+    # all, so none can drift; the encoder must still train
+    values, _ = small_problem()
+    cfg = small_cfg(use_adversarial=False, epochs=4)
     mg = build_multigraph(values, cfg.threshold)
     params, _ = gt.train_unsupervised(mg, cfg)
-    fresh = fresh_params(mg, cfg).named_tensors()
     trained = params.named_tensors()
+    fresh = fresh_params(mg, cfg).named_tensors()
     assert trained.keys() == fresh.keys()
-    for name, tensor in trained.items():
-        assert tensor.data.tobytes() != fresh[name].data.tobytes(), name
+    assert not any(name.startswith("discriminator/") for name in trained)
+    enc = f"encoder/{mg.kinds[0].value}/layer0/weight"
+    assert trained[enc].data.tobytes() != fresh[enc].data.tobytes()
+
+
+def test_attention_ablation_leaves_queries_untouched():
+    # without attention the model carries no queries at all, so none can
+    # drift; the encoder must still train
+    values, _ = small_problem()
+    cfg = small_cfg(use_attention=False, epochs=4)
+    mg = build_multigraph(values, cfg.threshold)
+    params, _ = gt.train_unsupervised(mg, cfg)
+    trained = params.named_tensors()
+    fresh = fresh_params(mg, cfg).named_tensors()
+    assert trained.keys() == fresh.keys()
+    assert not any(name.startswith("attention/") for name in trained)
+    enc = f"encoder/{mg.kinds[0].value}/layer0/weight"
+    assert trained[enc].data.tobytes() != fresh[enc].data.tobytes()
 
 
 def test_loss_decreases_on_small_fixture():
@@ -182,35 +215,6 @@ def test_divergence_raises_with_trace():
     assert err.epoch >= 1
     assert len(err.trace) == err.epoch - 1
     assert all(np.isfinite(v) for v in err.trace)
-
-
-def test_adversarial_ablation_leaves_discriminators_untouched():
-    values, _ = small_problem()
-    cfg = small_cfg(use_adversarial=False, epochs=4)
-    mg = build_multigraph(values, cfg.threshold)
-    params, _ = gt.train_unsupervised(mg, cfg)
-    fresh = fresh_params(mg, cfg)
-    for kind in mg.kinds:
-        name = f"discriminator/{kind.value}/weight"
-        assert (params.named_tensors()[name].data.tobytes()
-                == fresh.named_tensors()[name].data.tobytes())
-    # encoder weights must still move
-    enc = f"encoder/{mg.kinds[0].value}/layer0/weight"
-    assert (params.named_tensors()[enc].data.tobytes()
-            != fresh.named_tensors()[enc].data.tobytes())
-
-
-def test_attention_ablation_leaves_queries_untouched():
-    values, _ = small_problem()
-    cfg = small_cfg(use_attention=False, epochs=4)
-    mg = build_multigraph(values, cfg.threshold)
-    params, _ = gt.train_unsupervised(mg, cfg)
-    fresh = fresh_params(mg, cfg)
-    for h in range(cfg.heads):
-        for kind in mg.kinds:
-            name = f"attention/head{h}/{kind.value}/query"
-            assert (params.named_tensors()[name].data.tobytes()
-                    == fresh.named_tensors()[name].data.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +456,21 @@ def test_cross_validation_rejects_mismatched_labels():
         gt.run_cross_validation(values, labels[:-1], cfg)
 
 
+@pytest.mark.parametrize("n_labels", [13, 19])
+def test_checkpoint_evaluation_rejects_mismatched_labels(monkeypatch, n_labels):
+    # 16 samples: extra labels were scored against the first 16, too few
+    # raised IndexError; both are refused before any graph is built
+    values, labels = small_problem(n_per_class=8, n_features=8)
+    cfg = small_cfg(epochs=1)
+    params, _ = gt.train_unsupervised(build_multigraph(values, cfg.threshold), cfg)
+    wrong = np.resize(labels, n_labels)
+    monkeypatch.setattr(gt, "build_multigraph", None)
+    with pytest.raises(ValueError, match="labels shape"):
+        gt.evaluate_with_params(values, wrong, params, cfg)
+    with pytest.raises(ValueError, match="labels shape"):
+        gt.run_cross_validation(values, wrong, cfg)
+
+
 def test_parallel_jobs_match_serial():
     values, labels = small_problem(n_per_class=8, n_features=8)
     cfg = small_cfg(eval_seeds=2, epochs=3, classifier_steps=20)
@@ -486,7 +505,7 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     alone_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
     params, trace = gt.train_unsupervised(mg, alone_cfg)
     assert np.asarray(full.traces[1]).tobytes() == np.asarray(trace).tobytes()
-    embeddings = gm.encode(mg.features, mg.norm_adjs, params)
+    embeddings = gm.encode(mg.features, mg.norm_adjs, params, cfg)
     assert len(encoded) == 2
     assert encoded[1].tobytes() == embeddings.tobytes()
     alone = gt.evaluate_with_params(values, labels, params, alone_cfg)
@@ -496,7 +515,7 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     fresh = fresh_params(mg, alone_cfg)
     shuffled, _ = shuffle_features(mg.features, alone_cfg.seed)
     first = gm.joint_forward(mg.features, shuffled, mg.norm_adjs, fresh,
-                             bins=cfg.bins).loss.item()
+                             cfg).loss.item()
     assert trace[0] == first
 
 
@@ -586,8 +605,8 @@ def test_checkpoint_restored_params_embed_identically():
     finally:
         os.unlink(path)
     mg = build_multigraph(values, cfg.threshold)
-    e1 = gm.encode(mg.features, mg.norm_adjs, params, cfg.use_attention)
-    e2 = gm.encode(mg.features, mg.norm_adjs, restored, rcfg.use_attention)
+    e1 = gm.encode(mg.features, mg.norm_adjs, params, cfg)
+    e2 = gm.encode(mg.features, mg.norm_adjs, restored, rcfg)
     assert e1.tobytes() == e2.tobytes()
 
 
@@ -661,6 +680,18 @@ def test_checkpoint_missing_tensor(tmp_path):
     del ckpt.tensors["eta_raw"]
     with pytest.raises(gt.CheckpointError, match="eta_raw"):
         gt.params_from_checkpoint(ckpt)
+
+
+def test_checkpoint_with_untrained_ablation_tensors_is_refused():
+    # an ablation checkpoint written when the model still carried the
+    # discriminators (or queries) its run never trained
+    _, _, cfg, params, trace = trained_fixture()
+    for switch, prefix in (("use_adversarial", "discriminator/"),
+                           ("use_attention", "attention/")):
+        ablated = dataclasses.replace(cfg, **{switch: False})
+        ckpt = gt.parse_checkpoint(gt.checkpoint_bytes(params, ablated, trace, NAMES))
+        with pytest.raises(gt.CheckpointError, match=f"unexpected tensors.*{prefix}"):
+            gt.params_from_checkpoint(ckpt)
 
 
 def test_atomic_write_replaces_existing(tmp_path):
