@@ -48,19 +48,22 @@ class DistanceKind(enum.Enum):
     CANBERRA = "canberra"
 
 
-# Fixed iteration order for everything that loops over relation types.
+# Every multigraph's relation types, in the order all loops over them follow.
 ALL_KINDS: tuple[DistanceKind, ...] = (
     DistanceKind.BRAY_CURTIS, DistanceKind.EUCLIDEAN, DistanceKind.CANBERRA)
 
 
 def bray_curtis(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """sum|m_i - n_i| / (sum m + sum n) from profile ``m`` to each row of
-    ``n``; undefined where both profiles are all zero."""
-    denom = m.sum() + n.sum(axis=-1)
+    """sum|m_i - n_i| / sum(m_i + n_i) from profile ``m`` to each row of
+    ``n``; undefined where both profiles are all zero. Both sums share
+    one order, so nonnegative profiles cannot round above 1."""
+    t = m - n
+    num = np.abs(t, out=t).sum(axis=-1)
+    denom = np.add(m, n, out=t).sum(axis=-1)
     zero = np.flatnonzero(denom == 0)
     if zero.size:
         raise ZeroProfilesError(int(zero[0]))
-    return np.abs(m - n).sum(axis=-1) / denom
+    return num / denom
 
 
 def euclidean(m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -211,21 +214,14 @@ class MultiGraph:
                     f"{kind.value} graph has {g.n_nodes} nodes for {n} samples")
         self.norm_adjs = {k: normalize_adjacency(g) for k, g in self.relations.items()}
 
-    @property
-    def n_nodes(self) -> int:
-        return self.features.shape[0]
 
-    @property
-    def kinds(self) -> tuple[DistanceKind, ...]:
-        return tuple(k for k in ALL_KINDS if k in self.relations)
-
-
-def build_multigraph(values: np.ndarray, threshold: float = 0.6,
-                     kinds: tuple[DistanceKind, ...] = ALL_KINDS) -> MultiGraph:
+def build_multigraph(values: np.ndarray, threshold: float = 0.6) -> MultiGraph:
+    """One relation graph per distance kind in ``ALL_KINDS``, in that
+    order, over a private float64 copy of ``values``."""
     values = np.asarray(values, dtype=np.float64)
     relations = {kind: build_relation_graph(pairwise_distances(values, kind),
                                             kind, threshold)
-                 for kind in kinds}
+                 for kind in ALL_KINDS}
     return MultiGraph(values.copy(), relations)
 
 

@@ -34,32 +34,25 @@ if TYPE_CHECKING:
 
 @dataclass
 class ModelParams:
-    """The tensors a run trains, keyed the way checkpoints store them.
-    ``queries`` is empty when the run merges without attention and
-    ``discriminators`` when it trains without the adversarial loss."""
+    """The tensors a run trains, keyed the way checkpoints store them,
+    one per relation in ``ALL_KINDS`` order. ``queries`` is empty when
+    the run merges without attention and ``discriminators`` when it
+    trains without the adversarial loss."""
 
     layers: dict[DistanceKind, list[tuple[Tensor, Tensor]]]
     queries: list[dict[DistanceKind, Tensor]]
     discriminators: dict[DistanceKind, Tensor]
     eta_raw: Tensor
 
-    @property
-    def kinds(self) -> tuple[DistanceKind, ...]:
-        return tuple(k for k in ALL_KINDS if k in self.layers)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.layers[self.kinds[0]][-1][0].data.shape[1]
-
     def named_tensors(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for kind in self.kinds:
-            for i, (w, b) in enumerate(self.layers[kind]):
+        for kind, stack in self.layers.items():
+            for i, (w, b) in enumerate(stack):
                 out[f"encoder/{kind.value}/layer{i}/weight"] = w
                 out[f"encoder/{kind.value}/layer{i}/bias"] = b
         for h, per_kind in enumerate(self.queries):
-            for kind in self.kinds:
-                out[f"attention/head{h}/{kind.value}/query"] = per_kind[kind]
+            for kind, q in per_kind.items():
+                out[f"attention/head{h}/{kind.value}/query"] = q
         for kind, w in self.discriminators.items():
             out[f"discriminator/{kind.value}/weight"] = w
         out["eta_raw"] = self.eta_raw
@@ -71,19 +64,19 @@ def _uniform_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def init_model_params(kinds, n_features: int, cfg: TrainConfig,
+def init_model_params(n_features: int, cfg: TrainConfig,
                       rng: np.random.Generator) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases,
     zero loss-weight raw scalar, shaped by ``cfg``'s ``embed_dim``,
     ``gcn_layers``, ``bins`` and ``heads``. Queries are drawn only under
     ``use_attention`` and discriminator weights only under
-    ``use_adversarial``. Draw order is fixed (encoder, queries,
-    discriminators) so a seed pins every tensor."""
-    kinds = tuple(kinds)
+    ``use_adversarial``. Draw order is fixed (encoders, queries,
+    discriminators, each over ``ALL_KINDS`` in order) so a seed pins
+    every tensor."""
     d = cfg.embed_dim
     summary_dim = d + cfg.bins if cfg.two_stage_summary else d
     layers: dict[DistanceKind, list[tuple[Tensor, Tensor]]] = {}
-    for kind in kinds:
+    for kind in ALL_KINDS:
         stack = []
         in_dim = n_features
         for _ in range(cfg.gcn_layers):
@@ -93,11 +86,11 @@ def init_model_params(kinds, n_features: int, cfg: TrainConfig,
             in_dim = d
         layers[kind] = stack
     queries = [{kind: Tensor(_uniform_init(rng, d, 1), requires_grad=True)
-                for kind in kinds}
+                for kind in ALL_KINDS}
                for _ in range(cfg.heads if cfg.use_attention else 0)]
     discriminators = {kind: Tensor(_uniform_init(rng, summary_dim, d),
                                    requires_grad=True)
-                      for kind in kinds} if cfg.use_adversarial else {}
+                      for kind in ALL_KINDS} if cfg.use_adversarial else {}
     return ModelParams(
         layers=layers,
         queries=queries,
@@ -183,33 +176,23 @@ def graph_summary(h: Tensor, bins: int, weighting: str = "magnitude",
 
 def attention_merge(embeddings: list[Tensor],
                     queries_per_head: list[dict[DistanceKind, Tensor]],
-                    kinds: tuple[DistanceKind, ...],
                     return_weights: bool = False):
     """Per head, per node: softmax over relation types of query . H_i,
     then the weighted sum of the relation embeddings; heads are
-    averaged. One fused record (``autodiff.relation_attention``) covers
-    every head. A single relation type merges to itself exactly
-    (weights forced to 1). ``return_weights`` adds one N x T weight
-    matrix per head."""
-    if len(embeddings) != len(kinds) or not embeddings:
-        raise ValueError(f"{len(embeddings)} embeddings for {len(kinds)} kinds")
-    n = embeddings[0].data.shape[0]
-    if len(embeddings) == 1:
-        weights = [np.ones((n, 1))] * len(queries_per_head)
-        return (embeddings[0], weights) if return_weights else embeddings[0]
+    averaged. ``embeddings`` follow the order of each head's query keys.
+    One fused record (``autodiff.relation_attention``) covers every
+    head. ``return_weights`` adds one N x T weight matrix per head."""
     out, w = ad.relation_attention(
-        embeddings, [[queries[kind] for queries in queries_per_head] for kind in kinds])
+        embeddings, [[queries[kind] for queries in queries_per_head]
+                     for kind in queries_per_head[0]])
     if not return_weights:
         return out
     return out, [w[:, :, h].T.copy() for h in range(w.shape[2])]
 
 
 def average_merge(embeddings: list[Tensor]) -> Tensor:
-    """Unweighted mean over relation types (attention ablation)."""
-    if not embeddings:
-        raise ValueError("nothing to merge")
-    if len(embeddings) == 1:
-        return embeddings[0]
+    """Unweighted mean over relation types (attention ablation); a new
+    tensor even for a single relation."""
     out = embeddings[0]
     for h_t in embeddings[1:]:
         out = ad.add(out, h_t)
@@ -314,14 +297,13 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     ``frozen_histograms`` substitutes stored graph-level readouts (they
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""
-    kinds = params.kinds
     n = x.shape[0]
     stacked = ad.constant(np.concatenate([x, x_shuffled]))
     embeddings = [gcn_forward(norm_adjs[kind], stacked, params.layers[kind])
-                  for kind in kinds]
+                  for kind in ALL_KINDS]
     positives, negatives, summaries, node_parts = [], [], [], []
     histograms: dict[DistanceKind, np.ndarray] = {}
-    for kind, h in zip(kinds, embeddings):
+    for kind, h in zip(ALL_KINDS, embeddings):
         h_pos = ad.slice_rows(h, 0, n)
         positives.append(h_pos)
         negatives.append(ad.slice_rows(h, n, 2 * n))
@@ -339,7 +321,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
 
     l_adv = None
     if cfg.use_adversarial:
-        discs = [params.discriminators[kind] for kind in kinds]
+        discs = [params.discriminators[kind] for kind in ALL_KINDS]
         l_adv = adversarial_loss(summaries, positives, negatives, discs)
 
     merged = _merge(embeddings, params, cfg)
@@ -358,7 +340,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
 def _merge(embeddings: list[Tensor], params: ModelParams,
            cfg: TrainConfig) -> Tensor:
     if cfg.use_attention:
-        return attention_merge(embeddings, params.queries, params.kinds)
+        return attention_merge(embeddings, params.queries)
     return average_merge(embeddings)
 
 
@@ -369,5 +351,5 @@ def encode(x: np.ndarray, norm_adjs: dict[DistanceKind, np.ndarray],
     ``use_attention`` picks the merge."""
     xt = ad.constant(x)
     embeddings = [gcn_forward(norm_adjs[kind], xt, params.layers[kind])
-                  for kind in params.kinds]
+                  for kind in ALL_KINDS]
     return _merge(embeddings, params, cfg).data.copy()

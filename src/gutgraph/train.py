@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model
-from .graph import ALL_KINDS, MultiGraph, build_multigraph, shuffle_features
+from .graph import MultiGraph, build_multigraph, shuffle_features
 from .ingest import kfold_split
 
 
@@ -117,25 +117,22 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
     """Fit the unsupervised objective; returns params and the per-epoch
     loss trace (recorded before each update). Labels play no part here.
 
-    By default a fresh corruption permutation is drawn every epoch;
-    with ``fresh_corruption=False`` the one permutation
-    ``shuffle_features(mg.features, cfg.seed)`` is reused throughout.
+    Corruption permutations come from their own stream of the run's
+    seed. By default a fresh one is drawn every epoch; with
+    ``fresh_corruption=False`` the first epoch's is reused throughout,
+    so both runs start from the same loss.
     """
     root = np.random.SeedSequence(cfg.seed)
     init_ss, corrupt_ss = root.spawn(2)
-    params = model.init_model_params(mg.kinds, mg.features.shape[1], cfg,
+    params = model.init_model_params(mg.features.shape[1], cfg,
                                      np.random.default_rng(init_ss))
     tensors = list(params.named_tensors().values())
     optimizer = ad.Adam([t.data for t in tensors], lr=cfg.learning_rate)
     corrupt_rng = np.random.default_rng(corrupt_ss)
-    if not cfg.fresh_corruption:
-        static_shuffled, _ = shuffle_features(mg.features, cfg.seed)
     trace: list[float] = []
     for epoch in range(cfg.epochs):
-        if cfg.fresh_corruption:
+        if epoch == 0 or cfg.fresh_corruption:
             x_shuffled, _ = shuffle_features(mg.features, corrupt_rng)
-        else:
-            x_shuffled = static_shuffled
         with ad.Tape() as tape:
             result = model.joint_forward(mg.features, x_shuffled, mg.norm_adjs,
                                          params, cfg)
@@ -576,14 +573,10 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[model.ModelParams, TrainCo
         cfg = TrainConfig.from_dict(ckpt.config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from None
-    kinds = tuple(k for k in ALL_KINDS
-                  if f"encoder/{k.value}/layer0/weight" in ckpt.tensors)
-    if not kinds:
-        raise CheckpointError("checkpoint holds no encoder tensors")
     if not ckpt.feature_names:
         raise CheckpointError("checkpoint names no features")
     # every initial value is overwritten below; the draw only sets shapes
-    params = model.init_model_params(kinds, len(ckpt.feature_names), cfg,
+    params = model.init_model_params(len(ckpt.feature_names), cfg,
                                      np.random.default_rng(0))
     named = params.named_tensors()
     for name, tensor in named.items():

@@ -204,21 +204,20 @@ def test_criterion_5_attention_contract():
         embeddings = [ad.constant(rng.normal(size=(n, d))) for _ in kinds]
         queries = [{k: ad.Tensor(rng.normal(size=(d, 1))) for k in kinds}
                    for _ in range(heads)]
-        _, weights = gm.attention_merge(embeddings, queries, kinds,
+        _, weights = gm.attention_merge(embeddings, queries,
                                         return_weights=True)
         for w in weights:
             worst_sum = max(worst_sum,
                             float(np.abs(w.sum(axis=1) - 1.0).max()))
         zero_queries = [{k: ad.Tensor(np.zeros((d, 1))) for k in kinds}
                         for _ in range(heads)]
-        merged_zero = gm.attention_merge(embeddings, zero_queries, kinds)
+        merged_zero = gm.attention_merge(embeddings, zero_queries)
         averaged = gm.average_merge(embeddings)
         worst_avg_gap = max(worst_avg_gap,
                             float(np.abs(merged_zero.data - averaged.data).max()))
         single = gm.attention_merge(
             [embeddings[0]],
-            [{kinds[0]: q[kinds[0]]} for q in queries],
-            (kinds[0],))
+            [{kinds[0]: q[kinds[0]]} for q in queries])
         if single.data.tobytes() != embeddings[0].data.tobytes():
             identity_ok = False
     ok = worst_sum <= 1e-12 and worst_avg_gap <= 1e-12 and identity_ok

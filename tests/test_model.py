@@ -1,5 +1,6 @@
 import gc
 import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -21,9 +22,9 @@ def tiny_cfg(**overrides) -> TrainConfig:
                           **overrides})
 
 
-def tiny_params(kinds=gg.ALL_KINDS, n_features=4, cfg=None, seed=0):
+def tiny_params(n_features=4, cfg=None, seed=0):
     rng = np.random.default_rng(seed)
-    return model.init_model_params(kinds, n_features, cfg or tiny_cfg(), rng)
+    return model.init_model_params(n_features, cfg or tiny_cfg(), rng)
 
 
 def tiny_problem(n=8, f=4, seed=0):
@@ -51,7 +52,8 @@ def test_init_bounds_zero_biases_and_determinism():
             bound = 1.0 / np.sqrt(t.data.shape[0])
             assert np.all(np.abs(t.data) < bound)
     assert p.eta_raw.data[0, 0] == 0.0
-    assert p.embed_dim == 3
+    assert tuple(p.layers) == gg.ALL_KINDS
+    assert all(stack[-1][0].data.shape[1] == 3 for stack in p.layers.values())
     q = tiny_params()
     r = tiny_params(seed=1)
     for a, b in zip(p.named_tensors().values(), q.named_tensors().values()):
@@ -211,21 +213,20 @@ def test_graph_summary_shape_and_frozen_override():
 
 
 def test_attention_single_relation_is_identity():
-    p = tiny_params(kinds=(gg.DistanceKind.EUCLIDEAN,))
+    kind = gg.DistanceKind.EUCLIDEAN
+    queries = [{kind: per_kind[kind]} for per_kind in tiny_params().queries]
     h = ad.constant(np.random.default_rng(7).normal(size=(5, 3)))
-    merged, weights = model.attention_merge([h], p.queries,
-                                            (gg.DistanceKind.EUCLIDEAN,),
-                                            return_weights=True)
-    assert merged is h
-    assert all(np.all(w == 1.0) for w in weights)
+    merged, weights = model.attention_merge([h], queries, return_weights=True)
+    assert merged.data.tobytes() == h.data.tobytes()
+    assert len(weights) == 2
+    assert all(w.shape == (5, 1) and np.all(w == 1.0) for w in weights)
 
 
 def test_attention_weights_sum_to_one():
     p = tiny_params(cfg=tiny_cfg(heads=4))
     x, xs, adjs = tiny_problem()
     hs = [ad.constant(np.random.default_rng(i).normal(size=(8, 3))) for i in range(3)]
-    merged, weights = model.attention_merge(hs, p.queries, gg.ALL_KINDS,
-                                            return_weights=True)
+    merged, weights = model.attention_merge(hs, p.queries, return_weights=True)
     assert len(weights) == 4
     for w in weights:
         assert w.shape == (8, 3)
@@ -239,7 +240,7 @@ def test_zero_queries_match_average_merge():
         for q in per_kind.values():
             q.data[:] = 0.0
     hs = [ad.constant(np.random.default_rng(i).normal(size=(6, 3))) for i in range(3)]
-    att = model.attention_merge(hs, p.queries, gg.ALL_KINDS)
+    att = model.attention_merge(hs, p.queries)
     avg = model.average_merge(hs)
     assert np.max(np.abs(att.data - avg.data)) < 1e-12
 
@@ -250,8 +251,7 @@ def test_attention_two_relation_hand_case():
     h2 = ad.constant(2.0 * np.ones((3, 2)))
     q = {gg.DistanceKind.BRAY_CURTIS: ad.Tensor([[1.0], [0.0]]),
          gg.DistanceKind.EUCLIDEAN: ad.Tensor([[1.0], [0.0]])}
-    kinds = (gg.DistanceKind.BRAY_CURTIS, gg.DistanceKind.EUCLIDEAN)
-    merged = model.attention_merge([h1, h2], [q], kinds)
+    merged = model.attention_merge([h1, h2], [q])
     w2 = math.exp(2.0) / (math.exp(1.0) + math.exp(2.0))
     want = (1.0 - w2) * 1.0 + w2 * 2.0
     assert np.allclose(merged.data, want, atol=1e-12)
@@ -263,9 +263,7 @@ def test_average_merge():
     c = ad.constant(3.0 * np.ones((2, 2)))
     out = model.average_merge([a, b, c])
     assert np.allclose(out.data, 1.0, atol=1e-15)
-    assert model.average_merge([a]) is a
-    with pytest.raises(ValueError):
-        model.average_merge([])
+    assert model.average_merge([a]).data.tobytes() == a.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +567,26 @@ def test_encode_shape_and_determinism():
 
 
 def test_gradcheck_negative_control_fails_only_the_corrupted_group():
-    errors = gradient_check(corrupt_group="classifier")
-    assert errors["classifier"] >= DEFAULT_TOLERANCE
-    assert all(e < DEFAULT_TOLERANCE for g, e in errors.items() if g != "classifier")
+    groups = ("encoder", "queries", "discriminator", "eta", "classifier")
+    for group in groups:
+        errors = gradient_check(corrupt_group=group)
+        assert set(errors) == set(groups)
+        assert errors[group] >= DEFAULT_TOLERANCE
+        assert all(e < DEFAULT_TOLERANCE for g, e in errors.items() if g != group)
+
+
+def test_gradcheck_checks_every_switch_combination(monkeypatch):
+    seen = set()
+    forward = model.joint_forward
+
+    def recording_forward(x, xs, adjs, params, cfg, *rest):
+        seen.add((cfg.use_attention, cfg.two_stage_summary, cfg.use_adversarial))
+        return forward(x, xs, adjs, params, cfg, *rest)
+
+    monkeypatch.setattr(model, "joint_forward", recording_forward)
+    errors = gradient_check()
+    assert seen == set(itertools.product((True, False), repeat=3))
+    assert all(e < DEFAULT_TOLERANCE for e in errors.values())
 
 
 def test_model_does_not_load_train_at_import():

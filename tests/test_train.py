@@ -28,7 +28,7 @@ def small_cfg(**overrides) -> gt.TrainConfig:
 def fresh_params(mg, cfg) -> gm.ModelParams:
     """The initial draw ``train_unsupervised`` starts from under ``cfg``."""
     init_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    return gm.init_model_params(mg.kinds, mg.features.shape[1], cfg,
+    return gm.init_model_params(mg.features.shape[1], cfg,
                                 np.random.default_rng(init_ss))
 
 
@@ -150,7 +150,7 @@ def test_adversarial_ablation_leaves_discriminators_untouched():
     fresh = fresh_params(mg, cfg).named_tensors()
     assert trained.keys() == fresh.keys()
     assert not any(name.startswith("discriminator/") for name in trained)
-    enc = f"encoder/{mg.kinds[0].value}/layer0/weight"
+    enc = "encoder/bray_curtis/layer0/weight"
     assert trained[enc].data.tobytes() != fresh[enc].data.tobytes()
 
 
@@ -165,7 +165,7 @@ def test_attention_ablation_leaves_queries_untouched():
     fresh = fresh_params(mg, cfg).named_tensors()
     assert trained.keys() == fresh.keys()
     assert not any(name.startswith("attention/") for name in trained)
-    enc = f"encoder/{mg.kinds[0].value}/layer0/weight"
+    enc = "encoder/bray_curtis/layer0/weight"
     assert trained[enc].data.tobytes() != fresh[enc].data.tobytes()
 
 
@@ -196,8 +196,9 @@ def test_static_corruption_differs_from_fresh():
     _, trace_fresh = gt.train_unsupervised(mg, small_cfg(epochs=4))
     _, trace_static = gt.train_unsupervised(
         mg, small_cfg(epochs=4, fresh_corruption=False))
-    # first epoch may already differ: the fresh stream is independent of
-    # the static permutation drawn from the seed
+    # both draw the first permutation from the corruption stream, not from
+    # the seed the fold split also uses; the static run then keeps it
+    assert trace_static[0] == trace_fresh[0]
     assert trace_fresh != trace_static
 
 
@@ -511,9 +512,10 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     alone = gt.evaluate_with_params(values, labels, params, alone_cfg)
     assert ([dataclasses.replace(r, seed_index=1) for r in alone.rows]
             == full.rows[cfg.folds:])
-    # the static permutation is the one shuffle_features draws from the seed
+    # the static permutation is the first draw of the run's corruption stream
     fresh = fresh_params(mg, alone_cfg)
-    shuffled, _ = shuffle_features(mg.features, alone_cfg.seed)
+    corrupt_ss = np.random.SeedSequence(alone_cfg.seed).spawn(2)[1]
+    shuffled, _ = shuffle_features(mg.features, np.random.default_rng(corrupt_ss))
     first = gm.joint_forward(mg.features, shuffled, mg.norm_adjs, fresh,
                              cfg).loss.item()
     assert trace[0] == first
@@ -679,6 +681,11 @@ def test_checkpoint_missing_tensor(tmp_path):
     ckpt = gt.load_checkpoint(str(ckpt_path))
     del ckpt.tensors["eta_raw"]
     with pytest.raises(gt.CheckpointError, match="eta_raw"):
+        gt.params_from_checkpoint(ckpt)
+    # a model over fewer relations is refused too: every model has all three
+    ckpt = gt.load_checkpoint(str(ckpt_path))
+    ckpt.tensors = {k: v for k, v in ckpt.tensors.items() if "/canberra/" not in k}
+    with pytest.raises(gt.CheckpointError, match="missing tensor 'encoder/canberra/"):
         gt.params_from_checkpoint(ckpt)
 
 
