@@ -421,20 +421,21 @@ def clip_global_norm(grads: Sequence[np.ndarray],
     return [g * scale for g in grads]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction over a fixed ordered list of parameter
     arrays, which ``step`` updates in place: pass each tensor's ``data``
     and never rebind it, or the optimizer updates a stale array."""
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3):
         if lr < 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -443,14 +444,14 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError(f"got {len(grads)} grads for {len(self.params)} params")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if g.shape != p.shape:
                 raise ShapeError(f"grad shape {g.shape} for param {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 

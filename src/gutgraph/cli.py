@@ -223,8 +223,9 @@ def cmd_evaluate(args) -> int:
                          tr.report_to_text(report))
     acc = report.aggregate["accuracy"]
     auc = report.aggregate["auc"]
-    print(f"accuracy {acc['mean']:.4f} +/- {acc['std']:.4f}, "
-          f"auc {auc['mean']:.4f} +/- {auc['std']:.4f} "
+    fmt = tr.format_metric
+    print(f"accuracy {fmt(acc['mean'])} +/- {fmt(acc['std'])}, "
+          f"auc {fmt(auc['mean'])} +/- {fmt(auc['std'])} "
           f"({len(report.rows)} rows)")
     return 0
 

@@ -11,7 +11,9 @@ of the head ``train.train_classifier`` fits (standardized embeddings,
 freshly drawn weights) against central differences of the
 cross-entropy of ``model.predict_proba``, the function that scores the
 test folds: the gradient the head trains with must be the gradient of
-the scores it is judged on.
+the scores it is judged on. The head sees only ``model.encode``'s
+embeddings, which the switches change only through ``use_attention``,
+so it is checked once per encoder: attention on and off.
 """
 
 from __future__ import annotations
@@ -37,51 +39,35 @@ _N_NODES = 6
 _N_FEATURES = 5
 _STEP = 1e-5
 
-_GROUP_PREFIXES = {
-    "encoder": "encoder/",
-    "queries": "attention/",
-    "discriminator": "discriminator/",
-    "eta": "eta_raw",
-    "classifier": "classifier/",
-}
+# parameter group of each first component of a named_tensors() name
+_GROUPS = {"encoder": "encoder", "attention": "queries",
+           "discriminator": "discriminator", "eta_raw": "eta"}
+
+Sides = dict[str, list[tuple[np.ndarray, np.ndarray]]]
 
 
-def _group_of(name: str) -> str:
-    for group, prefix in _GROUP_PREFIXES.items():
-        if name.startswith(prefix):
-            return group
-    raise KeyError(name)
+def _fd_grad(loss_fn, params: list[np.ndarray]) -> np.ndarray:
+    """Central differences of ``loss_fn`` in each entry of ``params``,
+    flattened in order; each entry is perturbed in place and restored."""
+    out = []
+    for param in params:
+        for idx in np.ndindex(param.shape):
+            keep = param[idx]
+            param[idx] = keep + _STEP
+            fp = loss_fn()
+            param[idx] = keep - _STEP
+            fm = loss_fn()
+            param[idx] = keep
+            out.append((fp - fm) / (2.0 * _STEP))
+    return np.array(out)
 
 
-def _fd_grad(loss_fn, param: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of ``loss_fn`` in each entry of ``param``,
-    which is perturbed in place and restored."""
-    out = np.zeros_like(param)
-    it = np.nditer(param, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        keep = param[idx]
-        param[idx] = keep + step
-        fp = loss_fn()
-        param[idx] = keep - step
-        fm = loss_fn()
-        param[idx] = keep
-        out[idx] = (fp - fm) / (2.0 * step)
-    return out
-
-
-def gradient_check(seed: int = 0, *,
-                   corrupt_group: str | None = None) -> dict[str, float]:
-    """Worst relative error per parameter group over the models that the
-    ``_SWITCHES`` of ``_CFG`` make in every combination, on the instance
-    ``_N_NODES`` and ``_N_FEATURES`` describe, drawn from ``seed``, with
-    central differences of step ``_STEP``. A group counts only in the
-    models that hold its tensors. ``corrupt_group`` deliberately damages
-    that group's analytic gradient first (negative control for the
-    harness itself).
-    """
-    if corrupt_group is not None and corrupt_group not in _GROUP_PREFIXES:
-        raise KeyError(f"unknown group {corrupt_group!r}")
+def gradient_sides(seed: int = 0) -> Sides:
+    """Per parameter group, one flattened (analytic, central difference)
+    pair per model that holds it, over the models the ``_SWITCHES`` of
+    ``_CFG`` make in every combination, on the instance ``_N_NODES`` and
+    ``_N_FEATURES`` describe, drawn from ``seed``; the classifier gets
+    one pair per encoder."""
     root = np.random.SeedSequence(seed)
     data_rng = np.random.default_rng(root.spawn(1)[0])
     x = data_rng.random((_N_NODES, _N_FEATURES)) + 0.05
@@ -89,68 +75,73 @@ def gradient_check(seed: int = 0, *,
     x_shuffled, _ = shuffle_features(x, seed=seed + 1)
     init_ss = root.spawn(2)[1]
 
-    per_group: dict[str, list[float]] = {}
+    sides: Sides = {}
     for switches in itertools.product((True, False), repeat=len(_SWITCHES)):
         cfg = dataclasses.replace(_CFG, **dict(zip(_SWITCHES, switches)))
         params = model.init_model_params(_N_FEATURES, cfg,
                                          np.random.default_rng(init_ss))
-        errors = _model_errors(x, x_shuffled, adjs, params, cfg, seed, corrupt_group)
-        for group, error in errors.items():
-            per_group.setdefault(group, []).append(error)
-    # np.max keeps a NaN error, which the builtin max can drop
-    return {group: float(np.max(e)) for group, e in per_group.items()}
+        for group, pair in _model_sides(x, x_shuffled, adjs, params, cfg).items():
+            sides.setdefault(group, []).append(pair)
+        # init draws the encoders and queries before the discriminators,
+        # so every model with this use_attention gives the same embeddings
+        if cfg.two_stage_summary and cfg.use_adversarial:
+            sides.setdefault("classifier", []).append(
+                _head_sides(x, adjs, params, cfg, seed))
+    return sides
 
 
-def _model_errors(x, x_shuffled, adjs, params: model.ModelParams,
-                  cfg: TrainConfig, seed: int,
-                  corrupt_group: str | None) -> dict[str, float]:
-    """Relative error per parameter group that ``params`` holds."""
+def worst_errors(sides: Sides) -> dict[str, float]:
+    """Worst relative error per group over its pairs."""
+    errors: dict[str, float] = {}
+    for group, pairs in sides.items():
+        rel = [np.linalg.norm(a - f)
+               / max(np.linalg.norm(a), np.linalg.norm(f), 1e-12) for a, f in pairs]
+        # np.max keeps a NaN error, which the builtin max can drop
+        errors[group] = float(np.max(rel))
+    return errors
+
+
+def gradient_check(seed: int = 0) -> dict[str, float]:
+    """Worst relative error per parameter group of ``gradient_sides``."""
+    return worst_errors(gradient_sides(seed))
+
+
+def _model_sides(x, x_shuffled, adjs, params: model.ModelParams,
+                 cfg: TrainConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Both sides of the unsupervised objective's gradient per group
+    that ``params`` holds."""
     named = params.named_tensors()
-
-    # analytic pass for the unsupervised objective
     with ad.Tape() as tape:
         result = model.joint_forward(x, x_shuffled, adjs, params, cfg)
         grads = tape.backward(result.loss, list(named.values()))
     histograms = dict(result.histograms)
-    analytic = dict(zip(named, grads))
-    arrays = {name: t.data for name, t in named.items()}
 
-    # closed-form gradient of the classifier head on frozen embeddings:
-    # the standardized input and freshly drawn weights of train_classifier
+    def loss() -> float:
+        return model.joint_forward(x, x_shuffled, adjs, params, cfg,
+                                   histograms).loss.item()
+
+    members: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for (name, tensor), grad in zip(named.items(), grads):
+        members.setdefault(_GROUPS[name.split("/")[0]], []).append((grad, tensor.data))
+    return {group: (np.concatenate([g.ravel() for g, _ in pairs]),
+                    _fd_grad(loss, [p for _, p in pairs]))
+            for group, pairs in members.items()}
+
+
+def _head_sides(x, adjs, params: model.ModelParams, cfg: TrainConfig,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the gradient of the classifier head's cross-entropy
+    in its weight and bias, on the frozen embeddings of ``params``."""
     embeddings = model.encode(x, adjs, params, cfg)
     labels = np.arange(_N_NODES) % 2
     head = train_classifier(embeddings, labels, np.arange(_N_NODES), cfg, seed=seed)
     head_x = (embeddings - head.mean) / head.scale
-    arrays.update({"classifier/weight": head.weight, "classifier/bias": head.bias})
-    analytic["classifier/weight"], analytic["classifier/bias"] = head_gradients(
-        head_x, head.weight, head.bias, labels)
+    analytic = head_gradients(head_x, head.weight, head.bias, labels)
 
-    def classifier_ce() -> float:
+    def cross_entropy() -> float:
         # cross-entropy of the scores the test folds are judged on
         p1 = model.predict_proba(head_x, head.weight, head.bias)
         return float(-np.mean(np.log(np.where(labels == 1, p1, 1.0 - p1))))
 
-    for name, g in analytic.items():
-        if _group_of(name) == corrupt_group:
-            analytic[name] = g * 1.5 + 0.01
-
-    def unsupervised_loss() -> float:
-        return model.joint_forward(x, x_shuffled, adjs, params, cfg,
-                                   histograms).loss.item()
-
-    groups_a: dict[str, list[np.ndarray]] = {}
-    groups_f: dict[str, list[np.ndarray]] = {}
-    for name, param in arrays.items():
-        group = _group_of(name)
-        loss_fn = classifier_ce if group == "classifier" else unsupervised_loss
-        fd = _fd_grad(loss_fn, param, _STEP)
-        groups_a.setdefault(group, []).append(analytic[name].ravel())
-        groups_f.setdefault(group, []).append(fd.ravel())
-
-    errors: dict[str, float] = {}
-    for group, parts in groups_a.items():
-        a = np.concatenate(parts)
-        f = np.concatenate(groups_f[group])
-        denom = max(np.linalg.norm(a), np.linalg.norm(f), 1e-12)
-        errors[group] = float(np.linalg.norm(a - f) / denom)
-    return errors
+    return (np.concatenate([g.ravel() for g in analytic]),
+            _fd_grad(cross_entropy, [head.weight, head.bias]))

@@ -295,7 +295,7 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
 @dataclass
 class MetricsReport:
     rows: list[MetricsRow]
-    aggregate: dict[str, dict[str, float]]
+    aggregate: dict[str, dict[str, float | None]]
     config: dict
     traces: list[list[float]] = field(default_factory=list, repr=False)
 
@@ -303,10 +303,11 @@ class MetricsReport:
 _METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "auc")
 
 
-def aggregate_rows(rows: list[MetricsRow]) -> dict[str, dict[str, float]]:
+def aggregate_rows(rows: list[MetricsRow]) -> dict[str, dict[str, float | None]]:
     """Mean and (population) std per metric; AUC aggregates only over
-    rows where it is defined."""
-    out: dict[str, dict[str, float]] = {}
+    rows where it is defined, and with no such row its mean and std
+    are None."""
+    out: dict[str, dict[str, float | None]] = {}
     for name in _METRIC_NAMES:
         vals = [getattr(r, name) for r in rows if getattr(r, name) is not None]
         if vals:
@@ -314,7 +315,7 @@ def aggregate_rows(rows: list[MetricsRow]) -> dict[str, dict[str, float]]:
             out[name] = {"mean": float(arr.mean()), "std": float(arr.std()),
                          "count": len(vals)}
         else:
-            out[name] = {"mean": float("nan"), "std": float("nan"), "count": 0}
+            out[name] = {"mean": None, "std": None, "count": 0}
     return out
 
 
@@ -416,21 +417,26 @@ def report_to_json(report: MetricsReport) -> str:
         "aggregate": report.aggregate,
         "config": report.config,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def format_metric(value: float | None) -> str:
+    """Four decimals, or ``-`` for an undefined value."""
+    return "-" if value is None else f"{value:.4f}"
 
 
 def report_to_text(report: MetricsReport) -> str:
     lines = [f"{'seed':>4} {'fold':>4} {'acc':>8} {'prec':>8} {'rec':>8} "
              f"{'f1':>8} {'auc':>8} {'n':>4}"]
     for r in report.rows:
-        auc = f"{r.auc:8.4f}" if r.auc is not None else "       -"
         lines.append(f"{r.seed_index:>4} {r.fold:>4} {r.accuracy:8.4f} "
                      f"{r.precision:8.4f} {r.recall:8.4f} {r.f1:8.4f} "
-                     f"{auc} {r.n_test:>4}")
+                     f"{format_metric(r.auc):>8} {r.n_test:>4}")
     lines.append("")
     for name in _METRIC_NAMES:
         agg = report.aggregate[name]
-        lines.append(f"{name:>9}: {agg['mean']:.4f} +/- {agg['std']:.4f} "
+        lines.append(f"{name:>9}: {format_metric(agg['mean'])} +/- "
+                     f"{format_metric(agg['std'])} "
                      f"(n={agg['count']})")
     return "\n".join(lines) + "\n"
 

@@ -244,6 +244,28 @@ def test_evaluate_end_to_end_and_rerun_identical(tmp_path, cohort):
                                      "f1", "auc"}
 
 
+def test_leave_one_out_metrics_are_strict_json(tmp_path, capsys):
+    # one sample per test fold: no fold defines an AUC, so its aggregate
+    # is undefined and must be written as null, not as a bare NaN
+    data = tmp_path / "data"
+    assert main(["synth", "--n-per-class", "4", "--n-features", "10",
+                 "--seed", "3", "--out-dir", str(data)]) == 0
+    out = tmp_path / "loo"
+    with pytest.warns(RuntimeWarning, match="single-class test fold"):
+        assert main(["evaluate", "--table", str(data / "abundance.tsv"),
+                     "--labels", str(data / "labels.tsv"),
+                     "--out-dir", str(out)] + FAST + ["--folds", "8"]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((out / "metrics.json").read_text(), parse_constant=refuse)
+    assert doc["aggregate"]["auc"] == {"count": 0, "mean": None, "std": None}
+    assert [row["auc"] for row in doc["rows"]] == [None] * 8
+    assert "      auc: - +/- - (n=0)\n" in (out / "metrics.txt").read_text()
+    assert "auc - +/- - (8 rows)" in capsys.readouterr().out
+
+
 def test_evaluate_from_checkpoint_matches_end_to_end(tmp_path, cohort):
     table_path, labels_path = cohort
     train_out = tmp_path / "train"

@@ -13,7 +13,7 @@ import pytest
 from gutgraph import autodiff as ad
 from gutgraph import graph as gg
 from gutgraph import model
-from gutgraph.gradcheck import DEFAULT_TOLERANCE, gradient_check
+from gutgraph.gradcheck import DEFAULT_TOLERANCE, gradient_sides, worst_errors
 from gutgraph.train import TrainConfig
 
 
@@ -566,27 +566,44 @@ def test_encode_shape_and_determinism():
     assert avg.shape == (8, 3)
 
 
-def test_gradcheck_negative_control_fails_only_the_corrupted_group():
-    groups = ("encoder", "queries", "discriminator", "eta", "classifier")
-    for group in groups:
-        errors = gradient_check(corrupt_group=group)
-        assert set(errors) == set(groups)
-        assert errors[group] >= DEFAULT_TOLERANCE
-        assert all(e < DEFAULT_TOLERANCE for g, e in errors.items() if g != group)
-
-
-def test_gradcheck_checks_every_switch_combination(monkeypatch):
-    seen = set()
+@pytest.fixture(scope="module")
+def gradcheck_pass():
+    """One gradient_sides pass and the switches of each joint_forward
+    call it makes."""
+    calls = []
     forward = model.joint_forward
 
     def recording_forward(x, xs, adjs, params, cfg, *rest):
-        seen.add((cfg.use_attention, cfg.two_stage_summary, cfg.use_adversarial))
+        calls.append((cfg.use_attention, cfg.two_stage_summary, cfg.use_adversarial))
         return forward(x, xs, adjs, params, cfg, *rest)
 
-    monkeypatch.setattr(model, "joint_forward", recording_forward)
-    errors = gradient_check()
-    assert seen == set(itertools.product((True, False), repeat=3))
-    assert all(e < DEFAULT_TOLERANCE for e in errors.values())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "joint_forward", recording_forward)
+        sides = gradient_sides()
+    return sides, calls
+
+
+def test_gradcheck_checks_every_switch_combination(gradcheck_pass):
+    sides, calls = gradcheck_pass
+    # 4,000 central differences plus one analytic pass per model
+    assert len(calls) == 4008
+    assert set(calls) == set(itertools.product((True, False), repeat=3))
+    # a pair per model that holds the group; the head one per encoder
+    assert {group: len(pairs) for group, pairs in sides.items()} == {
+        "encoder": 8, "eta": 8, "queries": 4, "discriminator": 4, "classifier": 2}
+    assert all(e < DEFAULT_TOLERANCE for e in worst_errors(sides).values())
+
+
+def test_gradcheck_negative_control_fails_only_the_corrupted_group(gradcheck_pass):
+    sides, _ = gradcheck_pass
+    groups = {"encoder", "queries", "discriminator", "eta", "classifier"}
+    assert set(sides) == groups
+    for group in groups:
+        corrupted = dict(sides)
+        corrupted[group] = [(a * 1.5 + 0.01, f) for a, f in sides[group]]
+        errors = worst_errors(corrupted)
+        assert errors[group] >= DEFAULT_TOLERANCE
+        assert all(e < DEFAULT_TOLERANCE for g, e in errors.items() if g != group)
 
 
 def test_model_does_not_load_train_at_import():
