@@ -13,15 +13,26 @@ over what the VJP reads; the sweep releases every record once it has
 passed it, so the forward pass's memory falls while the backward pass
 runs, and a second ``backward`` on the same tape raises.
 
-Besides elementwise and matrix primitives there are two fused kernels,
-``gcn_layer`` and ``relation_attention``: each is one record with a
-hand-written VJP for a whole model stage (a GCN layer over every
-stacked view; the attention merge over every head), so the tape holds
-a handful of stacked products per epoch instead of one output per
-small op. ``gcn_layer`` picks its product order by multiply-add count,
-A (H W) or (A H) W, and only the latter keeps A H on the tape.
-``slice_rows`` hands out views of a stacked result without copying it,
-and its adjoint is added into the stacked adjoint's rows in place.
+Adjoint ownership. The sweep owns an adjoint array when nothing else
+can see it, and only then writes it: it sums into it in place and hands
+it to a VJP writeable; any other adjoint reaches a VJP as a read-only
+view. The contract for a VJP: it may write its ``g`` only when ``g`` is
+writeable, and it returns new arrays it allocated (``g`` itself counts
+as new when it came writeable), or ``g`` and views (of ``g`` or of
+anything else), never an array it kept. ``Tape.backward`` says which
+returned arrays the sweep takes. ``mean_rows`` and ``sum_all`` return
+read-only broadcast views instead of materialized arrays.
+
+Besides elementwise and matrix primitives there are three fused
+kernels, ``gcn_layer``, ``relation_attention`` and ``hybrid_loss``:
+each is one record with a hand-written VJP for a whole model stage (a
+GCN layer over every stacked view; the attention merge over every
+head; the hybrid attention loss), so the tape holds a handful of
+stacked products per epoch instead of one output per small op.
+``gcn_layer`` picks its product order by multiply-add count, A (H W)
+or (A H) W, and only the latter keeps A H on the tape. ``slice_rows``
+hands out views of a stacked result without copying it, and its
+adjoint is added into the stacked adjoint's rows in place.
 
 The tape serves the unsupervised objective only; the supervised
 softmax head trains on its closed-form gradient
@@ -127,12 +138,23 @@ class Tape:
         record as an output (a parameter or an input): an intermediate's
         adjoint is freed once the sweep reaches the record that produced
         it. The sweep consumes the tape: a second call raises
-        ``ValueError``. The returned arrays may share memory (``add``
-        hands one adjoint to both inputs); read them, do not write them.
+        ``ValueError``.
 
-        Adjoints are summed in arrays the sweep allocated itself, never in
-        one a VJP returned; a row slice's adjoint is added into the rows
-        it came from, without a zero-padded copy of the whole input.
+        Ownership: the sweep owns the seed adjoint, every array it
+        allocates, and every array a VJP returns that holds its own
+        memory, is writeable and appears once in the returned tuple with
+        no view of it beside it (so not ``g`` handed over read-only, not
+        a view, not repeated). Each VJP gets its ``g`` writeable only
+        when the sweep owns it, and a read-only view otherwise. Adjoints
+        meeting at one input are summed in place into the one the sweep
+        owns (float addition commutes, so the bits are those of
+        ``prev + contrib``), and into a new array only when it owns
+        neither. A row slice's adjoint is added into the rows it came
+        from, without a zero-padded copy of the whole input.
+
+        A returned array the sweep owned is writeable and the caller's
+        alone; any other is read-only and may be shared (``add`` hands
+        one adjoint to both inputs) or a broadcast view (``sum_all``).
         """
         if self._records is None:
             raise ValueError("backward: this tape has already been swept")
@@ -144,32 +166,67 @@ class Tape:
             raise ValueError("backward: wrt holds an output this tape recorded")
         self._records = None
         pending: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        owned: set[int] = set()  # keys whose pending array the sweep allocated
+        owned: set[int] = {id(loss)}  # keys whose pending array the sweep owns
         while records:
             out, inputs, vjp = records.pop()
-            g = pending.pop(id(out), None)
+            key = id(out)
+            g = pending.pop(key, None)
             if g is None:
                 continue
-            for inp, contrib in zip(inputs, vjp(g)):
-                if contrib is None or not inp.requires_grad:
-                    continue
-                key = id(inp)
-                prev = pending.get(key)
-                if isinstance(contrib, _RowAdjoint):
-                    if key not in owned:
-                        pending[key] = (np.zeros_like(inp.data) if prev is None
-                                        else prev.copy())
-                        owned.add(key)
-                    pending[key][contrib.start:contrib.stop] += contrib.g
-                elif prev is None:
-                    pending[key] = contrib
-                elif key in owned:
-                    prev += contrib
-                else:
-                    pending[key] = prev + contrib
-                    owned.add(key)
-        return [pending[id(t)] if id(t) in pending else np.zeros_like(t.data)
-                for t in wrt]
+            if key in owned:
+                owned.remove(key)
+            else:
+                g = _read_only(g)
+            contribs = vjp(g)
+            _accumulate(pending, owned, inputs, contribs)
+        return [(pending[id(t)] if id(t) in owned else _read_only(pending[id(t)]))
+                if id(t) in pending else np.zeros_like(t.data) for t in wrt]
+
+
+def _accumulate(pending: dict[int, np.ndarray], owned: set[int],
+                inputs: tuple[Tensor, ...], contribs: tuple) -> None:
+    """Add one VJP's adjoints into ``pending`` under ``Tape.backward``'s
+    ownership rule; ``owned`` holds the keys whose array the sweep owns."""
+    fresh = _fresh_arrays(contribs)
+    for inp, contrib in zip(inputs, contribs):
+        if contrib is None or not inp.requires_grad:
+            continue
+        key = id(inp)
+        prev = pending.get(key)
+        if isinstance(contrib, _RowAdjoint):
+            if key not in owned:
+                pending[key] = (np.zeros_like(inp.data) if prev is None
+                                else prev.copy())
+                owned.add(key)
+            pending[key][contrib.start:contrib.stop] += contrib.g
+        elif key in owned:
+            prev += contrib
+        else:
+            if id(contrib) in fresh:
+                if prev is not None:
+                    contrib += prev
+                owned.add(key)
+            elif prev is not None:
+                contrib = prev + contrib
+                owned.add(key)
+            pending[key] = contrib
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _fresh_arrays(contribs) -> set[int]:
+    """ids of the returned arrays the sweep takes ownership of: each holds
+    its own memory, is writeable, and no other entry of ``contribs`` is
+    the same array or a view onto it."""
+    arrays = [c.g if isinstance(c, _RowAdjoint) else c
+              for c in contribs if c is not None]
+    roots = [id(a) if a.base is None else id(a.base) for a in arrays]
+    return {id(a) for a, root in zip(arrays, roots)
+            if a.base is None and a.flags.writeable and roots.count(root) == 1}
 
 
 def _current_tape() -> Tape | None:
@@ -292,12 +349,12 @@ def mean_rows(x: Tensor) -> Tensor:
     """
     n = x.data.shape[0]
     out = np.sum(np.sort(x.data, axis=0), axis=0, keepdims=True) / n
-    return _make(out, (x,), lambda g: (np.repeat(g / n, n, axis=0),))
+    return _make(out, (x,), lambda g: (np.broadcast_to(g / n, x.data.shape),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = np.array([[x.data.sum()]])
-    return _make(out, (x,), lambda g: (np.full_like(x.data, g[0, 0]),))
+    return _make(out, (x,), lambda g: (np.broadcast_to(g, x.data.shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +380,9 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     So a square layer on a trainable input runs A (H W), and a layer
     that widens a constant input (the feature matrix) runs (A H) W.
     Each A product is one GEMM per view; the relu mask is read back
-    from the output. No adjoint is formed for a constant ``h``.
+    from the output. No adjoint is formed for a constant ``h``. The VJP
+    masks an owned adjoint in place, and a square A (H W) layer writes
+    dH into that same buffer.
     """
     n = adj.shape[0]
     rows, d_in = h.data.shape
@@ -344,12 +403,17 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = np.where(pre > 0, pre, 0.0)
 
     def vjp(g):
-        gz = g * (out > 0)
+        # the relu mask goes into an owned g in place; gz is this VJP's
+        # own array either way
+        gz = np.multiply(g, out > 0, out=g if g.flags.writeable else None)
         gb = gz.sum(axis=0, keepdims=True) if b.requires_grad else None
         if weight_first:
             q = per_view(adj.T, gz)
-            return (q @ w.data.T if h.requires_grad else None,
-                    h.data.T @ q if w.requires_grad else None, gb)
+            gw = h.data.T @ q if w.requires_grad else None
+            # a square layer's dH = q W^T fits gz's buffer, no longer read
+            gh = np.matmul(q, w.data.T, out=gz if d_in == d_out else None) \
+                if h.requires_grad else None
+            return gh, gw, gb
         return (per_view(adj.T, gz @ w.data.T) if h.requires_grad else None,
                 ah.T @ gz if w.requires_grad else None, gb)
 
@@ -390,7 +454,11 @@ def relation_attention(embeddings: Sequence[Tensor],
                               - (weights * g_row[:, :, None]).sum(axis=0))
         g_emb, g_q = [], []
         for e, qt, c, gs, per_t in zip(embeddings, q, per_row, g_scores, queries):
-            g_emb.append(c[:, None] * g + gs @ qt.T if e.requires_grad else None)
+            ge = None
+            if e.requires_grad:
+                ge = c[:, None] * g
+                ge += gs @ qt.T
+            g_emb.append(ge)
             gq = e.data.T @ gs
             g_q.extend(gq[:, i:i + 1] if qh.requires_grad else None
                        for i, qh in enumerate(per_t))
@@ -398,6 +466,54 @@ def relation_attention(embeddings: Sequence[Tensor],
 
     inputs = (*embeddings, *(qh for per_t in queries for qh in per_t))
     return _make(out, inputs, vjp), weights
+
+
+def hybrid_loss(node_parts: Sequence[Tensor], merged: Tensor) -> Tensor:
+    """sum((P - X)^2) - sum((P - X_shuffled)^2), 1 x 1; may be negative.
+
+    ``merged`` stacks X (rows [0, N)) over X_shuffled (rows [N, 2N)),
+    and P is the mean of the T 1 x D ``node_parts`` on every one of the
+    N rows, so gradients flow back into the node parts. The record keeps
+    only P; the VJP recomputes the differences, and the node parts'
+    adjoint sums the target's adjoint over rows with one ones-column
+    GEMM; every part receives that same array.
+    """
+    rows, d = merged.data.shape
+    n = rows // 2
+    if rows % 2 or not node_parts \
+            or any(p.data.shape != (1, d) for p in node_parts):
+        raise ShapeError(f"hybrid_loss: merged {merged.data.shape} with node parts "
+                         f"{[p.data.shape for p in node_parts]}")
+    scale = 1.0 / len(node_parts)
+    avg = node_parts[0].data
+    for p in node_parts[1:]:
+        avg = avg + p.data
+    avg = avg * scale
+
+    def sum_sq(view: np.ndarray) -> float:
+        diff = avg - view
+        diff *= diff
+        return diff.sum()
+
+    out = np.array([[sum_sq(merged.data[:n])]]) - np.array([[sum_sq(merged.data[n:])]])
+
+    def vjp(g):
+        # d/dP and d/dX of (P - X)^2 are 2 (P - X) and its negative;
+        # the shuffled half carries -g. gm holds 2 (P - X) g per half,
+        # then the merged adjoint, 0 - that, in place.
+        gm = np.subtract(avg, merged.data)
+        gm *= 2.0
+        gm[:n] *= g
+        gm[n:] *= -g
+        g_parts = (None,) * len(node_parts)
+        if any(p.requires_grad for p in node_parts):
+            g_avg = np.ones((n, 1)).T @ (gm[n:] + gm[:n])
+            g_parts = (g_avg * scale,) * len(node_parts)
+        if not merged.requires_grad:
+            return (*g_parts, None)
+        return (*g_parts, np.subtract(0.0, gm, out=gm))
+
+    return _make(out, (*node_parts, merged), vjp)
 
 
 # ---------------------------------------------------------------------------

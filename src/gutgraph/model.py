@@ -9,8 +9,9 @@ alignment term through a trainable, softplus-positive weight.
 
 Training stacks the two views row-wise (2N rows) and runs them through
 the fused tape kernels of ``autodiff``: one record per GCN layer and
-relation, one record for the attention merge over every head. The
-per-view consumers read their N rows as views of the stacked products.
+relation, one record for the attention merge over every head, one for
+the hybrid loss. The other per-view consumers read their N rows as
+views of the stacked products.
 """
 
 from __future__ import annotations
@@ -228,26 +229,6 @@ def adversarial_loss(summaries: list[Tensor], positives: list[Tensor],
     return ad.mul_scalar(total, 1.0 / count)
 
 
-def global_target(node_parts: list[Tensor], n_rows: int) -> Tensor:
-    """Average of the node-level summaries, broadcast to one row per
-    node. Built with a ones-matrix product so gradients flow back into
-    the summaries (this is not a stop-gradient)."""
-    avg = node_parts[0]
-    for p in node_parts[1:]:
-        avg = ad.add(avg, p)
-    avg = ad.mul_scalar(avg, 1.0 / len(node_parts))
-    ones = ad.constant(np.ones((n_rows, 1)))
-    return ad.matmul(ones, avg)
-
-
-def hybrid_attention_loss(target: Tensor, merged_pos: Tensor,
-                          merged_neg: Tensor) -> Tensor:
-    """sum((P - X)^2) - sum((P - X_shuffled)^2); may be negative."""
-    pos = ad.sum_all(ad.square(ad.sub(target, merged_pos)))
-    neg = ad.sum_all(ad.square(ad.sub(target, merged_neg)))
-    return ad.sub(pos, neg)
-
-
 def joint_loss(l_adv: Tensor | None, l_hybrid: Tensor, eta_raw: Tensor) -> Tensor:
     """l_adv + softplus(eta_raw) * l_hybrid; the softplus keeps the
     trainable weight positive (softplus(0) = ln 2 at init)."""
@@ -292,8 +273,9 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
 
     The two views run stacked, original rows [0, N) over shuffled rows
     [N, 2N), through one GCN record per layer and relation and one
-    attention record; the summary, discriminator and hybrid loss read
-    each view's rows as a view of the stacked result.
+    attention record; the summary and discriminator read each view's
+    rows as a view of the stacked result, and the hybrid loss
+    (``autodiff.hybrid_loss``, one record) takes the stacked merge.
     ``frozen_histograms`` substitutes stored graph-level readouts (they
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""
@@ -324,10 +306,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
         discs = [params.discriminators[kind] for kind in ALL_KINDS]
         l_adv = adversarial_loss(summaries, positives, negatives, discs)
 
-    merged = _merge(embeddings, params, cfg)
-    target = global_target(node_parts, n)
-    l_hybrid = hybrid_attention_loss(target, ad.slice_rows(merged, 0, n),
-                                     ad.slice_rows(merged, n, 2 * n))
+    l_hybrid = ad.hybrid_loss(node_parts, _merge(embeddings, params, cfg))
     loss = joint_loss(l_adv, l_hybrid, params.eta_raw)
     return ForwardResult(
         loss=loss,

@@ -606,11 +606,16 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[model.ModelParams, TrainCo
 
 def atomic_write_bytes(path: str, blob: bytes) -> None:
     """Write via a temp file plus rename so failures never leave a
-    partial artifact at the destination."""
+    partial artifact at the destination. The file gets mode 0o666 less
+    the umask, as from ``open(path, "w")``; ``mkstemp`` alone makes it
+    0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)  # os.umask only reads the mask by replacing it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)

@@ -249,6 +249,13 @@ def _case_sum_all(rng):
             lambda x: ad.square(ad.sum_all(x)))
 
 
+@op_case("hybrid_loss")
+def _case_hybrid_loss(rng):
+    n, d, parts = (int(k) for k in rng.integers(1, 5, size=3))
+    return ([rng.normal(size=(1, d)) for _ in range(parts)] + [rng.normal(size=(2 * n, d))],
+            lambda *t: ad.hybrid_loss(t[:-1], t[-1]))
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_finite_differences(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -388,6 +395,9 @@ def _check_vjp_against_fd(build, tensors, step=1e-6, order=2):
 @settings(max_examples=40, deadline=None)
 @given(**gcn_layer_shapes)
 @_with_examples(gcn_layer_orders)
+# A (H W) on a trainable input that narrows (d < d_in): dH does not fit
+# the output adjoint's buffer, which only a square layer reuses
+@example(n=2, d=1, d_in=2, views=1, trainable=True, seed=2)
 def test_gcn_layer_vjp_matches_finite_differences(n, d, d_in, views, trainable, seed):
     rng = np.random.default_rng(seed)
     adj = rng.random((n, n))
@@ -480,6 +490,162 @@ def test_row_slice_adjoint_leaves_a_shared_adjoint_alone():
         gx, gz = tape.backward(loss, [x, z])
     assert gz.tobytes() == c.tobytes()
     assert gx.tobytes() == (c + np.concatenate([c_top, c_bottom])).tobytes()
+
+
+def _unfused_hybrid(parts, merged):
+    # the hybrid loss as the model composed it from primitives before it
+    # became one record: the target as a ones-column product, two row
+    # views, and sub/square/sum_all on each
+    n = merged.data.shape[0] // 2
+    avg = parts[0]
+    for p in parts[1:]:
+        avg = ad.add(avg, p)
+    target = ad.matmul(ad.constant(np.ones((n, 1))), ad.mul_scalar(avg, 1.0 / len(parts)))
+    pos = ad.sum_all(ad.square(ad.sub(target, ad.slice_rows(merged, 0, n))))
+    neg = ad.sum_all(ad.square(ad.sub(target, ad.slice_rows(merged, n, 2 * n))))
+    return ad.sub(pos, neg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), d=st.integers(1, 8), parts=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_hybrid_loss_has_the_bits_of_the_unfused_composition(n, d, parts, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.random((1, d)) for _ in range(parts)] + [rng.random((2 * n, d))]
+    scale = ad.constant(rng.normal(size=(1, 1)))
+    # rows 0 and n equal to the target: exact zero differences in each half
+    avg = arrays[0]
+    for a in arrays[1:-1]:
+        avg = avg + a
+    arrays[-1][[0, n]] = avg * (1.0 / parts)
+    results = []
+    for loss_fn in (ad.hybrid_loss, _unfused_hybrid):
+        tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with ad.Tape() as tape:
+            loss = loss_fn(tensors[:-1], tensors[-1])
+            grads = tape.backward(ad.mul(loss, scale), tensors)
+        results.append([loss.data.tobytes()] + [g.tobytes() for g in grads])
+    assert results[0] == results[1]
+
+
+def _read_only_leaves(*arrays):
+    tensors = []
+    for a in arrays:
+        a = a.copy()
+        a.flags.writeable = False
+        tensors.append(ad.Tensor(a, requires_grad=True))
+    return tensors
+
+
+def test_ownership_sums_a_twice_used_input_into_a_new_array():
+    # add hands one array to both of its inputs; the sweep owns neither
+    # copy, so it sums them into a new array
+    rng = np.random.default_rng(21)
+    c = rng.normal(size=(3, 4))
+    (x,) = _read_only_leaves(rng.normal(size=(3, 4)))
+    with ad.Tape() as tape:
+        (gx,) = tape.backward(ad.sum_all(ad.mul(ad.add(x, x), ad.constant(c))), [x])
+    want = c * np.ones((3, 4))
+    assert gx.tobytes() == (want + want).tobytes()
+    assert gx.flags.writeable and not np.shares_memory(gx, c)
+
+
+def test_ownership_adds_row_slices_into_the_owned_whole_adjoint():
+    # x is used through two row views and then whole; the sweep meets the
+    # whole use first, owns the new array mul's VJP returns, and adds the
+    # rows of both views into that array in place, not into a copy
+    rng = np.random.default_rng(22)
+    c, c_top, c_bottom = (rng.normal(size=(k, 3)) for k in (5, 2, 3))
+    (x,) = _read_only_leaves(rng.normal(size=(5, 3)))
+    with ad.Tape() as tape:
+        rows = ad.add(ad.sum_all(ad.mul(ad.slice_rows(x, 0, 2), ad.constant(c_top))),
+                      ad.sum_all(ad.mul(ad.slice_rows(x, 2, 5), ad.constant(c_bottom))))
+        whole = ad.mul(x, ad.constant(c))
+        out, inputs, vjp = tape._records[-1]
+        returned = []
+        tape._records[-1] = (out, inputs, lambda g: returned.extend(vjp(g)) or returned)
+        (gx,) = tape.backward(ad.add(ad.sum_all(whole), rows), [x])
+    want = c * np.ones((5, 3))
+    want[0:2] += c_top * np.ones((2, 3))
+    want[2:5] += c_bottom * np.ones((3, 3))
+    assert gx.tobytes() == want.tobytes()
+    assert gx is returned[0]
+
+
+def test_ownership_of_a_g_that_a_vjp_returns():
+    # sub's VJP returns g itself beside -g. An owned g (mul's new array)
+    # reaches it writeable and passes on to x, which then sums its second
+    # adjoint into that very array, after -g was formed; a g the sweep does
+    # not own (sum_all's broadcast view) reaches it read-only, and x's sum
+    # goes to a new array.
+    rng = np.random.default_rng(23)
+    c, c2 = rng.normal(size=(2, 3, 2))
+    for through_mul in (True, False):
+        x, z = _read_only_leaves(*rng.normal(size=(2, 3, 2)))
+        with ad.Tape() as tape:
+            second = ad.sum_all(ad.mul(x, ad.constant(c2)))  # swept last
+            diff = ad.sub(x, z)
+            first = ad.sum_all(ad.mul(diff, ad.constant(c)) if through_mul else diff)
+            loss = ad.add(first, second)
+            i = [out for out, _, _ in tape._records].index(diff)
+            out, inputs, vjp = tape._records[i]
+            handed = []
+            tape._records[i] = (out, inputs, lambda g: handed.append(g) or vjp(g))
+            gx, gz = tape.backward(loss, [x, z])
+        (g,) = handed
+        g_diff = c * np.ones((3, 2)) if through_mul else np.ones((3, 2))
+        assert g.flags.writeable == through_mul
+        assert np.shares_memory(gx, g) == through_mul
+        assert gz.tobytes() == (-g_diff).tobytes()
+        assert gx.tobytes() == (g_diff + c2 * np.ones((3, 2))).tobytes()
+
+
+def test_a_shared_adjoint_reaches_each_vjp_read_only():
+    # add hands one array to both GCN layers; each layer's VJP may mask an
+    # adjoint it owns in place, so this one must reach both read-only, or
+    # the first layer swept would mask the other's adjoint with its own mask
+    rng = np.random.default_rng(24)
+    adj = rng.random((4, 4))
+    x = ad.constant(rng.normal(size=(4, 3)))
+    # the first layer's relu passes everything, the second's only a part
+    layers = [_read_only_leaves(rng.normal(size=(3, 2)), np.full((1, 2), bias))
+              for bias in (9.0, 0.0)]
+    c = ad.constant(rng.normal(size=(4, 2)))
+    with ad.Tape() as tape:
+        h1, h2 = (ad.gcn_layer(adj, x, w, b) for w, b in layers)
+        assert np.all(h1.data > 0) and 0 < np.count_nonzero(h2.data) < h2.data.size
+        grads = tape.backward(ad.sum_all(ad.mul(ad.add(h1, h2), c)),
+                              [t for layer in layers for t in layer])
+    for (w, b), got in zip(layers, (grads[:2], grads[2:])):
+        with ad.Tape() as tape:
+            alone = tape.backward(ad.sum_all(ad.mul(ad.gcn_layer(adj, x, w, b), c)), [w, b])
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in alone]
+
+
+def test_sweep_never_writes_a_view_a_vjp_returns():
+    # a VJP may return a view of an array it keeps; the sweep must sum the
+    # next adjoint into a new array, not into that view
+    rng = np.random.default_rng(25)
+    k, c = rng.normal(size=(2, 3, 2))
+    before = k.tobytes()
+    (x,) = _read_only_leaves(rng.normal(size=(3, 2)))
+    with ad.Tape() as tape:
+        second = ad.sum_all(ad.mul(x, ad.constant(c)))  # swept last
+        # sum(x * k), whose VJP at g = 1 is k itself, handed out as a view
+        first = ad._make(np.array([[(x.data * k).sum()]]), (x,), lambda g: (k[:],))
+        (gx,) = tape.backward(ad.add(first, second), [x])
+    assert k.tobytes() == before
+    assert gx.tobytes() == (k + c * np.ones((3, 2))).tobytes()
+
+
+def test_broadcast_adjoints_are_read_only_views():
+    # mean_rows and sum_all hand back views of their 1 x C / 1 x 1 adjoint
+    x = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mean_rows(x))
+        (gx,) = tape.backward(loss, [x])
+    assert gx.tobytes() == np.full((3, 2), 1.0 / 3.0).tobytes()
+    assert not gx.flags.writeable and gx.strides[0] == 0
 
 
 # ---------------------------------------------------------------------------

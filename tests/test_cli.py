@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -34,6 +36,24 @@ def test_synth_is_byte_deterministic(tmp_path):
     for name in ("abundance.tsv", "labels.tsv"):
         blobs = [Path(d, name).read_bytes() for d in dirs]
         assert blobs[0] == blobs[1]
+
+
+def test_outputs_get_the_umask_mode(tmp_path):
+    # every output is written through a temp file; each must still get
+    # 0o666 less the umask, as open(path, "w") gives, not mkstemp's 0o600
+    data, run = tmp_path / "data", tmp_path / "run"
+    previous = os.umask(0o022)
+    try:
+        assert main(["synth", "--n-per-class", "4", "--n-features", "6",
+                     "--out-dir", str(data)]) == 0
+        assert main(["train", "--table", str(data / "abundance.tsv"), *FAST,
+                     "--out-dir", str(run)]) == 0
+    finally:
+        os.umask(previous)
+    outputs = sorted(p.name for p in (*data.iterdir(), *run.iterdir()))
+    assert {"abundance.tsv", "labels.tsv", "model.ckpt", "loss_trace.tsv"} <= set(outputs)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in (*data.iterdir(), *run.iterdir())} \
+        == {name: 0o644 for name in outputs}
 
 
 def test_synth_echoes_resolved_config(tmp_path):

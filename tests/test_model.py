@@ -326,25 +326,38 @@ def test_adversarial_loss_nonnegative_on_random_instances():
 
 
 def test_global_target_broadcast_and_gradient():
+    # the hybrid record's target P is the mean of the node parts on every
+    # row: with X = 0 and X_shuffled = P the loss is sum(P^2) and
+    # d loss / dP = 2 (X_shuffled - X) = 1, so d sum(P) / d p shows
     p1 = ad.Tensor([[0.0, 1.0]], requires_grad=True)
     p2 = ad.Tensor([[1.0, 0.0]], requires_grad=True)
+    merged = ad.Tensor(np.concatenate([np.zeros((3, 2)), np.full((3, 2), 0.5)]),
+                       requires_grad=True)
     with ad.Tape() as tape:
-        target = model.global_target([p1, p2], n_rows=3)
-        assert np.allclose(target.data, np.full((3, 2), 0.5), atol=1e-15)
-        g1, g2 = tape.backward(ad.sum_all(target), [p1, p2])
+        loss = ad.hybrid_loss([p1, p2], merged)
+        assert loss.item() == pytest.approx(6 * 0.5 ** 2, abs=1e-15)  # P = 0.5
+        g1, g2, gm = tape.backward(loss, [p1, p2, merged])
     # d sum(P) / d p = N / T for every coordinate: gradient flows, no stop-grad
     assert np.allclose(g1, np.full((1, 2), 1.5), atol=1e-15)
     assert np.allclose(g2, np.full((1, 2), 1.5), atol=1e-15)
+    # -2 (P - X) on the original rows, 2 (P - X_shuffled) on the shuffled ones
+    assert np.array_equal(gm, np.concatenate([np.full((3, 2), -1.0), np.zeros((3, 2))]))
 
 
 def test_hybrid_attention_loss_hand_case_and_sign():
-    target = ad.constant(np.zeros((2, 2)))
-    xp = ad.constant(np.ones((2, 2)))
-    xn = ad.constant(2.0 * np.ones((2, 2)))
-    loss = model.hybrid_attention_loss(target, xp, xn)
+    target = ad.constant(np.zeros((1, 2)))
+    xp = np.ones((2, 2))
+    xn = 2.0 * np.ones((2, 2))
+    loss = ad.hybrid_loss([target], ad.constant(np.concatenate([xp, xn])))
     assert loss.item() == pytest.approx(4.0 - 16.0, abs=1e-12)
-    same = model.hybrid_attention_loss(target, xp, xp)
+    same = ad.hybrid_loss([target], ad.constant(np.concatenate([xp, xp])))
     assert same.item() == 0.0
+    # a constant target: only the merged rows get an adjoint, -2 (P - X)
+    # on the original rows and 2 (P - X_shuffled) on the shuffled ones
+    merged = ad.Tensor(np.concatenate([xp, xn]), requires_grad=True)
+    with ad.Tape() as tape:
+        (gm,) = tape.backward(ad.hybrid_loss([target], merged), [merged])
+    assert np.array_equal(gm, np.concatenate([np.full((2, 2), 2.0), np.full((2, 2), -4.0)]))
 
 
 def test_joint_loss_combination_and_eta_gradient():
@@ -473,24 +486,23 @@ def test_joint_forward_frozen_histograms_change_nothing_at_base_point():
 
 def test_joint_forward_tape_is_fused():
     # default shape: 3 relations, 3 GCN layers, 4 heads; both views run
-    # stacked through 9 GCN records and 1 attention record. The other 70:
-    # 8 row views, 9 summary, 39 adversarial, 4 target, 7 hybrid, 3 joint.
+    # stacked through 9 GCN records, 1 attention record and 1 hybrid-loss
+    # record. The other 57: 6 row views, 9 summary, 39 adversarial, 3 joint.
     n, d = 64, 32
     x, xs, adjs = tiny_problem(n=n, f=8)
     cfg = tiny_cfg(embed_dim=d, gcn_layers=3, bins=16, heads=4)
     p = tiny_params(n_features=8, cfg=cfg)
     with ad.Tape() as tape:
         model.joint_forward(x, xs, adjs, p, cfg)
-    assert len(tape) == 80
+    assert len(tape) == 68
     # distinct buffers of the recorded outputs (a row view holds none of its
-    # own): the ten stacked 2N x D products, five N x D loss temporaries and
-    # the small rest
+    # own): the ten stacked 2N x D products and the small rest; the hybrid
+    # loss keeps no N x D output
     buffers = {}
     for out, _, _ in tape._records:
         base = out.data if out.data.base is None else out.data.base
         buffers[id(base)] = base.nbytes
-    stacked, per_view = 2 * n * d * 8, n * d * 8
-    assert sum(buffers.values()) <= 10 * stacked + 5 * per_view + 16 * 1024
+    assert sum(buffers.values()) <= 10 * 2 * n * d * 8 + 16 * 1024
 
 
 def _tape_bytes_in_stacks(n=64, d=32):
@@ -521,19 +533,28 @@ def _tape_bytes_in_stacks(n=64, d=32):
 
 
 def test_joint_forward_tape_holds_outputs_not_square_layer_inputs():
-    # ten stacked outputs, five N x D loss temporaries, layer 0's A X and
-    # the small rest come to about 16 stacks; keeping A H for the square
-    # layers 1-2 as well, as (A H) W does, came to about 22
+    # ten stacked outputs, layer 0's A X and the small rest come to about
+    # 13.6 stacks; the unfused hybrid loss's five N x D temporaries made it
+    # about 16.3, and keeping A H for the square layers 1-2 as well, as
+    # (A H) W does, about 22
     held, _ = _tape_bytes_in_stacks()
-    assert held < 19.0
+    assert held < 14.0
 
 
 def test_backward_peak_stays_small_above_the_tape():
-    # released records and in-place row-slice adjoints: about 4.3 stacks
-    # above what the forward pass left; a sweep that keeps every record
-    # and pads each row view's adjoint to 2N x D took about 10
+    # released records and in-place adjoints: about 5.8 stacks above what
+    # the forward pass left; a sweep that keeps every record and pads each
+    # row view's adjoint to 2N x D took about 10
     _, increment = _tape_bytes_in_stacks()
     assert increment < 7.0
+
+
+def test_backward_absolute_peak_is_under_twenty_stacks():
+    # what the tape holds plus what the sweep adds: about 19.4 stacks, with
+    # owned adjoints summed and masked in place and the hybrid loss as one
+    # record; 20.6 when each VJP's array was copied before the sweep wrote it
+    held, increment = _tape_bytes_in_stacks()
+    assert held + increment < 20.0
 
 
 def test_gradcheck_instance_product_orders():

@@ -2,6 +2,8 @@
 checkpoint format."""
 
 import dataclasses
+import os
+import stat
 import struct
 
 import numpy as np
@@ -708,3 +710,20 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert target.read_text() == "new"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda m: f"{m:03o}")
+def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
+    # 0o666 less the umask, as open(path, "w") gives a new file, for a
+    # new path and for one written over
+    written, replaced, opened = (tmp_path / name for name in ("a", "b", "c"))
+    replaced.write_text("old")
+    previous = os.umask(umask)
+    try:
+        gt.atomic_write_text(str(written), "new")
+        gt.atomic_write_bytes(str(replaced), b"new")
+        opened.write_text("open")
+    finally:
+        os.umask(previous)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in (written, replaced, opened)}
+    assert modes == {0o666 & ~umask}
