@@ -210,23 +210,17 @@ def _discriminator_logits(summary: Tensor, h: Tensor, weight: Tensor) -> Tensor:
     return ad.matmul(h, ad.transpose(u))
 
 
-def adversarial_loss(summaries: list[Tensor], positives: list[Tensor],
-                     negatives: list[Tensor], weights: list[Tensor]) -> Tensor:
-    """Mean binary cross-entropy of the discriminator over all
-    2 * N * |T| (summary, node) pairs: positives score toward 1,
-    shuffled negatives toward 0. Computed through softplus on the
-    logits, so extreme scores stay finite. Always >= 0."""
-    n = positives[0].data.shape[0]
-    count = 2 * n * len(summaries)
-    total = None
-    for g, pos, neg, w in zip(summaries, positives, negatives, weights):
-        lp = _discriminator_logits(g, pos, w)
-        ln = _discriminator_logits(g, neg, w)
-        # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
-        term = ad.add(ad.sum_all(ad.softplus(ad.mul_scalar(lp, -1.0))),
-                      ad.sum_all(ad.softplus(ln)))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul_scalar(total, 1.0 / count)
+def discriminator_loss(summary: Tensor, positive: Tensor, negative: Tensor,
+                       weight: Tensor) -> Tensor:
+    """Summed binary cross-entropy of one relation's discriminator over
+    its 2 * N (summary, node) pairs: positives score toward 1, shuffled
+    negatives toward 0. Computed through softplus on the logits, so
+    extreme scores stay finite. Always >= 0."""
+    lp = _discriminator_logits(summary, positive, weight)
+    ln = _discriminator_logits(summary, negative, weight)
+    # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
+    return ad.add(ad.sum_all(ad.softplus(ad.mul_scalar(lp, -1.0))),
+                  ad.sum_all(ad.softplus(ln)))
 
 
 def joint_loss(l_adv: Tensor | None, l_hybrid: Tensor, eta_raw: Tensor) -> Tensor:
@@ -272,39 +266,42 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     ``params`` must hold the tensors those switches train.
 
     The two views run stacked, original rows [0, N) over shuffled rows
-    [N, 2N), through one GCN record per layer and relation and one
-    attention record; the summary and discriminator read each view's
-    rows as a view of the stacked result, and the hybrid loss
-    (``autodiff.hybrid_loss``, one record) takes the stacked merge.
+    [N, 2N), through one GCN record per layer and relation. One pass per
+    relation encodes, reads out the original rows (a view of the stack)
+    and adds that relation's discriminator term, which alone reads the
+    shuffled rows; the summed term is scaled once after the loop. Then
+    one attention record merges the stacks and the hybrid loss
+    (``autodiff.hybrid_loss``, one record) takes the stacked merge. So
+    each relation's node adjoints fold into its stack as soon as its
+    discriminator records are swept, and the backward sweep peaks in
+    the attention merge's VJP, which returns every relation's 2N x D
+    adjoint at once.
     ``frozen_histograms`` substitutes stored graph-level readouts (they
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""
     n = x.shape[0]
     stacked = ad.constant(np.concatenate([x, x_shuffled]))
-    embeddings = [gcn_forward(norm_adjs[kind], stacked, params.layers[kind])
-                  for kind in ALL_KINDS]
-    positives, negatives, summaries, node_parts = [], [], [], []
+    embeddings, node_parts = [], []
     histograms: dict[DistanceKind, np.ndarray] = {}
-    for kind, h in zip(ALL_KINDS, embeddings):
+    l_adv = None
+    for kind in ALL_KINDS:
+        h = gcn_forward(norm_adjs[kind], stacked, params.layers[kind])
         h_pos = ad.slice_rows(h, 0, n)
-        positives.append(h_pos)
-        negatives.append(ad.slice_rows(h, n, 2 * n))
         if cfg.two_stage_summary:
             frozen = None if frozen_histograms is None else frozen_histograms[kind]
-            summary, p, q = graph_summary(h_pos, cfg.bins, cfg.histogram_weighting,
-                                          frozen)
-            histograms[kind] = q
-            summaries.append(summary)
-            node_parts.append(p)
+            summary, p, histograms[kind] = graph_summary(
+                h_pos, cfg.bins, cfg.histogram_weighting, frozen)
         else:
-            summary = ad.mean_rows(h_pos)
-            summaries.append(summary)
-            node_parts.append(summary)
-
-    l_adv = None
-    if cfg.use_adversarial:
-        discs = [params.discriminators[kind] for kind in ALL_KINDS]
-        l_adv = adversarial_loss(summaries, positives, negatives, discs)
+            summary = p = ad.mean_rows(h_pos)
+        embeddings.append(h)
+        node_parts.append(p)
+        if cfg.use_adversarial:
+            term = discriminator_loss(summary, h_pos, ad.slice_rows(h, n, 2 * n),
+                                      params.discriminators[kind])
+            l_adv = term if l_adv is None else ad.add(l_adv, term)
+    if l_adv is not None:
+        # the mean over all 2 * N * |T| (summary, node) pairs
+        l_adv = ad.mul_scalar(l_adv, 1.0 / (2 * n * len(ALL_KINDS)))
 
     l_hybrid = ad.hybrid_loss(node_parts, _merge(embeddings, params, cfg))
     loss = joint_loss(l_adv, l_hybrid, params.eta_raw)

@@ -272,7 +272,7 @@ def test_average_merge():
 
 def test_discriminator_matches_direct_formula():
     # one relation: mean BCE of sigmoid(g W h^T) over positive and
-    # shuffled nodes, written out directly
+    # shuffled nodes, written out directly; the term is their sum
     rng = np.random.default_rng(10)
     for _ in range(10):
         n = int(rng.integers(1, 7))
@@ -280,48 +280,49 @@ def test_discriminator_matches_direct_formula():
         pos = rng.normal(size=(n, 4))
         neg = rng.normal(size=(n, 4))
         w = rng.normal(size=(6, 4))
-        got = model.adversarial_loss([ad.constant(g)], [ad.constant(pos)],
-                                     [ad.constant(neg)], [ad.constant(w)]).item()
+        got = model.discriminator_loss(ad.constant(g), ad.constant(pos),
+                                       ad.constant(neg), ad.constant(w)).item()
         def score(h):
             return 1.0 / (1.0 + np.exp(-(g @ w @ h.T)[0]))
 
         want = -(np.log(score(pos)).sum() + np.log(1.0 - score(neg)).sum()) / (2 * n)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got / (2 * n) == pytest.approx(want, rel=1e-12)
 
 
-def test_adversarial_loss_zero_weights_is_ln2():
+def test_discriminator_loss_zero_weights_is_ln2():
+    # summed over three relations and scaled by 1 / (2 N |T|), as
+    # joint_forward does
     rng = np.random.default_rng(11)
-    summaries = [ad.constant(rng.normal(size=(1, 5))) for _ in range(3)]
-    pos = [ad.constant(rng.normal(size=(4, 3))) for _ in range(3)]
-    neg = [ad.constant(rng.normal(size=(4, 3))) for _ in range(3)]
-    ws = [ad.constant(np.zeros((5, 3))) for _ in range(3)]
-    loss = model.adversarial_loss(summaries, pos, neg, ws)
-    assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+    total = sum(model.discriminator_loss(ad.constant(rng.normal(size=(1, 5))),
+                                         ad.constant(rng.normal(size=(4, 3))),
+                                         ad.constant(rng.normal(size=(4, 3))),
+                                         ad.constant(np.zeros((5, 3)))).item()
+                for _ in range(3))
+    assert total / (2 * 4 * 3) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_adversarial_loss_separation_and_swap():
-    g = [ad.constant([[1.0]])]
-    pos = [ad.constant(np.ones((3, 1)))]
-    neg = [ad.constant(-np.ones((3, 1)))]
-    w = [ad.constant([[40.0]])]
-    good = model.adversarial_loss(g, pos, neg, w).item()
-    swapped = model.adversarial_loss(g, neg, pos, w).item()
+def test_discriminator_loss_separation_and_swap():
+    g = ad.constant([[1.0]])
+    pos = ad.constant(np.ones((3, 1)))
+    neg = ad.constant(-np.ones((3, 1)))
+    w = ad.constant([[40.0]])
+    good = model.discriminator_loss(g, pos, neg, w).item() / 6
+    swapped = model.discriminator_loss(g, neg, pos, w).item() / 6
     assert good < 1e-8
     assert swapped > good
     assert swapped == pytest.approx(40.0, rel=1e-6)
 
 
-def test_adversarial_loss_nonnegative_on_random_instances():
+def test_discriminator_loss_nonnegative_on_random_instances():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        t = int(rng.integers(1, 4))
         n = int(rng.integers(1, 6))
         s, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        loss = model.adversarial_loss(
-            [ad.constant(rng.normal(size=(1, s))) for _ in range(t)],
-            [ad.constant(rng.normal(size=(n, d))) for _ in range(t)],
-            [ad.constant(rng.normal(size=(n, d))) for _ in range(t)],
-            [ad.constant(rng.normal(size=(s, d))) for _ in range(t)])
+        loss = model.discriminator_loss(
+            ad.constant(rng.normal(size=(1, s))),
+            ad.constant(rng.normal(size=(n, d))),
+            ad.constant(rng.normal(size=(n, d))),
+            ad.constant(rng.normal(size=(s, d))))
         assert loss.item() >= 0.0
 
 
@@ -503,6 +504,26 @@ def test_joint_forward_tape_is_fused():
         base = out.data if out.data.base is None else out.data.base
         buffers[id(base)] = base.nbytes
     assert sum(buffers.values()) <= 10 * 2 * n * d * 8 + 16 * 1024
+
+
+def test_joint_forward_without_adversarial_records_no_negative_view():
+    # the fused test's shape less the 39 adversarial records, the 3 row
+    # views of the shuffled rows that only the discriminators read and
+    # the joint loss's add
+    n, d = 64, 32
+    x, xs, adjs = tiny_problem(n=n, f=8)
+    cfg = tiny_cfg(embed_dim=d, gcn_layers=3, bins=16, heads=4, use_adversarial=False)
+    p = tiny_params(n_features=8, cfg=cfg)
+    with ad.Tape() as tape:
+        model.joint_forward(x, xs, adjs, p, cfg)
+    assert len(tape) == 25
+    views = [out.data for out, _, vjp in tape._records
+             if vjp.__qualname__.startswith("slice_rows.")]
+    # one per relation, each rows [0, N) of its stack
+    assert len(views) == 3
+    for v in views:
+        assert v.shape == (n, d) and np.shares_memory(v, v.base[:n])
+        assert not np.shares_memory(v, v.base[n:])
 
 
 def _tape_bytes_in_stacks(n=64, d=32):
