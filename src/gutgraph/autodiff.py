@@ -256,8 +256,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        # A constant operand needs no adjoint. For the N x N normalized
-        # adjacency that skipped GEMM is the largest one in the pass.
+        # A constant operand needs no adjoint; its GEMM is skipped.
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
 
@@ -268,12 +267,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -290,10 +283,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def mul_scalar(x: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make(x.data * c, (x,), lambda g: (g * c,))
-
-
-def square(x: Tensor) -> Tensor:
-    return _make(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -160,8 +160,8 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
     if not (0.0 < threshold < 1.0):
         raise GraphBuildError(f"threshold must lie in (0, 1), got {threshold}")
     off = ~np.eye(n, dtype=bool)
-    lo = d[off].min()
-    hi = d[off].max()
+    off_diagonal = d[off]
+    lo, hi = off_diagonal.min(), off_diagonal.max()
     if lo == hi:
         raise GraphBuildError(
             f"all off-diagonal {kind.value} distances equal {lo}; "
@@ -193,7 +193,7 @@ def shuffle_features(values: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
     perm = rng.permutation(n)
     while n >= 2 and np.array_equal(perm, np.arange(n)):
         perm = rng.permutation(n)
-    return values[perm].copy(), perm
+    return values[perm], perm
 
 
 @dataclass

@@ -292,7 +292,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
             summary, p, histograms[kind] = graph_summary(
                 h_pos, cfg.bins, cfg.histogram_weighting, frozen)
         else:
-            summary = p = ad.mean_rows(h_pos)
+            summary = p = node_summary(h_pos)
         embeddings.append(h)
         node_parts.append(p)
         if cfg.use_adversarial:
@@ -328,4 +328,4 @@ def encode(x: np.ndarray, norm_adjs: dict[DistanceKind, np.ndarray],
     xt = ad.constant(x)
     embeddings = [gcn_forward(norm_adjs[kind], xt, params.layers[kind])
                   for kind in ALL_KINDS]
-    return _merge(embeddings, params, cfg).data.copy()
+    return _merge(embeddings, params, cfg).data

@@ -17,6 +17,14 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return np.linalg.norm(a - b) / max(na, nb, 1e-12)
 
 
+def _square(x: ad.Tensor) -> ad.Tensor:
+    return ad.mul(x, x)
+
+
+def _sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    return ad.add(a, ad.mul_scalar(b, -1.0))
+
+
 def numeric_grad(f, arr: np.ndarray, h: float = 1e-5, order: int = 2) -> np.ndarray:
     """Central differences of scalar-valued f() that reads arr in place:
     the three-point stencil (error O(h^2)) or, with ``order=4``, the
@@ -75,7 +83,7 @@ def test_backward_of_sum_is_ones():
 def test_backward_rejects_non_scalar_loss():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with ad.Tape() as tape:
-        y = ad.square(x)
+        y = _square(x)
         with pytest.raises(ad.ShapeError):
             tape.backward(y, [x])
 
@@ -156,28 +164,21 @@ def _case_matmul(rng):
     n, m, p = rng.integers(1, 6, size=3)
     a = rng.normal(size=(n, m))
     b = rng.normal(size=(m, p))
-    return [a, b], lambda ta, tb: ad.sum_all(ad.square(ad.matmul(ta, tb)))
+    return [a, b], lambda ta, tb: ad.sum_all(_square(ad.matmul(ta, tb)))
 
 
 @op_case("add")
 def _case_add(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     return ([rng.normal(size=shape), rng.normal(size=shape)],
-            lambda a, b: ad.sum_all(ad.square(ad.add(a, b))))
-
-
-@op_case("sub")
-def _case_sub(rng):
-    shape = tuple(rng.integers(1, 6, size=2))
-    return ([rng.normal(size=shape), rng.normal(size=shape)],
-            lambda a, b: ad.sum_all(ad.square(ad.sub(a, b))))
+            lambda a, b: ad.sum_all(_square(ad.add(a, b))))
 
 
 @op_case("mul")
 def _case_mul(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     return ([rng.normal(size=shape), rng.normal(size=shape)],
-            lambda a, b: ad.sum_all(ad.square(ad.mul(a, b))))
+            lambda a, b: ad.sum_all(_square(ad.mul(a, b))))
 
 
 @op_case("mul_scalar")
@@ -185,28 +186,21 @@ def _case_mul_scalar(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     c = float(rng.normal())
     return ([rng.normal(size=shape)],
-            lambda x: ad.sum_all(ad.square(ad.mul_scalar(x, c))))
-
-
-@op_case("square")
-def _case_square(rng):
-    shape = tuple(rng.integers(1, 6, size=2))
-    return ([rng.normal(size=shape)],
-            lambda x: ad.sum_all(ad.square(ad.square(x))))
+            lambda x: ad.sum_all(_square(ad.mul_scalar(x, c))))
 
 
 @op_case("sigmoid")
 def _case_sigmoid(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     return ([rng.normal(size=shape)],
-            lambda x: ad.sum_all(ad.square(ad.sigmoid(x))))
+            lambda x: ad.sum_all(_square(ad.sigmoid(x))))
 
 
 @op_case("softplus")
 def _case_softplus(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     return ([rng.normal(size=shape)],
-            lambda x: ad.sum_all(ad.square(ad.softplus(x))))
+            lambda x: ad.sum_all(_square(ad.softplus(x))))
 
 
 @op_case("transpose")
@@ -214,7 +208,7 @@ def _case_transpose(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     w = rng.normal(size=shape)
     return ([rng.normal(size=shape)],
-            lambda x: ad.sum_all(ad.square(ad.matmul(ad.transpose(x), ad.constant(w)))))
+            lambda x: ad.sum_all(_square(ad.matmul(ad.transpose(x), ad.constant(w)))))
 
 
 @op_case("concat_cols")
@@ -222,7 +216,7 @@ def _case_concat(rng):
     n = int(rng.integers(1, 6))
     ca, cb = rng.integers(1, 5, size=2)
     return ([rng.normal(size=(n, ca)), rng.normal(size=(n, cb))],
-            lambda a, b: ad.sum_all(ad.square(ad.concat_cols(a, b))))
+            lambda a, b: ad.sum_all(_square(ad.concat_cols(a, b))))
 
 
 @op_case("slice_rows")
@@ -232,21 +226,21 @@ def _case_slice(rng):
     i0 = int(rng.integers(0, n - 1))
     i1 = int(rng.integers(i0 + 1, n + 1))
     return ([rng.normal(size=(n, c))],
-            lambda x: ad.sum_all(ad.square(ad.slice_rows(x, i0, i1))))
+            lambda x: ad.sum_all(_square(ad.slice_rows(x, i0, i1))))
 
 
 @op_case("mean_rows")
 def _case_mean_rows(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     return ([rng.normal(size=shape)],
-            lambda x: ad.sum_all(ad.square(ad.mean_rows(x))))
+            lambda x: ad.sum_all(_square(ad.mean_rows(x))))
 
 
 @op_case("sum_all")
 def _case_sum_all(rng):
     shape = tuple(rng.integers(1, 6, size=2))
     return ([rng.normal(size=shape)],
-            lambda x: ad.square(ad.sum_all(x)))
+            lambda x: _square(ad.sum_all(x)))
 
 
 @op_case("hybrid_loss")
@@ -286,7 +280,7 @@ def test_composed_gcn_style_layer_fd():
     b = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
 
     def build(wt, bt):
-        return ad.sum_all(ad.square(ad.gcn_layer(a_norm, x, wt, bt)))
+        return ad.sum_all(_square(ad.gcn_layer(a_norm, x, wt, bt)))
 
     with ad.Tape() as tape:
         loss = build(w, b)
@@ -495,15 +489,15 @@ def test_row_slice_adjoint_leaves_a_shared_adjoint_alone():
 def _unfused_hybrid(parts, merged):
     # the hybrid loss as the model composed it from primitives before it
     # became one record: the target as a ones-column product, two row
-    # views, and sub/square/sum_all on each
+    # views, and each one's summed squared difference from the target
     n = merged.data.shape[0] // 2
     avg = parts[0]
     for p in parts[1:]:
         avg = ad.add(avg, p)
     target = ad.matmul(ad.constant(np.ones((n, 1))), ad.mul_scalar(avg, 1.0 / len(parts)))
-    pos = ad.sum_all(ad.square(ad.sub(target, ad.slice_rows(merged, 0, n))))
-    neg = ad.sum_all(ad.square(ad.sub(target, ad.slice_rows(merged, n, 2 * n))))
-    return ad.sub(pos, neg)
+    pos = ad.sum_all(_square(_sub(target, ad.slice_rows(merged, 0, n))))
+    neg = ad.sum_all(_square(_sub(target, ad.slice_rows(merged, n, 2 * n))))
+    return _sub(pos, neg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -572,19 +566,24 @@ def test_ownership_adds_row_slices_into_the_owned_whole_adjoint():
     assert gx is returned[0]
 
 
+def _difference(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    # a - b as one record whose VJP returns g itself beside -g (a square
+    # GCN layer's VJP also hands g back, as dH written into its buffer)
+    return ad._make(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
 def test_ownership_of_a_g_that_a_vjp_returns():
-    # sub's VJP returns g itself beside -g. An owned g (mul's new array)
-    # reaches it writeable and passes on to x, which then sums its second
-    # adjoint into that very array, after -g was formed; a g the sweep does
-    # not own (sum_all's broadcast view) reaches it read-only, and x's sum
-    # goes to a new array.
+    # An owned g (mul's new array) reaches the difference's VJP writeable
+    # and passes on to x, which then sums its second adjoint into that very
+    # array, after -g was formed; a g the sweep does not own (sum_all's
+    # broadcast view) reaches it read-only, and x's sum goes to a new array.
     rng = np.random.default_rng(23)
     c, c2 = rng.normal(size=(2, 3, 2))
     for through_mul in (True, False):
         x, z = _read_only_leaves(*rng.normal(size=(2, 3, 2)))
         with ad.Tape() as tape:
             second = ad.sum_all(ad.mul(x, ad.constant(c2)))  # swept last
-            diff = ad.sub(x, z)
+            diff = _difference(x, z)
             first = ad.sum_all(ad.mul(diff, ad.constant(c)) if through_mul else diff)
             loss = ad.add(first, second)
             i = [out for out, _, _ in tape._records].index(diff)
@@ -657,7 +656,7 @@ def test_second_backward_raises_and_len_counts_the_records():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     w = ad.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.square(ad.add(ad.matmul(x, w), x)))
+        loss = ad.sum_all(_square(ad.add(ad.matmul(x, w), x)))
         intermediates = [weakref.ref(out.data) for out, _, _ in tape._records[:-1]]
         assert len(intermediates) == 3 and all(r() is not None for r in intermediates)
         tape.backward(loss, [x, w])
@@ -670,7 +669,7 @@ def test_second_backward_raises_and_len_counts_the_records():
 def test_backward_refuses_a_recorded_output():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with ad.Tape() as tape:
-        y = ad.square(x)
+        y = _square(x)
         loss = ad.sum_all(y)
         with pytest.raises(ValueError, match="recorded"):
             tape.backward(loss, [x, y])
@@ -695,7 +694,7 @@ def test_identical_tapes_give_bit_identical_grads():
     def run():
         x = ad.Tensor(data.copy(), requires_grad=True)
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.square(ad.sigmoid(ad.matmul(x, x))))
+            loss = ad.sum_all(_square(ad.sigmoid(ad.matmul(x, x))))
             (gx,) = tape.backward(loss, [x])
         return gx
 
@@ -721,7 +720,7 @@ def test_backward_reaches_parameter_leaves_only():
     with ad.Tape() as tape:
         h = ad.sigmoid(ad.add(ad.matmul(adj, ad.matmul(feats, w)),
                               ad.matmul(ones, b)))
-        loss = ad.sum_all(ad.square(h))
+        loss = ad.sum_all(_square(h))
         # refused before any sweep, so the tape is still whole
         intermediates = [out for out, _, _ in tape._records]
         assert len(intermediates) == 7

@@ -465,6 +465,23 @@ def test_joint_forward_plain_summary_mode():
     assert res.histograms == {}
 
 
+def test_plain_summary_drops_only_the_histogram():
+    # without the histogram the hybrid target is still the mean over
+    # relations of sigmoid(column means of the original-view embedding)
+    n = 8
+    x, xs, adjs = tiny_problem(n=n)
+    cfg = tiny_cfg(two_stage_summary=False)
+    p = tiny_params(cfg=cfg)
+    res = model.joint_forward(x, xs, adjs, p, cfg)
+    stacked = ad.constant(np.concatenate([x, xs]))
+    hs = [model.gcn_forward(adjs[kind], stacked, p.layers[kind]).data
+          for kind in gg.ALL_KINDS]
+    merged = model.attention_merge([ad.constant(h) for h in hs], p.queries).data
+    target = np.mean([1.0 / (1.0 + np.exp(-h[:n].mean(axis=0))) for h in hs], axis=0)
+    want = ((target - merged[:n]) ** 2).sum() - ((target - merged[n:]) ** 2).sum()
+    assert res.hybrid == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 def test_joint_forward_frozen_histograms_change_nothing_at_base_point():
     x, xs, adjs = tiny_problem()
 
