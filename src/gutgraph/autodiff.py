@@ -409,6 +409,11 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (h, w, b), vjp)
 
 
+# rows per block of relation_attention's VJP: each block's merge term is
+# a temporary of this many rows instead of one of all M
+_ROW_BLOCK = 64
+
+
 def relation_attention(embeddings: Sequence[Tensor],
                        queries: Sequence[Sequence[Tensor]]
                        ) -> tuple[Tensor, np.ndarray]:
@@ -418,7 +423,11 @@ def relation_attention(embeddings: Sequence[Tensor],
     the merge is sum_t (mean_h w_{h,t}) * E_t.
 
     Returns the merged M x D tensor and the T x M x H softmax weights,
-    which are all the record keeps for its VJP.
+    which are all the record keeps for its VJP. The VJP's one new M x D
+    array per relation is that relation's adjoint: the score term
+    ``gs @ q_t^T`` is formed into it and the merge term ``c_t * g`` is
+    added in blocks of ``_ROW_BLOCK`` rows (float addition commutes, so
+    the bits are those of ``c_t * g + gs @ q_t^T``).
     """
     if len(embeddings) != len(queries) or not embeddings:
         raise ShapeError(f"{len(embeddings)} embeddings for {len(queries)} query sets")
@@ -445,8 +454,10 @@ def relation_attention(embeddings: Sequence[Tensor],
         for e, qt, c, gs, per_t in zip(embeddings, q, per_row, g_scores, queries):
             ge = None
             if e.requires_grad:
-                ge = c[:, None] * g
-                ge += gs @ qt.T
+                ge = gs @ qt.T
+                for r in range(0, m, _ROW_BLOCK):
+                    rows = slice(r, r + _ROW_BLOCK)
+                    ge[rows] += c[rows, None] * g[rows]
             g_emb.append(ge)
             gq = e.data.T @ gs
             g_q.extend(gq[:, i:i + 1] if qh.requires_grad else None

@@ -23,8 +23,8 @@ import sys
 from . import model
 from . import train as tr
 from .gradcheck import DEFAULT_TOLERANCE, gradient_check
-from .graph import GraphBuildError, build_multigraph, edge_list_lines, \
-    edge_list_sidecar
+from .graph import ALL_KINDS, GraphBuildError, build_multigraph, edge_list_lines, \
+    edge_list_sidecar, relation_graph
 from .ingest import (FilterPolicy, TableFormatError, filter_low_abundance,
                      parse_abundance_table, quote_field, read_labels,
                      removal_report, serialize_abundance_table,
@@ -147,8 +147,9 @@ def cmd_build_graphs(args) -> int:
         "config": cfg.as_dict(),
     })
     table = _read_table(args)
-    mg = build_multigraph(table.values, cfg.threshold)
-    for kind, graph in mg.relations.items():
+    # every relation is built before any file is written
+    graphs = [relation_graph(table.values, kind, cfg.threshold) for kind in ALL_KINDS]
+    for kind, graph in zip(ALL_KINDS, graphs):
         lines = edge_list_lines(graph)
         body = "\n".join(lines) + "\n" if lines else ""
         tr.atomic_write_text(

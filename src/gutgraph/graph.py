@@ -25,7 +25,7 @@ it with ``shuffle_features``); the graph layer holds no seed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,33 +196,37 @@ def shuffle_features(values: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
     return values[perm], perm
 
 
+def relation_graph(values: np.ndarray, kind: DistanceKind,
+                   threshold: float) -> RelationGraph:
+    """The ``kind`` relation graph over the rows of ``values``."""
+    return build_relation_graph(pairwise_distances(values, kind), kind, threshold)
+
+
 @dataclass
 class MultiGraph:
-    """Shared node features plus one relation graph per distance kind.
-    Each relation is normalized once, on construction, into
-    ``norm_adjs``, which training and encoding read."""
+    """Shared node features plus one normalized adjacency per distance
+    kind, which is all that training and encoding read."""
 
     features: np.ndarray
-    relations: dict[DistanceKind, RelationGraph]
-    norm_adjs: dict[DistanceKind, np.ndarray] = field(init=False, repr=False)
+    norm_adjs: dict[DistanceKind, np.ndarray]
 
     def __post_init__(self):
         n = self.features.shape[0]
-        for kind, g in self.relations.items():
-            if g.n_nodes != n:
+        for kind, a in self.norm_adjs.items():
+            if a.shape != (n, n):
                 raise GraphBuildError(
-                    f"{kind.value} graph has {g.n_nodes} nodes for {n} samples")
-        self.norm_adjs = {k: normalize_adjacency(g) for k, g in self.relations.items()}
+                    f"{kind.value} graph has {a.shape[0]} nodes for {n} samples")
 
 
 def build_multigraph(values: np.ndarray, threshold: float = 0.6) -> MultiGraph:
-    """One relation graph per distance kind in ``ALL_KINDS``, in that
-    order, over a private float64 copy of ``values``."""
+    """One normalized relation per distance kind in ``ALL_KINDS``, in
+    that order, over a private float64 copy of ``values``. Each relation
+    is normalized as soon as it is built, so no boolean adjacency
+    outlives its normalization."""
     values = np.asarray(values, dtype=np.float64)
-    relations = {kind: build_relation_graph(pairwise_distances(values, kind),
-                                            kind, threshold)
+    norm_adjs = {kind: normalize_adjacency(relation_graph(values, kind, threshold))
                  for kind in ALL_KINDS}
-    return MultiGraph(values.copy(), relations)
+    return MultiGraph(values.copy(), norm_adjs)
 
 
 def edge_list_lines(graph: RelationGraph) -> list[str]:

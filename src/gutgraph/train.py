@@ -22,7 +22,6 @@ import os
 import struct
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,9 +139,12 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch + 1, trace)
             trace.append(value)
+            # drop the last step's gradients before the sweep, not when its
+            # result replaces them, so the sweep's peak holds one gradient
+            # set: their freed blocks sit under the tape for the sweep to
+            # reuse. Dropped before the forward pass, they cost more faults.
+            grads = None
             grads = tape.backward(result.loss, tensors)
-        # bound until the next backward: freeing the clipped arrays right
-        # after the step makes the allocator return and re-fault them
         grads = ad.clip_global_norm(grads, cfg.clip_norm)
         optimizer.step(grads)
     return params, trace
@@ -384,6 +386,9 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
     if jobs == 1 or len(indices) == 1:
         results = [_evaluate_single_seed(mg, labels, cfg, i) for i in indices]
     else:
+        # imported here: the pool pulls in multiprocessing, socket and
+        # logging, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
         n = len(indices)
         with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
             results = list(pool.map(_evaluate_single_seed, [mg] * n,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 import zlib
 
@@ -427,6 +428,66 @@ def test_relation_attention_vjp_matches_finite_differences(n, d, heads, relation
     # on the pinned example, rounding noise on a 1x1 query gradient of 0.0017
     _check_vjp_against_fd(build, embeddings + [q for per_t in queries for q in per_t],
                           step=1e-3, order=4)
+
+
+def _attention_record(m, d, heads, relations, rng):
+    """(embedding tensors, query arrays per relation, the VJP) of one
+    ``relation_attention`` record over trainable M x D embeddings."""
+    embeddings = [ad.Tensor(rng.normal(size=(m, d)), requires_grad=True)
+                  for _ in range(relations)]
+    queries = [[ad.Tensor(rng.normal(size=(d, 1)), requires_grad=True)
+                for _ in range(heads)] for _ in range(relations)]
+    with ad.Tape() as tape:
+        _, weights = ad.relation_attention(embeddings, queries)
+    (_, _, vjp), = tape._records
+    q = [np.concatenate([qh.data for qh in per_t], axis=1) for per_t in queries]
+    return embeddings, q, weights, vjp
+
+
+@settings(max_examples=40, deadline=None)
+@given(**dict(attention_shapes, n=st.integers(2, 150)))
+# row counts one block and a bit, and exactly two blocks
+@example(n=ad._ROW_BLOCK + 5, d=3, views=1, seed=1, heads=4, relations=3)
+@example(n=ad._ROW_BLOCK, d=2, views=2, seed=2, heads=2, relations=2)
+def test_relation_attention_vjp_has_the_bits_of_the_direct_formula(
+        n, d, heads, relations, views, seed):
+    # each embedding adjoint is c_t * g + gs_t @ q_t^T, with c_t the head
+    # mean of the softmax weights and gs_t the score adjoint, whatever the
+    # VJP's row blocks
+    rng = np.random.default_rng(seed)
+    m = views * n
+    embeddings, q, weights, vjp = _attention_record(m, d, heads, relations, rng)
+    g = rng.normal(size=(m, d))
+    got = vjp(g.copy())
+    g_row = np.stack([np.einsum("ij,ij->i", g, e.data) for e in embeddings]) / heads
+    gs = weights * (g_row[:, :, None] - (weights * g_row[:, :, None]).sum(axis=0))
+    c = weights.mean(axis=2)
+    for t in range(relations):
+        want = c[t][:, None] * g + gs[t] @ q[t].T
+        assert got[t].tobytes() == want.tobytes()
+
+
+def test_relation_attention_vjp_allocates_one_stack_per_relation():
+    # three relations: the three M x D adjoints, one block of the merge
+    # term and the M x H score arrays come to about 3.35 M x D stacks;
+    # forming c_t * g whole and adding gs_t @ q_t^T as a second M x D
+    # temporary took about 4.1
+    m, d = 10 * ad._ROW_BLOCK - 40, 128
+    _, _, _, vjp = _attention_record(m, d, 4, 3, np.random.default_rng(5))
+    g = np.random.default_rng(6).normal(size=(m, d))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        adjoints = vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(adjoints) == 3 + 3 * 4
+    assert peak / (m * d * 8) < 3.5
 
 
 def test_relation_attention_extreme_scores_stay_finite():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,27 +334,52 @@ def test_build_multigraph():
     rng = np.random.default_rng(2)
     x = rng.random((10, 6)) + 0.01
     mg = gg.build_multigraph(x, threshold=0.6)
-    assert tuple(mg.relations) == tuple(mg.norm_adjs) == gg.ALL_KINDS
+    assert tuple(mg.norm_adjs) == gg.ALL_KINDS
     for kind in gg.ALL_KINDS:
-        adj = mg.relations[kind].adjacency
-        assert adj.shape == (10, 10)
-        assert np.array_equal(adj, adj.T)
-        # normalized once on construction, with the same bits as a fresh call
+        graph = gg.relation_graph(x, kind, 0.6)
+        assert graph.adjacency.shape == (10, 10)
+        # the same bits as normalizing the relation graph built on its own
         assert (mg.norm_adjs[kind].tobytes()
-                == gg.normalize_adjacency(mg.relations[kind]).tobytes())
+                == gg.normalize_adjacency(graph).tobytes())
+
+
+def test_build_multigraph_holds_no_boolean_adjacency(monkeypatch):
+    # each relation graph is gone once normalized, before the next
+    # relation's distances are built, and the multigraph holds only the
+    # features and the float64 normalized adjacencies
+    normalized = []
+    normalize, distances = gg.normalize_adjacency, gg.pairwise_distances
+
+    def all_gone():
+        return all(ref() is None for ref in normalized)
+
+    def recording_normalize(graph):
+        assert all_gone()
+        normalized.append(weakref.ref(graph))
+        return normalize(graph)
+
+    def checked_distances(values, kind):
+        assert all_gone()
+        return distances(values, kind)
+
+    monkeypatch.setattr(gg, "normalize_adjacency", recording_normalize)
+    monkeypatch.setattr(gg, "pairwise_distances", checked_distances)
+    mg = gg.build_multigraph(np.random.default_rng(3).random((12, 5)) + 0.01)
+    assert len(normalized) == len(gg.ALL_KINDS) and all_gone()
+    assert set(vars(mg)) == {"features", "norm_adjs"}
+    assert all(a.dtype == np.float64
+               for a in (mg.features, *mg.norm_adjs.values()))
 
 
 def test_corruption_leaves_multigraph_unchanged():
     x = np.random.default_rng(9).random((7, 4)) + 0.01
     mg = gg.build_multigraph(x)
     # adjacency is a function of the ORIGINAL features only
-    before = ({k: g.adjacency.tobytes() for k, g in mg.relations.items()},
-              {k: m.tobytes() for k, m in mg.norm_adjs.items()},
+    before = ({k: m.tobytes() for k, m in mg.norm_adjs.items()},
               mg.features.tobytes())
     shuffled, _ = gg.shuffle_features(mg.features, 1)
     shuffled[:] = 0.0
-    after = ({k: g.adjacency.tobytes() for k, g in mg.relations.items()},
-             {k: m.tobytes() for k, m in mg.norm_adjs.items()},
+    after = ({k: m.tobytes() for k, m in mg.norm_adjs.items()},
              mg.features.tobytes())
     assert before == after
 
@@ -361,7 +388,7 @@ def test_multigraph_validation():
     x = np.random.default_rng(9).random((5, 3)) + 0.01
     mg = gg.build_multigraph(x)
     with pytest.raises(gg.GraphBuildError, match="5 nodes for 4 samples"):
-        gg.MultiGraph(x[:4], mg.relations)
+        gg.MultiGraph(x[:4], mg.norm_adjs)
 
 
 def test_edge_list_export():

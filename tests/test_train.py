@@ -5,6 +5,7 @@ import dataclasses
 import os
 import stat
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +120,36 @@ def test_zero_learning_rate_keeps_params():
     for name, tensor in params.named_tensors().items():
         assert tensor.data.tobytes() == fresh.named_tensors()[name].data.tobytes()
     assert len(trace) == 3
+
+
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e6])
+def test_last_steps_gradients_are_gone_when_backward_starts(monkeypatch, clip_norm):
+    # one gradient set at the sweep's peak: neither the arrays backward
+    # returned nor the clipped ones Adam stepped with outlive their step
+    # into the next backward pass, whether clipping fires or not
+    values, _ = small_problem()
+    cfg = small_cfg(epochs=3, clip_norm=clip_norm)
+    mg = build_multigraph(values, cfg.threshold)
+    handed = []
+    alive_at_start = []
+    backward, clip = ad.Tape.backward, ad.clip_global_norm
+
+    def watched_backward(tape, loss, wrt):
+        alive_at_start.append(sum(ref() is not None for ref in handed))
+        grads = backward(tape, loss, wrt)
+        handed.extend(weakref.ref(g) for g in grads)
+        return grads
+
+    def watched_clip(grads, max_norm):
+        clipped = clip(grads, max_norm)
+        handed.extend(weakref.ref(g) for g in clipped)
+        return clipped
+
+    monkeypatch.setattr(ad.Tape, "backward", watched_backward)
+    monkeypatch.setattr(ad, "clip_global_norm", watched_clip)
+    gt.train_unsupervised(mg, cfg)
+    assert len(handed) == 2 * 3 * len(fresh_params(mg, cfg).named_tensors())
+    assert alive_at_start == [0, 0, 0]
 
 
 def test_one_epoch_moves_every_parameter():
