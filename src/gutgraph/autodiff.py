@@ -23,6 +23,14 @@ anything else), never an array it kept. ``Tape.backward`` says which
 returned arrays the sweep takes. ``mean_rows`` and ``sum_all`` return
 read-only broadcast views instead of materialized arrays.
 
+A VJP may also return a deferred adjoint, ``_Deferred(make)``: the
+sweep keeps it unformed until it first needs that input's adjoint, and
+``make()`` must then return a new array, which the sweep owns. A
+deferred adjoint may read the VJP's ``g``, so no code writes that ``g``
+after the VJP returns. ``relation_attention`` returns one per
+embedding, so each relation's adjoint comes into being only when the
+sweep reaches that relation's records.
+
 Besides elementwise and matrix primitives there are three fused
 kernels, ``gcn_layer``, ``relation_attention`` and ``hybrid_loss``:
 each is one record with a hand-written VJP for a whole model stage (a
@@ -41,6 +49,7 @@ softmax head trains on its closed-form gradient
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -82,8 +91,8 @@ class Tensor:
 
 
 # A record is (output, inputs, vjp) where vjp maps the output adjoint to
-# one adjoint per input: an array, a _RowAdjoint, or None for inputs that
-# do not need one.
+# one adjoint per input: an array, a _RowAdjoint, a _Deferred, or None for
+# inputs that do not need one.
 _Record = tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], tuple]]
 
 _ACTIVE_TAPES: list["Tape"] = []
@@ -95,6 +104,14 @@ class _RowAdjoint(NamedTuple):
     start: int
     stop: int
     g: np.ndarray
+
+
+class _Deferred(NamedTuple):
+    """An adjoint not yet formed: ``make()`` returns it as a new array,
+    which the sweep owns. ``Tape.backward`` calls it when it first needs
+    the input's adjoint."""
+
+    make: Callable[[], np.ndarray]
 
 
 class Tape:
@@ -152,6 +169,14 @@ class Tape:
         neither. A row slice's adjoint is added into the rows it came
         from, without a zero-padded copy of the whole input.
 
+        A deferred adjoint stays unformed in ``pending`` until the sweep
+        needs that input's adjoint: when another adjoint arrives for it
+        (the deferred one is formed and owned first, then the sum runs
+        as above), when its own record is popped, or when it is returned
+        for ``wrt``. Its ``make()`` returns a new array the sweep owns,
+        and no code writes the producing VJP's ``g`` after that VJP
+        returns, since ``make()`` may still read it.
+
         A returned array the sweep owned is writeable and the caller's
         alone; any other is read-only and may be shared (``add`` hands
         one adjoint to both inputs) or a broadcast view (``sum_all``).
@@ -165,34 +190,54 @@ class Tape:
         if any(id(t) in recorded for t in wrt):
             raise ValueError("backward: wrt holds an output this tape recorded")
         self._records = None
-        pending: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        owned: set[int] = {id(loss)}  # keys whose pending array the sweep owns
+        pending: dict[int, np.ndarray | _Deferred] = {id(loss): np.ones((1, 1))}
+        # keys whose pending array the sweep owns, deferred ones included
+        owned: set[int] = {id(loss)}
         while records:
             out, inputs, vjp = records.pop()
             key = id(out)
             g = pending.pop(key, None)
             if g is None:
                 continue
+            if isinstance(g, _Deferred):
+                g = g.make()
             if key in owned:
                 owned.remove(key)
             else:
                 g = _read_only(g)
             contribs = vjp(g)
             _accumulate(pending, owned, inputs, contribs)
-        return [(pending[id(t)] if id(t) in owned else _read_only(pending[id(t)]))
+        return [(_formed(pending, id(t)) if id(t) in owned
+                 else _read_only(pending[id(t)]))
                 if id(t) in pending else np.zeros_like(t.data) for t in wrt]
 
 
-def _accumulate(pending: dict[int, np.ndarray], owned: set[int],
+def _formed(pending: dict[int, np.ndarray | _Deferred], key: int) -> np.ndarray | None:
+    """``pending[key]``, formed first if it is a deferred adjoint."""
+    prev = pending.get(key)
+    if isinstance(prev, _Deferred):
+        prev = pending[key] = prev.make()
+    return prev
+
+
+def _accumulate(pending: dict[int, np.ndarray | _Deferred], owned: set[int],
                 inputs: tuple[Tensor, ...], contribs: tuple) -> None:
     """Add one VJP's adjoints into ``pending`` under ``Tape.backward``'s
-    ownership rule; ``owned`` holds the keys whose array the sweep owns."""
+    ownership rule; ``owned`` holds the keys whose array the sweep owns.
+    A deferred adjoint for a key with nothing pending is kept unformed."""
     fresh = _fresh_arrays(contribs)
     for inp, contrib in zip(inputs, contribs):
         if contrib is None or not inp.requires_grad:
             continue
         key = id(inp)
-        prev = pending.get(key)
+        if isinstance(contrib, _Deferred):
+            if key not in pending:
+                pending[key] = contrib
+                owned.add(key)
+                continue
+            contrib = contrib.make()
+            fresh.add(id(contrib))
+        prev = _formed(pending, key)
         if isinstance(contrib, _RowAdjoint):
             if key not in owned:
                 pending[key] = (np.zeros_like(inp.data) if prev is None
@@ -223,7 +268,7 @@ def _fresh_arrays(contribs) -> set[int]:
     its own memory, is writeable, and no other entry of ``contribs`` is
     the same array or a view onto it."""
     arrays = [c.g if isinstance(c, _RowAdjoint) else c
-              for c in contribs if c is not None]
+              for c in contribs if c is not None and not isinstance(c, _Deferred)]
     roots = [id(a) if a.base is None else id(a.base) for a in arrays]
     return {id(a) for a, root in zip(arrays, roots)
             if a.base is None and a.flags.writeable and roots.count(root) == 1}
@@ -389,7 +434,7 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ah = None if weight_first else per_view(adj, h.data)
     pre = per_view(adj, h.data @ w.data) if weight_first else ah @ w.data
     pre += b.data
-    out = np.where(pre > 0, pre, 0.0)
+    out = _relu_in_place(pre)
 
     def vjp(g):
         # the relu mask goes into an owned g in place; gz is this VJP's
@@ -409,6 +454,15 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (h, w, b), vjp)
 
 
+def _relu_in_place(pre: np.ndarray) -> np.ndarray:
+    """``pre`` with relu applied in place, the bytes of
+    ``np.where(pre > 0, pre, 0.0)`` in one pass: fmax maps NaN to 0, and
+    adding +0.0 turns its -0.0 into +0.0."""
+    np.fmax(pre, 0.0, out=pre)
+    pre += 0.0
+    return pre
+
+
 # rows per block of relation_attention's VJP: each block's merge term is
 # a temporary of this many rows instead of one of all M
 _ROW_BLOCK = 64
@@ -423,11 +477,14 @@ def relation_attention(embeddings: Sequence[Tensor],
     the merge is sum_t (mean_h w_{h,t}) * E_t.
 
     Returns the merged M x D tensor and the T x M x H softmax weights,
-    which are all the record keeps for its VJP. The VJP's one new M x D
-    array per relation is that relation's adjoint: the score term
-    ``gs @ q_t^T`` is formed into it and the merge term ``c_t * g`` is
-    added in blocks of ``_ROW_BLOCK`` rows (float addition commutes, so
-    the bits are those of ``c_t * g + gs @ q_t^T``).
+    which are all the record keeps for its VJP. The VJP forms the query
+    adjoints at once and returns each trainable embedding's adjoint
+    deferred (``_Deferred``), holding only ``g`` and the small score
+    adjoints until the sweep needs it. Its ``make()`` returns one new
+    M x D array: the score term ``gs @ q_t^T`` is formed into it and the
+    merge term ``c_t * g`` is added in blocks of ``_ROW_BLOCK`` rows
+    (float addition commutes, so the bits are those of
+    ``c_t * g + gs @ q_t^T``).
     """
     if len(embeddings) != len(queries) or not embeddings:
         raise ShapeError(f"{len(embeddings)} embeddings for {len(queries)} query sets")
@@ -452,13 +509,8 @@ def relation_attention(embeddings: Sequence[Tensor],
                               - (weights * g_row[:, :, None]).sum(axis=0))
         g_emb, g_q = [], []
         for e, qt, c, gs, per_t in zip(embeddings, q, per_row, g_scores, queries):
-            ge = None
-            if e.requires_grad:
-                ge = gs @ qt.T
-                for r in range(0, m, _ROW_BLOCK):
-                    rows = slice(r, r + _ROW_BLOCK)
-                    ge[rows] += c[rows, None] * g[rows]
-            g_emb.append(ge)
+            g_emb.append(_Deferred(partial(_embedding_adjoint, g, gs, qt, c))
+                         if e.requires_grad else None)
             gq = e.data.T @ gs
             g_q.extend(gq[:, i:i + 1] if qh.requires_grad else None
                        for i, qh in enumerate(per_t))
@@ -466,6 +518,17 @@ def relation_attention(embeddings: Sequence[Tensor],
 
     inputs = (*embeddings, *(qh for per_t in queries for qh in per_t))
     return _make(out, inputs, vjp), weights
+
+
+def _embedding_adjoint(g: np.ndarray, gs: np.ndarray, qt: np.ndarray,
+                       c: np.ndarray) -> np.ndarray:
+    """One relation's M x D adjoint ``c * g + gs @ qt^T`` in a new array,
+    the merge term added ``_ROW_BLOCK`` rows at a time."""
+    ge = gs @ qt.T
+    for r in range(0, len(ge), _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        ge[rows] += c[rows, None] * g[rows]
+    return ge
 
 
 def hybrid_loss(node_parts: Sequence[Tensor], merged: Tensor) -> Tensor:

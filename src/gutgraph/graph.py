@@ -171,13 +171,29 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
     return RelationGraph(kind, adjacency, threshold)
 
 
+# rows per block of normalize_adjacency's division: each block's
+# sqrt(deg_i * deg_j) is a temporary of this many rows instead of N
+_NORMALIZE_BLOCK = 64
+
+
 def normalize_adjacency(graph: RelationGraph) -> np.ndarray:
     """Symmetric degree-normalized adjacency with self-loops folded in:
-    D^(-1/2) (A + I) D^(-1/2)."""
-    a_hat = graph.adjacency.astype(np.float64) + np.eye(graph.n_nodes)
+    D^(-1/2) (A + I) D^(-1/2).
+
+    Built in one N x N array: the diagonal is empty, so setting it to 1
+    adds I exactly, and each entry (i, j) is divided in place by
+    sqrt(deg_i * deg_j), ``_NORMALIZE_BLOCK`` rows at a time; the bits
+    are those of ``a_hat / np.sqrt(np.outer(deg, deg))``."""
+    a_hat = graph.adjacency.astype(np.float64)
+    np.fill_diagonal(a_hat, 1.0)
     deg = a_hat.sum(axis=1)
-    # entry (i, j) becomes a_hat_ij / sqrt(deg_i * deg_j)
-    return a_hat / np.sqrt(np.outer(deg, deg))
+    n = len(deg)
+    block = np.empty((min(_NORMALIZE_BLOCK, n), n))
+    for r in range(0, n, _NORMALIZE_BLOCK):
+        rows = slice(r, r + _NORMALIZE_BLOCK)
+        scale = np.outer(deg[rows], deg, out=block[:n - r])
+        a_hat[rows] /= np.sqrt(scale, out=scale)
+    return a_hat
 
 
 def shuffle_features(values: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ def parse_abundance_table(stream, delimiter: str = "\t") -> AbundanceTable:
             except ValueError:
                 raise TableFormatError(
                     f"row {rownum}, column {col}: cannot parse {cell!r}") from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise TableFormatError(
                     f"row {rownum}, column {col}: non-finite value {cell!r}")
             if v < 0:

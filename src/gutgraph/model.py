@@ -273,9 +273,10 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     one attention record merges the stacks and the hybrid loss
     (``autodiff.hybrid_loss``, one record) takes the stacked merge. So
     each relation's node adjoints fold into its stack as soon as its
-    discriminator records are swept, and the backward sweep peaks in
-    the attention merge's VJP, which returns every relation's 2N x D
-    adjoint at once.
+    discriminator records are swept, and the attention merge's VJP
+    defers each relation's 2N x D adjoint until the sweep reaches that
+    relation's records: the sweep holds one relation's adjoint at a
+    time and peaks in the first GCN-layer VJP it meets.
     ``frozen_histograms`` substitutes stored graph-level readouts (they
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gutgraph import autodiff as ad
 from gutgraph.train import head_gradients
@@ -362,6 +363,20 @@ def test_gcn_layer_matches_per_view_oracle(n, d, d_in, views, trainable, seed):
     assert _max_rel(got, want) <= 1e-12
 
 
+relu_specials = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                  5e-324, -5e-324, 2.2e-308, -2.2e-308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pre=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                      elements=relu_specials | st.floats(allow_subnormal=True)))
+def test_relu_in_place_has_the_bytes_of_where(pre):
+    want = np.where(pre > 0, pre, 0.0)
+    got = ad._relu_in_place(pre)
+    assert np.shares_memory(got, pre)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(**attention_shapes)
 def test_relation_attention_matches_per_head_oracle(n, d, heads, relations, views, seed):
@@ -458,20 +473,33 @@ def test_relation_attention_vjp_has_the_bits_of_the_direct_formula(
     m = views * n
     embeddings, q, weights, vjp = _attention_record(m, d, heads, relations, rng)
     g = rng.normal(size=(m, d))
-    got = vjp(g.copy())
+    g_in = g.copy()
+    deferred = vjp(g_in)[:relations]
+    assert all(isinstance(a, ad._Deferred) for a in deferred)
+    got = [a.make() for a in deferred]
+    # forming an adjoint reads g and never writes it
+    assert g_in.tobytes() == g.tobytes()
+    for t in range(relations):
+        assert got[t].tobytes() == _attention_adjoint(g, embeddings, q, weights, t).tobytes()
+
+
+def _attention_adjoint(g, embeddings, q, weights, t):
+    """Relation t's embedding adjoint by the direct formula c_t * g +
+    gs_t @ q_t^T, c_t the head mean of the softmax weights and gs_t the
+    score adjoint."""
+    heads = weights.shape[2]
     g_row = np.stack([np.einsum("ij,ij->i", g, e.data) for e in embeddings]) / heads
     gs = weights * (g_row[:, :, None] - (weights * g_row[:, :, None]).sum(axis=0))
-    c = weights.mean(axis=2)
-    for t in range(relations):
-        want = c[t][:, None] * g + gs[t] @ q[t].T
-        assert got[t].tobytes() == want.tobytes()
+    return weights.mean(axis=2)[t][:, None] * g + gs[t] @ q[t].T
 
 
 def test_relation_attention_vjp_allocates_one_stack_per_relation():
-    # three relations: the three M x D adjoints, one block of the merge
-    # term and the M x H score arrays come to about 3.35 M x D stacks;
-    # forming c_t * g whole and adding gs_t @ q_t^T as a second M x D
-    # temporary took about 4.1
+    # three relations: the VJP itself forms no M x D array, only the
+    # M x H score arrays (about 0.34 M x D stacks; 3.35 when it formed
+    # every adjoint at once). Over the VJP and the three make() calls,
+    # the three M x D adjoints, one block of the merge term and the
+    # score arrays come to about 3.34 stacks; forming c_t * g whole and
+    # adding gs_t @ q_t^T as a second M x D temporary took about 4.1
     m, d = 10 * ad._ROW_BLOCK - 40, 128
     _, _, _, vjp = _attention_record(m, d, 4, 3, np.random.default_rng(5))
     g = np.random.default_rng(6).normal(size=(m, d))
@@ -482,11 +510,15 @@ def test_relation_attention_vjp_allocates_one_stack_per_relation():
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         adjoints = vjp(g)
+        vjp_peak = tracemalloc.get_traced_memory()[1] - base
+        formed = [a.make() for a in adjoints[:3]]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
     assert len(adjoints) == 3 + 3 * 4
+    assert all(a.shape == (m, d) for a in formed)
+    assert vjp_peak / (m * d * 8) < 0.5
     assert peak / (m * d * 8) < 3.5
 
 
@@ -516,7 +548,7 @@ def test_kernels_skip_adjoints_of_constant_operands():
     assert g_x is None and g_w.shape == (3, 2) and g_b.shape == (1, 2)
     g_h, g_e, g_q, g_const = vjp_att(np.ones((8, 2)))
     assert g_e is None and g_const is None
-    assert g_h.shape == (8, 2) and g_q.shape == (2, 1)
+    assert g_h.make().shape == (8, 2) and g_q.shape == (2, 1)
 
 
 def test_slice_rows_is_a_view():
@@ -545,6 +577,61 @@ def test_row_slice_adjoint_leaves_a_shared_adjoint_alone():
         gx, gz = tape.backward(loss, [x, z])
     assert gz.tobytes() == c.tobytes()
     assert gx.tobytes() == (c + np.concatenate([c_top, c_bottom])).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 150), d=st.integers(1, 4), heads=st.integers(1, 3),
+       seed=st.integers(0, 2**16), data=st.data())
+# a leaf at two slots of one record, then a row view and a second record
+@example(m=ad._ROW_BLOCK + 5, d=2, heads=2, seed=3, data=None)
+def test_deferred_adjoints_sum_in_the_eager_order(m, d, heads, seed, data):
+    # a leaf x gets deferred adjoints from two or more attention records
+    # (at one or two slots each) and row-view adjoints; its gradient must
+    # have the bytes of every contribution formed at once and summed in
+    # the order the sweep meets them: the ops in reverse, each record's
+    # slots in input order, a row view added into an owned copy
+    if data is None:
+        ops = [("attention", (0, 2)), ("rows", (3, 40)), ("attention", (1,))]
+    else:
+        slots = st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)
+        rows = st.integers(0, m - 1).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(a + 1, m)))
+        ops = data.draw(st.lists(st.one_of(st.tuples(st.just("attention"), slots),
+                                           st.tuples(st.just("rows"), rows)),
+                                 min_size=2, max_size=6))
+        assume(sum(kind == "attention" for kind, _ in ops) >= 2)
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(m, d)), requires_grad=True)
+    contribs, loss = [], None
+    with ad.Tape() as tape:
+        for kind, arg in ops:
+            if kind == "rows":
+                start, stop = arg
+                c = rng.normal(size=(stop - start, d))
+                term = ad.sum_all(ad.mul(ad.slice_rows(x, start, stop), ad.constant(c)))
+                contribs.append([(arg, c)])
+            else:
+                embeddings = [x if t in arg else ad.Tensor(rng.normal(size=(m, d)),
+                                                           requires_grad=True)
+                              for t in range(3)]
+                q = [rng.normal(size=(d, heads)) for _ in range(3)]
+                queries = [[ad.constant(qt[:, h:h + 1]) for h in range(heads)] for qt in q]
+                c = rng.normal(size=(m, d))
+                merged, weights = ad.relation_attention(embeddings, queries)
+                term = ad.sum_all(ad.mul(merged, ad.constant(c)))
+                contribs.append([(None, _attention_adjoint(c, embeddings, q, weights, t))
+                                 for t in sorted(arg)])
+            loss = term if loss is None else ad.add(loss, term)
+        (gx,) = tape.backward(loss, [x])
+    want = None
+    for per_op in reversed(contribs):
+        for rows, c in per_op:
+            if rows is None:
+                want = c if want is None else want + c
+            else:
+                want = np.zeros((m, d)) if want is None else want.copy()
+                want[rows[0]:rows[1]] += c
+    assert gx.tobytes() == want.tobytes()
 
 
 def _unfused_hybrid(parts, merged):

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -291,6 +292,50 @@ def test_normalize_entry_formula():
     assert m[0, 1] == pytest.approx(1.0 / np.sqrt(deg[0] * deg[1]), abs=1e-15)
     assert m[1, 1] == pytest.approx(1.0 / deg[1], abs=1e-15)
     assert m[3, 1] == 0.0
+
+
+def _normalized_by_formula(a: np.ndarray) -> np.ndarray:
+    a_hat = a.astype(np.float64) + np.eye(a.shape[0])
+    deg = a_hat.sum(axis=1)
+    return a_hat / np.sqrt(np.outer(deg, deg))
+
+
+@st.composite
+def symmetric_adjacencies(draw):
+    n = draw(st.integers(1, 3 * gg._NORMALIZE_BLOCK + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), k=1)
+    return a | a.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=symmetric_adjacencies())
+def test_normalize_has_the_bytes_of_the_outer_product_formula(a):
+    g = gg.RelationGraph(gg.DistanceKind.BRAY_CURTIS, a, 0.6)
+    assert gg.normalize_adjacency(g).tobytes() == _normalized_by_formula(a).tobytes()
+
+
+def test_normalize_allocates_about_one_matrix():
+    # the result and one row block of sqrt(deg_i deg_j): about 1.09 N x N
+    # float64 arrays at N=960 (1.15 when each block was a new array, so
+    # two were alive at once); astype, the + eye temporary, np.outer and
+    # its sqrt took 3.0
+    n = 960
+    rng = np.random.default_rng(3)
+    a = np.triu(rng.random((n, n)) < 0.3, k=1)
+    g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN, a | a.T, 0.6)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m = gg.normalize_adjacency(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / m.nbytes < 1.1
 
 
 # ---------------------------------------------------------------------------
