@@ -396,10 +396,15 @@ def sum_all(x: Tensor) -> Tensor:
 # model runs over every relation and both views each epoch
 
 
-def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def gcn_layer(adj: Callable[[], np.ndarray], h: Tensor, w: Tensor,
+              b: Tensor) -> Tensor:
     """relu(A @ H_v @ W + b) for every view H_v of the N nodes stacked
-    row-wise in ``h`` (V*N rows). ``adj`` is the constant N x N
-    normalized adjacency; the relu's subgradient at exactly 0 is 0.
+    row-wise in ``h`` (V*N rows). ``adj()`` returns the constant N x N
+    normalized adjacency; the forward pass calls it once and the VJP
+    again when it multiplies by A^T, so the record keeps no N x N
+    matrix and ``adj`` may hand out a shared buffer it refills in
+    between (``MultiGraph``).
+    The relu's subgradient at exactly 0 is 0.
 
     The layer takes whichever product order costs fewer multiply-adds
     for the forward pass and the VJP together, A (H W) on a tie. The
@@ -418,12 +423,13 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     masks an owned adjoint in place, and a square A (H W) layer writes
     dH into that same buffer.
     """
-    n = adj.shape[0]
+    a_norm = adj()
+    n = a_norm.shape[0]
     rows, d_in = h.data.shape
     d_out = w.data.shape[1]
-    if adj.shape != (n, n) or rows % n or w.data.shape[0] != d_in \
+    if a_norm.shape != (n, n) or rows % n or w.data.shape[0] != d_in \
             or b.data.shape != (1, d_out):
-        raise ShapeError(f"gcn_layer: adjacency {adj.shape}, input {h.data.shape}, "
+        raise ShapeError(f"gcn_layer: adjacency {a_norm.shape}, input {h.data.shape}, "
                          f"weight {w.data.shape}, bias {b.data.shape}")
     views = rows // n
 
@@ -431,8 +437,8 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return np.matmul(a, m.reshape(views, n, -1)).reshape(rows, -1)
 
     weight_first = 2 * d_out <= d_in * (2 if h.requires_grad else 1)
-    ah = None if weight_first else per_view(adj, h.data)
-    pre = per_view(adj, h.data @ w.data) if weight_first else ah @ w.data
+    ah = None if weight_first else per_view(a_norm, h.data)
+    pre = per_view(a_norm, h.data @ w.data) if weight_first else ah @ w.data
     pre += b.data
     out = _relu_in_place(pre)
 
@@ -442,13 +448,13 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gz = np.multiply(g, out > 0, out=g if g.flags.writeable else None)
         gb = gz.sum(axis=0, keepdims=True) if b.requires_grad else None
         if weight_first:
-            q = per_view(adj.T, gz)
+            q = per_view(adj().T, gz)
             gw = h.data.T @ q if w.requires_grad else None
             # a square layer's dH = q W^T fits gz's buffer, no longer read
             gh = np.matmul(q, w.data.T, out=gz if d_in == d_out else None) \
                 if h.requires_grad else None
             return gh, gw, gb
-        return (per_view(adj.T, gz @ w.data.T) if h.requires_grad else None,
+        return (per_view(adj().T, gz @ w.data.T) if h.requires_grad else None,
                 ah.T @ gz if w.requires_grad else None, gb)
 
     return _make(out, (h, w, b), vjp)

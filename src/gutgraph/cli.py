@@ -23,8 +23,8 @@ import sys
 from . import model
 from . import train as tr
 from .gradcheck import DEFAULT_TOLERANCE, gradient_check
-from .graph import ALL_KINDS, GraphBuildError, build_multigraph, edge_list_lines, \
-    edge_list_sidecar, relation_graph
+from .graph import GraphBuildError, build_multigraph, edge_list_lines, \
+    edge_list_sidecar
 from .ingest import (FilterPolicy, TableFormatError, filter_low_abundance,
                      parse_abundance_table, quote_field, read_labels,
                      removal_report, serialize_abundance_table,
@@ -148,8 +148,8 @@ def cmd_build_graphs(args) -> int:
     })
     table = _read_table(args)
     # every relation is built before any file is written
-    graphs = [relation_graph(table.values, kind, cfg.threshold) for kind in ALL_KINDS]
-    for kind, graph in zip(ALL_KINDS, graphs):
+    graphs = build_multigraph(table.values, cfg.threshold).graphs
+    for kind, graph in graphs.items():
         lines = edge_list_lines(graph)
         body = "\n".join(lines) + "\n" if lines else ""
         tr.atomic_write_text(
@@ -237,7 +237,7 @@ def cmd_embed(args) -> int:
     mg = build_multigraph(table.values, cfg.threshold)
     if params is None:
         params, _ = tr.train_unsupervised(mg, cfg)
-    emb = model.encode(mg.features, mg.norm_adjs, params, cfg)
+    emb = model.encode(mg.features, mg.normalized, params, cfg)
     d = args.delimiter
     body = "".join(
         quote_field(sid, d) + d + d.join(repr(v) for v in row) + "\n"

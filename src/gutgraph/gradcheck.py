@@ -71,7 +71,7 @@ def gradient_sides(seed: int = 0) -> Sides:
     root = np.random.SeedSequence(seed)
     data_rng = np.random.default_rng(root.spawn(1)[0])
     x = data_rng.random((_N_NODES, _N_FEATURES)) + 0.05
-    adjs = build_multigraph(x, threshold=0.6).norm_adjs
+    adjs = build_multigraph(x, threshold=0.6).normalized
     x_shuffled, _ = shuffle_features(x, seed=seed + 1)
     init_ss = root.spawn(2)[1]
 

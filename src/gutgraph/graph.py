@@ -25,7 +25,7 @@ it with ``shuffle_features``); the graph layer holds no seed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,6 +113,12 @@ def pairwise_distances(values: np.ndarray, kind: DistanceKind) -> np.ndarray:
     return out
 
 
+# rows per block of build_relation_graph's rescale and of
+# normalize_adjacency's division: each block is a temporary of this many
+# rows instead of N
+_ROW_BLOCK = 64
+
+
 @dataclass
 class RelationGraph:
     """One undirected relation type: binary adjacency, no self-loops."""
@@ -148,6 +154,11 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
     exists iff (d_ij - min) / (max - min) < threshold, strictly. A
     degenerate matrix whose off-diagonal distances are all equal has no
     usable scale and is rejected.
+
+    The extremes are reduced under an off-diagonal mask and the
+    rescale runs ``_ROW_BLOCK`` rows at a time through one block
+    buffer, so no N x N float temporary is formed; the bits are those
+    of ``((d - lo) / (hi - lo) < threshold) & off``.
     """
     d = np.asarray(distances, dtype=np.float64)
     n = d.shape[0]
@@ -159,38 +170,48 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
         raise GraphBuildError("distance matrix must have a zero diagonal")
     if not (0.0 < threshold < 1.0):
         raise GraphBuildError(f"threshold must lie in (0, 1), got {threshold}")
-    off = ~np.eye(n, dtype=bool)
-    off_diagonal = d[off]
-    lo, hi = off_diagonal.min(), off_diagonal.max()
+    lo, hi = _off_diagonal_range(d)
     if lo == hi:
         raise GraphBuildError(
             f"all off-diagonal {kind.value} distances equal {lo}; "
             "no scale to threshold against")
-    rescaled = (d - lo) / (hi - lo)
-    adjacency = (rescaled < threshold) & off
+    scale = hi - lo
+    adjacency = np.empty((n, n), dtype=bool)
+    block = np.empty((min(_ROW_BLOCK, n), n))
+    for r in range(0, n, _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        rescaled = np.subtract(d[rows], lo, out=block[:n - r])
+        rescaled /= scale
+        np.less(rescaled, threshold, out=adjacency[rows])
+    np.fill_diagonal(adjacency, False)
     return RelationGraph(kind, adjacency, threshold)
 
 
-# rows per block of normalize_adjacency's division: each block's
-# sqrt(deg_i * deg_j) is a temporary of this many rows instead of N
-_NORMALIZE_BLOCK = 64
+def _off_diagonal_range(d: np.ndarray) -> tuple[float, float]:
+    """(min, max) over the off-diagonal entries of square ``d``, reduced
+    under a mask instead of over a copy of them."""
+    off = ~np.eye(d.shape[0], dtype=bool)
+    return d.min(where=off, initial=np.inf), d.max(where=off, initial=-np.inf)
 
 
-def normalize_adjacency(graph: RelationGraph) -> np.ndarray:
+def normalize_adjacency(graph: RelationGraph,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Symmetric degree-normalized adjacency with self-loops folded in:
-    D^(-1/2) (A + I) D^(-1/2).
+    D^(-1/2) (A + I) D^(-1/2), written into ``out`` (an N x N float64
+    array) when given, else into a new array.
 
     Built in one N x N array: the diagonal is empty, so setting it to 1
     adds I exactly, and each entry (i, j) is divided in place by
-    sqrt(deg_i * deg_j), ``_NORMALIZE_BLOCK`` rows at a time; the bits
-    are those of ``a_hat / np.sqrt(np.outer(deg, deg))``."""
-    a_hat = graph.adjacency.astype(np.float64)
+    sqrt(deg_i * deg_j), ``_ROW_BLOCK`` rows at a time; the bits are
+    those of ``a_hat / np.sqrt(np.outer(deg, deg))``."""
+    a_hat = np.empty(graph.adjacency.shape) if out is None else out
+    a_hat[...] = graph.adjacency
     np.fill_diagonal(a_hat, 1.0)
     deg = a_hat.sum(axis=1)
     n = len(deg)
-    block = np.empty((min(_NORMALIZE_BLOCK, n), n))
-    for r in range(0, n, _NORMALIZE_BLOCK):
-        rows = slice(r, r + _NORMALIZE_BLOCK)
+    block = np.empty((min(_ROW_BLOCK, n), n))
+    for r in range(0, n, _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
         scale = np.outer(deg[rows], deg, out=block[:n - r])
         a_hat[rows] /= np.sqrt(scale, out=scale)
     return a_hat
@@ -220,29 +241,58 @@ def relation_graph(values: np.ndarray, kind: DistanceKind,
 
 @dataclass
 class MultiGraph:
-    """Shared node features plus one normalized adjacency per distance
-    kind, which is all that training and encoding read."""
+    """Shared node features plus one boolean relation graph per distance
+    kind in ``ALL_KINDS``, which is all that training and encoding read.
+
+    ``normalized(kind)`` writes that relation's normalized adjacency
+    into one float64 N x N buffer the multigraph shares between its
+    relations, allocated on first use, and returns it as a read-only
+    view. The buffer is refilled only when it holds another kind, so
+    the view stays valid until the next call for another kind, and a
+    caller that needs the matrix later calls again instead of keeping
+    it. The buffer makes a multigraph single-threaded.
+    """
 
     features: np.ndarray
-    norm_adjs: dict[DistanceKind, np.ndarray]
+    graphs: dict[DistanceKind, RelationGraph]
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False)
+    _held: DistanceKind | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.features.shape[0]
-        for kind, a in self.norm_adjs.items():
-            if a.shape != (n, n):
+        if set(self.graphs) != set(ALL_KINDS):
+            raise GraphBuildError(
+                f"relations {sorted(k.value for k in self.graphs)} are not "
+                f"{sorted(k.value for k in ALL_KINDS)}")
+        for kind, graph in self.graphs.items():
+            if graph.kind is not kind:
                 raise GraphBuildError(
-                    f"{kind.value} graph has {a.shape[0]} nodes for {n} samples")
+                    f"{graph.kind.value} graph filed as {kind.value}")
+            if graph.n_nodes != n:
+                raise GraphBuildError(
+                    f"{kind.value} graph has {graph.n_nodes} nodes for {n} samples")
+
+    def normalized(self, kind: DistanceKind) -> np.ndarray:
+        """``normalize_adjacency(self.graphs[kind])`` in the shared
+        buffer, read-only; valid until the next call for another kind."""
+        if self._held is not kind:
+            if self._buffer is None:
+                n = self.features.shape[0]
+                self._buffer = np.empty((n, n))
+            self._held = None  # a failed refill leaves no kind held
+            normalize_adjacency(self.graphs[kind], out=self._buffer)
+            self._held = kind
+        view = self._buffer.view()
+        view.flags.writeable = False
+        return view
 
 
 def build_multigraph(values: np.ndarray, threshold: float = 0.6) -> MultiGraph:
-    """One normalized relation per distance kind in ``ALL_KINDS``, in
-    that order, over a private float64 copy of ``values``. Each relation
-    is normalized as soon as it is built, so no boolean adjacency
-    outlives its normalization."""
+    """One relation graph per distance kind in ``ALL_KINDS``, in that
+    order, over a private float64 copy of ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    norm_adjs = {kind: normalize_adjacency(relation_graph(values, kind, threshold))
-                 for kind in ALL_KINDS}
-    return MultiGraph(values.copy(), norm_adjs)
+    graphs = {kind: relation_graph(values, kind, threshold) for kind in ALL_KINDS}
+    return MultiGraph(values.copy(), graphs)
 
 
 def edge_list_lines(graph: RelationGraph) -> list[str]:

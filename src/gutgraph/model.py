@@ -17,7 +17,8 @@ views of the stacked products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -104,15 +105,15 @@ def init_model_params(n_features: int, cfg: TrainConfig,
 # encoder and readout
 
 
-def gcn_forward(norm_adj: np.ndarray, x: Tensor,
+def gcn_forward(adj: Callable[[], np.ndarray], x: Tensor,
                 layers: list[tuple[Tensor, Tensor]]) -> Tensor:
     """relu(A_norm @ H @ W + b) stacked, one fused record per layer;
-    the normalized adjacency is applied at every layer and the last
-    layer keeps its relu. ``x`` may stack several views of the nodes
-    row-wise; each is propagated over the same graph."""
+    the normalized adjacency ``adj()`` is applied at every layer and
+    the last layer keeps its relu. ``x`` may stack several views of the
+    nodes row-wise; each is propagated over the same graph."""
     h = x
     for w, b in layers:
-        h = ad.gcn_layer(norm_adj, h, w, b)
+        h = ad.gcn_layer(adj, h, w, b)
     return h
 
 
@@ -255,7 +256,7 @@ class ForwardResult:
 
 
 def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
-                  norm_adjs: dict[DistanceKind, np.ndarray],
+                  adjacency: Callable[[DistanceKind], np.ndarray],
                   params: ModelParams, cfg: TrainConfig,
                   frozen_histograms: dict[DistanceKind, np.ndarray] | None = None
                   ) -> ForwardResult:
@@ -264,6 +265,10 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     ``cfg`` supplies ``bins``, ``histogram_weighting`` and the switches
     ``use_attention``, ``two_stage_summary`` and ``use_adversarial``;
     ``params`` must hold the tensors those switches train.
+    ``adjacency(kind)`` returns ``kind``'s normalized adjacency
+    (``MultiGraph.normalized``); each GCN layer calls it in its forward
+    pass and again in its VJP, so the matrix need only stay valid until
+    the next call for another kind, and no record keeps it.
 
     The two views run stacked, original rows [0, N) over shuffled rows
     [N, 2N), through one GCN record per layer and relation. One pass per
@@ -286,7 +291,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     histograms: dict[DistanceKind, np.ndarray] = {}
     l_adv = None
     for kind in ALL_KINDS:
-        h = gcn_forward(norm_adjs[kind], stacked, params.layers[kind])
+        h = gcn_forward(partial(adjacency, kind), stacked, params.layers[kind])
         h_pos = ad.slice_rows(h, 0, n)
         if cfg.two_stage_summary:
             frozen = None if frozen_histograms is None else frozen_histograms[kind]
@@ -321,12 +326,13 @@ def _merge(embeddings: list[Tensor], params: ModelParams,
     return average_merge(embeddings)
 
 
-def encode(x: np.ndarray, norm_adjs: dict[DistanceKind, np.ndarray],
+def encode(x: np.ndarray, adjacency: Callable[[DistanceKind], np.ndarray],
            params: ModelParams, cfg: TrainConfig) -> np.ndarray:
     """N x D merged embedding of the original view (no tape, no grads),
-    through the same fused kernels as ``joint_forward``; ``cfg``'s
+    through the same fused kernels as ``joint_forward``, with the
+    normalized adjacencies ``adjacency(kind)``; ``cfg``'s
     ``use_attention`` picks the merge."""
     xt = ad.constant(x)
-    embeddings = [gcn_forward(norm_adjs[kind], xt, params.layers[kind])
+    embeddings = [gcn_forward(partial(adjacency, kind), xt, params.layers[kind])
                   for kind in ALL_KINDS]
     return _merge(embeddings, params, cfg).data

@@ -133,7 +133,7 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
         if epoch == 0 or cfg.fresh_corruption:
             x_shuffled, _ = shuffle_features(mg.features, corrupt_rng)
         with ad.Tape() as tape:
-            result = model.joint_forward(mg.features, x_shuffled, mg.norm_adjs,
+            result = model.joint_forward(mg.features, x_shuffled, mg.normalized,
                                          params, cfg)
             value = result.loss.item()
             if not np.isfinite(value):
@@ -353,7 +353,7 @@ def _evaluate_single_seed(mg: MultiGraph, labels: np.ndarray,
                           ) -> tuple[list[MetricsRow], list[float]]:
     run_cfg = dataclasses.replace(cfg, seed=cfg.seed + seed_index)
     params, trace = train_unsupervised(mg, run_cfg)
-    embeddings = model.encode(mg.features, mg.norm_adjs, params, cfg)
+    embeddings = model.encode(mg.features, mg.normalized, params, cfg)
     return _fold_rows(embeddings, labels, cfg, seed_index), trace
 
 
@@ -406,7 +406,7 @@ def evaluate_with_params(values: np.ndarray, labels: np.ndarray,
     path): the folds of seed index 0, no unsupervised training."""
     values, labels = _labelled_values(values, labels)
     mg = build_multigraph(values, cfg.threshold)
-    embeddings = model.encode(mg.features, mg.norm_adjs, params, cfg)
+    embeddings = model.encode(mg.features, mg.normalized, params, cfg)
     rows = _fold_rows(embeddings, labels, cfg, 0)
     return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
                          config=cfg.as_dict())

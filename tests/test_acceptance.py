@@ -169,7 +169,7 @@ def test_criterion_4_corruption_contract():
         f = int(rng.integers(3, 15))
         values = rng.uniform(0.01, 1.0, size=(n, f))
         mg = build_multigraph(values, 0.6)
-        before = {k: a.tobytes() for k, a in mg.norm_adjs.items()}
+        before = {k: mg.normalized(k).tobytes() for k in ALL_KINDS}
         shuffled, perm = shuffle_features(mg.features, rng)
         if np.array_equal(perm, np.arange(n)):
             identity_count += 1
@@ -177,7 +177,7 @@ def test_criterion_4_corruption_contract():
         rows_shuffled = sorted(map(tuple, shuffled.tolist()))
         if rows != rows_shuffled:
             multiset_failures += 1
-        after = {k: a.tobytes() for k, a in mg.norm_adjs.items()}
+        after = {k: mg.normalized(k).tobytes() for k in ALL_KINDS}
         if before != after:
             adjacency_failures += 1
         trials += 1

@@ -1,5 +1,4 @@
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -192,6 +191,64 @@ def test_build_relation_graph_hand_case():
     assert g.threshold == 0.6
 
 
+def _thresholded_by_formula(d: np.ndarray, threshold: float) -> np.ndarray:
+    off = ~np.eye(d.shape[0], dtype=bool)
+    off_diagonal = d[off]
+    lo, hi = off_diagonal.min(), off_diagonal.max()
+    return ((d - lo) / (hi - lo) < threshold) & off
+
+
+@st.composite
+def distance_matrices(draw):
+    """(d, levels): d is symmetric with a zero diagonal, and its
+    off-diagonal entries span [0, levels]. They are either the integers
+    0..levels, whose rescaled values k / levels tie a threshold of
+    j / levels exactly, or uniform floats."""
+    n = draw(st.integers(3, 2 * gg._ROW_BLOCK + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        d = rng.integers(0, levels + 1, size=(n, n)).astype(np.float64)
+    else:
+        d = rng.random((n, n)) * levels
+    d = np.triu(d, k=1)
+    d[0, 1], d[0, 2] = 0.0, levels
+    return d + d.T, levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(d_levels=distance_matrices(), data=st.data())
+def test_build_relation_graph_has_the_bytes_of_the_whole_matrix_formula(d_levels, data):
+    # the extremes over the off-diagonal mask and the row-blocked rescale
+    # give the edges of rescaling the whole matrix at once, ties included
+    d, levels = d_levels
+    threshold = data.draw(st.integers(1, levels - 1)) / levels
+    got = gg.build_relation_graph(d, gg.DistanceKind.BRAY_CURTIS, threshold)
+    assert got.adjacency.tobytes() == _thresholded_by_formula(d, threshold).tobytes()
+
+
+def test_build_relation_graph_allocates_no_float_matrix():
+    # beyond its input: the off-diagonal mask, the boolean result (N^2
+    # bytes each) and one 64-row float64 block, about 0.32 N x N float64
+    # at N=960; copying the off-diagonal entries and rescaling the whole
+    # matrix took 2.38
+    n = 960
+    d = gg.pairwise_distances(np.random.default_rng(5).random((n, 4)),
+                              gg.DistanceKind.EUCLIDEAN)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gg.build_relation_graph(d, gg.DistanceKind.EUCLIDEAN, 0.6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / d.nbytes < 0.4
+
+
 def test_threshold_extremes():
     rng = np.random.default_rng(3)
     x = rng.random((8, 5))
@@ -302,7 +359,7 @@ def _normalized_by_formula(a: np.ndarray) -> np.ndarray:
 
 @st.composite
 def symmetric_adjacencies(draw):
-    n = draw(st.integers(1, 3 * gg._NORMALIZE_BLOCK + 5))
+    n = draw(st.integers(1, 3 * gg._ROW_BLOCK + 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), k=1)
     return a | a.T
@@ -379,52 +436,62 @@ def test_build_multigraph():
     rng = np.random.default_rng(2)
     x = rng.random((10, 6)) + 0.01
     mg = gg.build_multigraph(x, threshold=0.6)
-    assert tuple(mg.norm_adjs) == gg.ALL_KINDS
+    assert tuple(mg.graphs) == gg.ALL_KINDS
     for kind in gg.ALL_KINDS:
         graph = gg.relation_graph(x, kind, 0.6)
         assert graph.adjacency.shape == (10, 10)
         # the same bits as normalizing the relation graph built on its own
-        assert (mg.norm_adjs[kind].tobytes()
+        assert (mg.normalized(kind).tobytes()
                 == gg.normalize_adjacency(graph).tobytes())
 
 
-def test_build_multigraph_holds_no_boolean_adjacency(monkeypatch):
-    # each relation graph is gone once normalized, before the next
-    # relation's distances are built, and the multigraph holds only the
-    # features and the float64 normalized adjacencies
-    normalized = []
-    normalize, distances = gg.normalize_adjacency, gg.pairwise_distances
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 2 * gg._ROW_BLOCK + 5), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(gg.ALL_KINDS), max_size=8))
+def test_normalized_has_the_bytes_of_normalize_adjacency(n, seed, kinds):
+    # whatever the buffer held before, each call returns the bytes of
+    # normalizing that relation on its own, read-only
+    mg = gg.build_multigraph(np.random.default_rng(seed).random((n, 5)) + 0.01)
+    for kind in kinds:
+        m = mg.normalized(kind)
+        assert m.tobytes() == gg.normalize_adjacency(mg.graphs[kind]).tobytes()
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
 
-    def all_gone():
-        return all(ref() is None for ref in normalized)
 
-    def recording_normalize(graph):
-        assert all_gone()
-        normalized.append(weakref.ref(graph))
-        return normalize(graph)
-
-    def checked_distances(values, kind):
-        assert all_gone()
-        return distances(values, kind)
-
-    monkeypatch.setattr(gg, "normalize_adjacency", recording_normalize)
-    monkeypatch.setattr(gg, "pairwise_distances", checked_distances)
-    mg = gg.build_multigraph(np.random.default_rng(3).random((12, 5)) + 0.01)
-    assert len(normalized) == len(gg.ALL_KINDS) and all_gone()
-    assert set(vars(mg)) == {"features", "norm_adjs"}
-    assert all(a.dtype == np.float64
-               for a in (mg.features, *mg.norm_adjs.values()))
+def test_multigraph_holds_one_normalized_matrix():
+    # the features, the three boolean graphs (N^2 bytes each) and one
+    # shared float64 N x N buffer, however many kinds were normalized;
+    # three float64 normalized adjacencies took 24 N^2 bytes
+    n = 300
+    x = np.random.default_rng(3).random((n, 5)) + 0.01
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mg = gg.build_multigraph(x)
+        for kind in gg.ALL_KINDS:
+            mg.normalized(kind)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert set(vars(mg)) == {"features", "graphs", "_buffer", "_held"}
+    assert all(g.adjacency.dtype == bool for g in mg.graphs.values())
+    assert held <= 8 * n * n + 3 * n * n + mg.features.nbytes + 64 * 1024
 
 
 def test_corruption_leaves_multigraph_unchanged():
     x = np.random.default_rng(9).random((7, 4)) + 0.01
     mg = gg.build_multigraph(x)
     # adjacency is a function of the ORIGINAL features only
-    before = ({k: m.tobytes() for k, m in mg.norm_adjs.items()},
+    before = ({k: mg.normalized(k).tobytes() for k in gg.ALL_KINDS},
               mg.features.tobytes())
     shuffled, _ = gg.shuffle_features(mg.features, 1)
     shuffled[:] = 0.0
-    after = ({k: m.tobytes() for k, m in mg.norm_adjs.items()},
+    after = ({k: mg.normalized(k).tobytes() for k in gg.ALL_KINDS},
              mg.features.tobytes())
     assert before == after
 
@@ -433,7 +500,35 @@ def test_multigraph_validation():
     x = np.random.default_rng(9).random((5, 3)) + 0.01
     mg = gg.build_multigraph(x)
     with pytest.raises(gg.GraphBuildError, match="5 nodes for 4 samples"):
-        gg.MultiGraph(x[:4], mg.norm_adjs)
+        gg.MultiGraph(x[:4], mg.graphs)
+
+
+def test_multigraph_refuses_a_missing_or_extra_relation():
+    x = np.random.default_rng(9).random((5, 3)) + 0.01
+    graphs = gg.build_multigraph(x).graphs
+    missing = {k: g for k, g in graphs.items() if k is not gg.DistanceKind.CANBERRA}
+    with pytest.raises(gg.GraphBuildError, match="relations"):
+        gg.MultiGraph(x, missing)
+    with pytest.raises(gg.GraphBuildError, match="relations"):
+        gg.MultiGraph(x, {})
+
+
+def test_multigraph_refuses_a_graph_filed_under_another_kind():
+    x = np.random.default_rng(9).random((5, 3)) + 0.01
+    graphs = dict(gg.build_multigraph(x).graphs)
+    graphs[gg.DistanceKind.EUCLIDEAN] = graphs[gg.DistanceKind.CANBERRA]
+    with pytest.raises(gg.GraphBuildError, match="canberra graph filed as euclidean"):
+        gg.MultiGraph(x, graphs)
+
+
+def test_multigraph_refuses_graphs_of_different_sizes():
+    # one relation over fewer nodes than the others and the features
+    x = np.random.default_rng(9).random((5, 3)) + 0.01
+    graphs = dict(gg.build_multigraph(x).graphs)
+    graphs[gg.DistanceKind.EUCLIDEAN] = gg.relation_graph(
+        x[:4], gg.DistanceKind.EUCLIDEAN, 0.6)
+    with pytest.raises(gg.GraphBuildError, match="euclidean graph has 4 nodes for 5"):
+        gg.MultiGraph(x, graphs)
 
 
 def test_edge_list_export():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def tiny_params(n_features=4, cfg=None, seed=0):
 def tiny_problem(n=8, f=4, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.random((n, f)) + 0.01
-    adjs = gg.build_multigraph(x, threshold=0.6).norm_adjs
+    adjs = gg.build_multigraph(x, threshold=0.6).normalized
     x_shuffled, _ = gg.shuffle_features(x, seed)
     return x, x_shuffled, adjs
 
@@ -79,7 +80,7 @@ def test_gcn_zero_weights_give_zero_embedding():
         w.data[:] = 0.0
         b.data[:] = 0.0
     x = ad.constant(np.random.default_rng(0).random((5, 4)))
-    h = model.gcn_forward(np.eye(5), x, p.layers[gg.DistanceKind.EUCLIDEAN])
+    h = model.gcn_forward(lambda: np.eye(5), x, p.layers[gg.DistanceKind.EUCLIDEAN])
     assert np.all(h.data == 0.0)
 
 
@@ -89,7 +90,7 @@ def test_gcn_hand_case_one_layer():
     x = ad.constant(np.array([[2.0, 0.0], [0.0, 4.0]]))
     w = ad.Tensor(np.eye(2))
     b = ad.Tensor(np.array([[-1.5, 0.0]]))
-    h = model.gcn_forward(adj, x, [(w, b)])
+    h = model.gcn_forward(lambda: adj, x, [(w, b)])
     assert np.allclose(h.data, [[0.0, 2.0], [0.0, 2.0]], atol=1e-15)
 
 
@@ -98,9 +99,9 @@ def test_gcn_row_permutation_equivariance():
     p = tiny_params(n_features=4, cfg=tiny_cfg(gcn_layers=3))
     kind = gg.DistanceKind.BRAY_CURTIS
     perm = np.random.default_rng(1).permutation(7)
-    h = model.gcn_forward(adjs[kind], ad.constant(x), p.layers[kind]).data
-    a_perm = adjs[kind][perm][:, perm]
-    h_perm = model.gcn_forward(a_perm, ad.constant(x[perm]), p.layers[kind]).data
+    h = model.gcn_forward(partial(adjs, kind), ad.constant(x), p.layers[kind]).data
+    a_perm = adjs(kind)[perm][:, perm]
+    h_perm = model.gcn_forward(lambda: a_perm, ad.constant(x[perm]), p.layers[kind]).data
     assert np.max(np.abs(h_perm - h[perm])) < 1e-9
 
 
@@ -108,7 +109,7 @@ def test_gcn_final_layer_keeps_relu():
     p = tiny_params()
     kind = gg.DistanceKind.EUCLIDEAN
     x = ad.constant(np.random.default_rng(2).normal(size=(6, 4)) * 10)
-    h = model.gcn_forward(np.eye(6), x, p.layers[kind])
+    h = model.gcn_forward(lambda: np.eye(6), x, p.layers[kind])
     assert np.all(h.data >= 0.0)
 
 
@@ -474,7 +475,7 @@ def test_plain_summary_drops_only_the_histogram():
     p = tiny_params(cfg=cfg)
     res = model.joint_forward(x, xs, adjs, p, cfg)
     stacked = ad.constant(np.concatenate([x, xs]))
-    hs = [model.gcn_forward(adjs[kind], stacked, p.layers[kind]).data
+    hs = [model.gcn_forward(partial(adjs, kind), stacked, p.layers[kind]).data
           for kind in gg.ALL_KINDS]
     merged = model.attention_merge([ad.constant(h) for h in hs], p.queries).data
     target = np.mean([1.0 / (1.0 + np.exp(-h[:n].mean(axis=0))) for h in hs], axis=0)
@@ -500,6 +501,29 @@ def test_joint_forward_frozen_histograms_change_nothing_at_base_point():
     assert base_grads.keys() == frozen_grads.keys()
     for k in base_grads:
         assert base_grads[k].tobytes() == frozen_grads[k].tobytes()
+
+
+def test_backward_reads_each_adjacency_after_the_buffer_was_refilled():
+    # the multigraph keeps one normalized adjacency at a time, so each GCN
+    # VJP asks for its relation again: refilling the buffer with the other
+    # relations between the forward pass and the sweep changes no gradient
+    # bit, where a VJP that kept the forward pass's view would multiply by
+    # the matrix the buffer last held
+    x, xs, adjs = tiny_problem(n=12)
+    assert len({adjs(kind).tobytes() for kind in gg.ALL_KINDS}) == 3
+
+    def grads(refill):
+        p = tiny_params(seed=5)
+        with ad.Tape() as tape:
+            res = model.joint_forward(x, xs, adjs, p, tiny_cfg())
+            for kind in refill:
+                adjs(kind)
+            return [g.tobytes() for g in
+                    tape.backward(res.loss, list(p.named_tensors().values()))]
+
+    plain = grads(())
+    for refill in itertools.permutations(gg.ALL_KINDS, 2):
+        assert grads(refill) == plain
 
 
 def test_joint_forward_tape_is_fused():
@@ -551,6 +575,7 @@ def _tape_bytes_in_stacks(n=64, d=32):
     cfg = tiny_cfg(embed_dim=d, gcn_layers=3, bins=16, heads=4)
     p = tiny_params(n_features=8, cfg=cfg)
     wrt = list(p.named_tensors().values())
+    adjs(gg.ALL_KINDS[0])  # the multigraph's buffer is not the tape's
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -602,7 +627,8 @@ def test_gradcheck_instance_product_orders():
     # gradcheck's shape: 5 features, D = 4, 3 layers. Layer 0 widens the
     # constant input (2 * 4 > 5) and runs (A H) W, keeping A H beside its
     # output; layers 1-2 are square on a trainable input and run A (H W),
-    # keeping only their output (and the adjacency).
+    # keeping only their output. No record keeps the N x N adjacency: the
+    # VJP asks the multigraph for it again.
     n, f, d = 6, 5, 4
     x, xs, adjs = tiny_problem(n=n, f=f)
     cfg = tiny_cfg(embed_dim=d, gcn_layers=3, heads=4)
@@ -612,8 +638,8 @@ def test_gradcheck_instance_product_orders():
     kept = [sorted(c.cell_contents.shape for c in vjp.__closure__
                    if isinstance(c.cell_contents, np.ndarray))
             for _, _, vjp in tape._records if vjp.__qualname__.startswith("gcn_layer.")]
-    layer0 = sorted([(n, n), (2 * n, d), (2 * n, f)])
-    square = sorted([(n, n), (2 * n, d)])
+    layer0 = sorted([(2 * n, d), (2 * n, f)])
+    square = [(2 * n, d)]
     assert kept == [layer0, square, square] * len(gg.ALL_KINDS)
 
 

@@ -539,7 +539,7 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     alone_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
     params, trace = gt.train_unsupervised(mg, alone_cfg)
     assert np.asarray(full.traces[1]).tobytes() == np.asarray(trace).tobytes()
-    embeddings = gm.encode(mg.features, mg.norm_adjs, params, cfg)
+    embeddings = gm.encode(mg.features, mg.normalized, params, cfg)
     assert len(encoded) == 2
     assert encoded[1].tobytes() == embeddings.tobytes()
     alone = gt.evaluate_with_params(values, labels, params, alone_cfg)
@@ -549,14 +549,15 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     fresh = fresh_params(mg, alone_cfg)
     corrupt_ss = np.random.SeedSequence(alone_cfg.seed).spawn(2)[1]
     shuffled, _ = shuffle_features(mg.features, np.random.default_rng(corrupt_ss))
-    first = gm.joint_forward(mg.features, shuffled, mg.norm_adjs, fresh,
+    first = gm.joint_forward(mg.features, shuffled, mg.normalized, fresh,
                              cfg).loss.item()
     assert trace[0] == first
 
 
 def test_graph_is_built_once_per_cross_validation(monkeypatch):
     values, labels = small_problem(n_per_class=12, n_features=8)
-    calls = {"pairwise_distances": 0, "normalize_adjacency": 0}
+    calls = {"pairwise_distances": 0, "build_relation_graph": 0,
+             "normalize_adjacency": 0}
     for name in calls:
         original = getattr(gg, name)
 
@@ -567,8 +568,13 @@ def test_graph_is_built_once_per_cross_validation(monkeypatch):
         monkeypatch.setattr(gg, name, counted)
     gt.run_cross_validation(values, labels,
                             small_cfg(eval_seeds=3, epochs=2, classifier_steps=5))
-    # one call per relation, not one per relation and seed
-    assert calls == {"pairwise_distances": 3, "normalize_adjacency": 3}
+    # one distance matrix and graph per relation, not one per relation and
+    # seed. The shared buffer is refilled whenever it holds another kind:
+    # per seed 3 + 2 in the first epoch (the sweep starts on the relation
+    # the forward pass ended on), 2 + 2 in the second (the sweep ended on
+    # the first relation, which the forward pass starts on) and 2 in encode
+    assert calls == {"pairwise_distances": 3, "build_relation_graph": 3,
+                     "normalize_adjacency": 3 * (5 + 4 + 2)}
 
 
 def test_report_text_renders_every_row():
@@ -640,8 +646,8 @@ def test_checkpoint_restored_params_embed_identically():
     finally:
         os.unlink(path)
     mg = build_multigraph(values, cfg.threshold)
-    e1 = gm.encode(mg.features, mg.norm_adjs, params, cfg)
-    e2 = gm.encode(mg.features, mg.norm_adjs, restored, rcfg)
+    e1 = gm.encode(mg.features, mg.normalized, params, cfg)
+    e2 = gm.encode(mg.features, mg.normalized, restored, rcfg)
     assert e1.tobytes() == e2.tobytes()
 
 
