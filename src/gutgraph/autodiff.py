@@ -32,15 +32,17 @@ embedding, so each relation's adjoint comes into being only when the
 sweep reaches that relation's records.
 
 Besides elementwise and matrix primitives there are three fused
-kernels, ``gcn_layer``, ``relation_attention`` and ``hybrid_loss``:
+kernels, ``gcn_stack``, ``relation_attention`` and ``hybrid_loss``:
 each is one record with a hand-written VJP for a whole model stage (a
-GCN layer over every stacked view; the attention merge over every
-head; the hybrid attention loss), so the tape holds a handful of
-stacked products per epoch instead of one output per small op.
-``gcn_layer`` picks its product order by multiply-add count, A (H W)
-or (A H) W, and only the latter keeps A H on the tape. ``slice_rows``
-hands out views of a stacked result without copying it, and its
-adjoint is added into the stacked adjoint's rows in place.
+relation's GCN layers over every stacked view; the attention merge
+over every head; the hybrid attention loss), so the tape holds a
+handful of stacked products per epoch instead of one output per small
+op. ``gcn_stack`` picks each layer's product order by multiply-add
+count, A (H W) or (A H) W; only the latter keeps A H on the tape, and
+then the layer's output only when it is the stack's last, since the
+VJP can recompute it from A H. ``slice_rows`` hands out views of a
+stacked result without copying it, and its adjoint is added into the
+stacked adjoint's rows in place.
 
 The tape serves the unsupervised objective only; the supervised
 softmax head trains on its closed-form gradient
@@ -118,7 +120,7 @@ class Tape:
     """Ordered record of executed operations, swept once.
 
     Each record keeps its output and a VJP closure over what that VJP
-    reads: its inputs and whatever the kernel saved (``gcn_layer``'s
+    reads: its inputs and whatever the kernel saved (``gcn_stack``'s
     docstring says what a GCN record saves). ``backward`` releases each
     record, output and closure, once the sweep has passed it, and frees
     each intermediate adjoint once its producing record has consumed it,
@@ -396,68 +398,126 @@ def sum_all(x: Tensor) -> Tensor:
 # model runs over every relation and both views each epoch
 
 
-def gcn_layer(adj: Callable[[], np.ndarray], h: Tensor, w: Tensor,
-              b: Tensor) -> Tensor:
-    """relu(A @ H_v @ W + b) for every view H_v of the N nodes stacked
-    row-wise in ``h`` (V*N rows). ``adj()`` returns the constant N x N
-    normalized adjacency; the forward pass calls it once and the VJP
-    again when it multiplies by A^T, so the record keeps no N x N
-    matrix and ``adj`` may hand out a shared buffer it refills in
-    between (``MultiGraph``).
-    The relu's subgradient at exactly 0 is 0.
+def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
+              layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """A GCN stack, H_{k+1} = relu(A @ H_k @ W_k + b_k) for each
+    (W_k, b_k) of ``layers`` from H_0 = x, applied to every view of the
+    N nodes stacked row-wise in ``x`` (V*N rows), as one record.
+    ``adj()`` returns the constant N x N normalized adjacency; the
+    forward pass calls it once and the VJP once more for A^T, so the
+    record keeps no N x N matrix and ``adj`` may hand out a shared
+    buffer it refills in between (``MultiGraph``). The relu's
+    subgradient at exactly 0 is 0.
 
-    The layer takes whichever product order costs fewer multiply-adds
-    for the forward pass and the VJP together, A (H W) on a tie. The
-    H W-sized GEMMs cost the same in both orders, so per row A (H W)
-    pays A and A^T over d_out columns, and (A H) W pays A over d_in
-    columns, plus A^T over d_in more when H needs an adjoint:
+    Each layer takes whichever product order costs fewer multiply-adds
+    for its forward pass and VJP together, A (H W) on a tie. The H
+    W-sized GEMMs cost the same in both orders, so per row A (H W) pays
+    A and A^T over d_out columns, and (A H) W pays A over d_in columns,
+    plus A^T over d_in more when H needs an adjoint:
 
-    - A (H W): the record keeps only its output; the VJP is
+    - A (H W): the record keeps the layer's output; the VJP is
       q = A^T gz, dW = H^T q, dH = q W^T.
-    - (A H) W: the record also keeps A H for the weight gradient.
+    - (A H) W: the record keeps A H for the weight gradient, and the
+      layer's output only when it is the stack's last: the VJP
+      recomputes relu(A H W + b) from A H when it needs it.
 
     So a square layer on a trainable input runs A (H W), and a layer
     that widens a constant input (the feature matrix) runs (A H) W.
     Each A product is one GEMM per view; the relu mask is read back
-    from the output. No adjoint is formed for a constant ``h``. The VJP
-    masks an owned adjoint in place, and a square A (H W) layer writes
-    dH into that same buffer.
+    from the output. Fusing the layers changes no operation and no
+    order, so outputs and adjoints have the bytes of the layers
+    recorded one at a time.
+
+    The VJP sweeps the layers once, last to first, and runs once. It
+    masks an owned adjoint in place and writes a square A (H W) layer's
+    dH into that same buffer. It recomputes a dropped output into the
+    buffer of the output above it once that one's relu mask has been
+    read (a new array when that is the record's output or another
+    shape), lets go of each kept array once past it, and forms every
+    relu mask (as 1.0 and 0.0) and every A^T gz of the stack in one
+    buffer. No adjoint is formed for inputs that need none.
     """
     a_norm = adj()
     n = a_norm.shape[0]
-    rows, d_in = h.data.shape
-    d_out = w.data.shape[1]
-    if a_norm.shape != (n, n) or rows % n or w.data.shape[0] != d_in \
-            or b.data.shape != (1, d_out):
-        raise ShapeError(f"gcn_layer: adjacency {a_norm.shape}, input {h.data.shape}, "
-                         f"weight {w.data.shape}, bias {b.data.shape}")
+    rows, d_in = x.data.shape
+    shapes_ok = a_norm.shape == (n, n) and rows % n == 0 and len(layers) > 0
+    for w, b in layers:
+        shapes_ok = shapes_ok and w.data.shape[0] == d_in \
+            and b.data.shape == (1, w.data.shape[1])
+        d_in = w.data.shape[1]
+    if not shapes_ok:
+        raise ShapeError(f"gcn_stack: adjacency {a_norm.shape}, input {x.data.shape}, "
+                         f"layers {[(w.data.shape, b.data.shape) for w, b in layers]}")
     views = rows // n
 
-    def per_view(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return np.matmul(a, m.reshape(views, n, -1)).reshape(rows, -1)
+    def per_view(a: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(a, m.reshape(views, n, -1),
+                         out=None if out is None else out.reshape(views, n, -1)
+                         ).reshape(rows, -1)
 
-    weight_first = 2 * d_out <= d_in * (2 if h.requires_grad else 1)
-    ah = None if weight_first else per_view(a_norm, h.data)
-    pre = per_view(a_norm, h.data @ w.data) if weight_first else ah @ w.data
-    pre += b.data
-    out = _relu_in_place(pre)
+    last = len(layers) - 1
+    # per layer: its product order, whether its input needs an adjoint,
+    # its A H (None under A (H W)), and its output (None when dropped)
+    weight_first, input_grad, ahs, outs = [], [], [], []
+    h, h_grad = x.data, x.requires_grad
+    for k, (w, b) in enumerate(layers):
+        w_first = 2 * w.data.shape[1] <= h.shape[1] * (2 if h_grad else 1)
+        ah = None if w_first else per_view(a_norm, h)
+        h = _bias_relu(per_view(a_norm, h @ w.data) if w_first else ah @ w.data, b.data)
+        weight_first.append(w_first)
+        input_grad.append(h_grad)
+        ahs.append(ah)
+        outs.append(h if w_first or k == last else None)
+        h_grad = h_grad or w.requires_grad or b.requires_grad
 
     def vjp(g):
-        # the relu mask goes into an owned g in place; gz is this VJP's
-        # own array either way
-        gz = np.multiply(g, out > 0, out=g if g.flags.writeable else None)
-        gb = gz.sum(axis=0, keepdims=True) if b.requires_grad else None
-        if weight_first:
-            q = per_view(adj().T, gz)
-            gw = h.data.T @ q if w.requires_grad else None
-            # a square layer's dH = q W^T fits gz's buffer, no longer read
-            gh = np.matmul(q, w.data.T, out=gz if d_in == d_out else None) \
-                if h.requires_grad else None
-            return gh, gw, gb
-        return (per_view(adj().T, gz @ w.data.T) if h.requires_grad else None,
-                ah.T @ gz if w.requires_grad else None, gb)
+        a_t = adj().T
+        grads: list[np.ndarray | None] = [None] * (2 * len(layers))
+        q = gh = None
+        for k in range(last, -1, -1):
+            w, b = layers[k]
+            if q is None or q.shape != g.shape:
+                q = np.empty_like(g)
+            # the relu mask, as 1.0 and 0.0 in q (free until A^T gz goes
+            # there), goes into an owned g in place; gz is this VJP's own
+            # array either way
+            gz = np.multiply(g, np.greater(outs[k], 0.0, out=q),
+                             out=g if g.flags.writeable else None)
+            if k and outs[k - 1] is None:
+                # layer k - 1 kept A H, not its output: recompute that into
+                # this layer's output, read no more and private unless last
+                w_below, b_below = layers[k - 1]
+                into = outs[k] if k < last and outs[k].shape[1] == w_below.data.shape[1] else None
+                outs[k - 1] = _bias_relu(np.matmul(ahs[k - 1], w_below.data, out=into),
+                                         b_below.data)
+            outs[k] = None
+            h = outs[k - 1] if k else x.data
+            if b.requires_grad:
+                grads[2 * k + 1] = gz.sum(axis=0, keepdims=True)
+            if weight_first[k]:
+                per_view(a_t, gz, out=q)
+                if w.requires_grad:
+                    grads[2 * k] = h.T @ q
+                # a square layer's dH = q W^T fits gz's buffer, no longer read
+                gh = np.matmul(q, w.data.T, out=gz if gz.shape == h.shape else None) \
+                    if input_grad[k] else None
+            else:
+                gh = per_view(a_t, gz @ w.data.T) if input_grad[k] else None
+                if w.requires_grad:
+                    grads[2 * k] = ahs[k].T @ gz
+                ahs[k] = None
+            if gh is None:
+                break
+            g = gh
+        return (gh, *grads)
 
-    return _make(out, (h, w, b), vjp)
+    return _make(outs[last], (x, *(t for layer in layers for t in layer)), vjp)
+
+
+def _bias_relu(pre: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(pre + b), in ``pre``'s buffer."""
+    pre += b
+    return _relu_in_place(pre)
 
 
 def _relu_in_place(pre: np.ndarray) -> np.ndarray:

@@ -72,10 +72,13 @@ def euclidean(m: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def canberra(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """sum over features of |m_i - n_i| / (|m_i| + |n_i|), with 0/0
-    terms contributing zero."""
-    num = np.abs(m - n)
-    den = np.abs(m) + np.abs(n)
+    """sum over features of |m_i - n_i| / (|m_i| + |n_i|) from profile
+    ``m`` to each row of ``n``, with 0/0 terms contributing zero."""
+    num = np.subtract(m, n)
+    np.abs(num, out=num)
+    # |n| + |m| has the bits of |m| + |n|: float addition commutes
+    den = np.abs(n, out=np.empty_like(num))
+    den += np.abs(m)
     terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return terms.sum(axis=-1)
 

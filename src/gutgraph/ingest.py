@@ -157,10 +157,8 @@ def serialize_abundance_table(table: AbundanceTable, delimiter: str = "\t") -> s
     Names and ids are quoted only where csv needs it; values never are."""
     lines = [delimiter.join(quote_field(c, delimiter)
                             for c in ["feature_id"] + table.sample_ids)]
-    for j, name in enumerate(table.feature_names):
-        cells = [quote_field(name, delimiter)]
-        cells += [repr(float(v)) for v in table.values[:, j]]
-        lines.append(delimiter.join(cells))
+    for name, row in zip(table.feature_names, table.values.T.tolist()):
+        lines.append(delimiter.join([quote_field(name, delimiter), *map(repr, row)]))
     return "\n".join(lines) + "\n"
 
 

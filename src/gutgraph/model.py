@@ -8,8 +8,8 @@ joint loss couples the discriminator objective with an attention
 alignment term through a trainable, softplus-positive weight.
 
 Training stacks the two views row-wise (2N rows) and runs them through
-the fused tape kernels of ``autodiff``: one record per GCN layer and
-relation, one record for the attention merge over every head, one for
+the fused tape kernels of ``autodiff``: one record per relation's GCN
+stack, one record for the attention merge over every head, one for
 the hybrid loss. The other per-view consumers read their N rows as
 views of the stacked products.
 """
@@ -107,14 +107,12 @@ def init_model_params(n_features: int, cfg: TrainConfig,
 
 def gcn_forward(adj: Callable[[], np.ndarray], x: Tensor,
                 layers: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """relu(A_norm @ H @ W + b) stacked, one fused record per layer;
-    the normalized adjacency ``adj()`` is applied at every layer and
-    the last layer keeps its relu. ``x`` may stack several views of the
-    nodes row-wise; each is propagated over the same graph."""
-    h = x
-    for w, b in layers:
-        h = ad.gcn_layer(adj, h, w, b)
-    return h
+    """relu(A_norm @ H @ W + b) stacked, as one fused record
+    (``autodiff.gcn_stack``); the normalized adjacency ``adj()`` is
+    applied at every layer and the last layer keeps its relu. ``x`` may
+    stack several views of the nodes row-wise; each is propagated over
+    the same graph."""
+    return ad.gcn_stack(adj, x, layers)
 
 
 def node_summary(h: Tensor) -> Tensor:
@@ -266,12 +264,12 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     ``use_attention``, ``two_stage_summary`` and ``use_adversarial``;
     ``params`` must hold the tensors those switches train.
     ``adjacency(kind)`` returns ``kind``'s normalized adjacency
-    (``MultiGraph.normalized``); each GCN layer calls it in its forward
+    (``MultiGraph.normalized``); each GCN stack calls it in its forward
     pass and again in its VJP, so the matrix need only stay valid until
     the next call for another kind, and no record keeps it.
 
     The two views run stacked, original rows [0, N) over shuffled rows
-    [N, 2N), through one GCN record per layer and relation. One pass per
+    [N, 2N), through one GCN-stack record per relation. One pass per
     relation encodes, reads out the original rows (a view of the stack)
     and adds that relation's discriminator term, which alone reads the
     shuffled rows; the summed term is scaled once after the loop. Then
@@ -281,7 +279,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     discriminator records are swept, and the attention merge's VJP
     defers each relation's 2N x D adjoint until the sweep reaches that
     relation's records: the sweep holds one relation's adjoint at a
-    time and peaks in the first GCN-layer VJP it meets.
+    time and peaks in the first GCN-stack VJP it meets.
     ``frozen_histograms`` substitutes stored graph-level readouts (they
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""

@@ -97,7 +97,7 @@ def test_relu_subgradient_zero_at_zero():
     w = ad.constant(np.eye(3))
     b = ad.constant(np.zeros((1, 3)))
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.gcn_layer(lambda: np.ones((1, 1)), x, w, b))
+        loss = ad.sum_all(ad.gcn_stack(lambda: np.ones((1, 1)), x, [(w, b)]))
         (gx,) = tape.backward(loss, [x])
     assert np.array_equal(gx, [[0.0, 0.0, 1.0]])
 
@@ -282,7 +282,7 @@ def test_composed_gcn_style_layer_fd():
     b = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
 
     def build(wt, bt):
-        return ad.sum_all(_square(ad.gcn_layer(lambda: a_norm, x, wt, bt)))
+        return ad.sum_all(_square(ad.gcn_stack(lambda: a_norm, x, [(wt, bt)])))
 
     with ad.Tape() as tape:
         loss = build(w, b)
@@ -304,6 +304,40 @@ def test_composed_gcn_style_layer_fd():
 def _gcn_oracle(adj, views, w, b):
     # one view at a time, the way the model ran before the views were stacked
     return np.concatenate([np.maximum(adj @ h @ w + b, 0.0) for h in views])
+
+
+def _gcn_layer_record(adj, h, w, b):
+    """One GCN layer as its own tape record, with the operations and
+    product-order rule the model ran layer by layer before a stack became
+    one record: the byte oracle ``gcn_stack`` must match."""
+    a_norm = adj()
+    n = a_norm.shape[0]
+    rows, d_in = h.data.shape
+    d_out = w.data.shape[1]
+    views = rows // n
+
+    def per_view(a, m):
+        return np.matmul(a, m.reshape(views, n, -1)).reshape(rows, -1)
+
+    weight_first = 2 * d_out <= d_in * (2 if h.requires_grad else 1)
+    ah = None if weight_first else per_view(a_norm, h.data)
+    pre = per_view(a_norm, h.data @ w.data) if weight_first else ah @ w.data
+    pre += b.data
+    out = ad._relu_in_place(pre)
+
+    def vjp(g):
+        gz = np.multiply(g, out > 0, out=g if g.flags.writeable else None)
+        gb = gz.sum(axis=0, keepdims=True) if b.requires_grad else None
+        if weight_first:
+            q = per_view(adj().T, gz)
+            gw = h.data.T @ q if w.requires_grad else None
+            gh = np.matmul(q, w.data.T, out=gz if d_in == d_out else None) \
+                if h.requires_grad else None
+            return gh, gw, gb
+        return (per_view(adj().T, gz @ w.data.T) if h.requires_grad else None,
+                ah.T @ gz if w.requires_grad else None, gb)
+
+    return ad._make(out, (h, w, b), vjp)
 
 
 def _attention_oracle(embeddings, queries):
@@ -328,16 +362,30 @@ gcn_shapes = dict(n=st.integers(2, 20), d=st.integers(1, 8),
                   views=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
 attention_shapes = dict(gcn_shapes, heads=st.integers(1, 4),
                         relations=st.integers(1, 3))
-# gcn_layer runs A (H W) when 2 d <= d_in on a constant input and when
-# d <= d_in on a trainable one, (A H) W otherwise; the examples pin each
-# order with each kind of input
-gcn_layer_shapes = dict(gcn_shapes, d_in=st.integers(1, 8), trainable=st.booleans())
-gcn_layer_orders = [
-    example(n=5, d=4, d_in=3, views=2, trainable=False, seed=1),  # (A H) W
-    example(n=5, d=2, d_in=4, views=2, trainable=False, seed=2),  # A (H W), tie
-    example(n=5, d=5, d_in=3, views=2, trainable=True, seed=3),   # (A H) W
-    example(n=5, d=3, d_in=3, views=2, trainable=True, seed=4),   # A (H W), tie
-]
+# a layer runs A (H W) when 2 d_out <= d_in on a constant input and when
+# d_out <= d_in on a trainable one, (A H) W otherwise. ``widths`` are the
+# layers' output widths and the first ``frozen`` layers have constant
+# weights; under ``summed`` the loss is the plain sum of the output, whose
+# adjoint reaches the stack read-only. The examples pin each order at
+# layer 0 with each kind of input, a dropped layer-0 output recomputed
+# into the buffer of the output above and into a new array (another
+# width), a sweep that stops above layers that need no adjoint, and a
+# read-only adjoint.
+gcn_stack_shapes = dict(n=st.integers(2, 20), d_in=st.integers(1, 8),
+                        widths=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+                        frozen=st.integers(0, 2), views=st.sampled_from([1, 2]),
+                        trainable=st.booleans(), summed=st.booleans(),
+                        seed=st.integers(0, 2**32 - 1))
+gcn_stack_orders = [example(**dict(zip(
+    ("n", "d_in", "widths", "frozen", "views", "trainable", "summed", "seed"), args)))
+    for args in [(5, 3, [4, 4, 4], 0, 2, False, False, 1),
+                 (5, 4, [2, 2], 0, 2, False, False, 2),
+                 (5, 3, [5, 5], 0, 2, True, False, 3),
+                 (5, 3, [3, 3, 3], 0, 1, True, False, 4),
+                 (5, 3, [4], 0, 2, False, False, 5),
+                 (5, 2, [6, 3, 7], 0, 2, False, False, 6),
+                 (5, 3, [4, 4, 4], 2, 2, False, False, 7),
+                 (5, 3, [4, 4, 4], 0, 2, False, True, 8)]]
 
 
 def _with_examples(examples):
@@ -348,19 +396,74 @@ def _with_examples(examples):
     return decorate
 
 
-@settings(max_examples=60, deadline=None)
-@given(**gcn_layer_shapes)
-@_with_examples(gcn_layer_orders)
-def test_gcn_layer_matches_per_view_oracle(n, d, d_in, views, trainable, seed):
+def _stack_inputs(n, d_in, widths, frozen, views, trainable, summed, seed):
+    """An adjacency, a V*N x d_in input, one (W, b) per width, the first
+    ``frozen`` of them constant (at most all but the last), the tensors
+    that need gradients and the loss of an output. The adjacency is not
+    symmetric, so a missing transpose in a VJP shows."""
     rng = np.random.default_rng(seed)
     adj = rng.random((n, n))
-    xs = [rng.normal(size=(n, d_in)) for _ in range(views)]
-    w, b = rng.normal(size=(d_in, d)), rng.normal(size=(1, d))
-    h = ad.Tensor(np.concatenate(xs), requires_grad=trainable)
-    got = ad.gcn_layer(lambda: adj, h, ad.constant(w), ad.constant(b)).data
-    want = _gcn_oracle(adj, xs, w, b)
-    assert got.shape == (views * n, d)
-    assert _max_rel(got, want) <= 1e-12
+    x = ad.Tensor(rng.normal(size=(views * n, d_in)), requires_grad=trainable)
+    layers, fan_in = [], d_in
+    for k, width in enumerate(widths):
+        train = k >= min(frozen, len(widths) - 1)
+        layers.append((ad.Tensor(rng.normal(size=(fan_in, width)), requires_grad=train),
+                       ad.Tensor(rng.normal(size=(1, width)), requires_grad=train)))
+        fan_in = width
+    readout = ad.constant(rng.normal(size=(views * n, widths[-1])))
+    wrt = [t for t in (x, *(t for layer in layers for t in layer)) if t.requires_grad]
+    return adj, x, layers, wrt, lambda h: ad.sum_all(h if summed else ad.mul(h, readout))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**gcn_stack_shapes)
+@_with_examples(gcn_stack_orders)
+def test_gcn_stack_has_the_bytes_of_per_layer_records(n, d_in, widths, frozen, views,
+                                                      trainable, summed, seed):
+    adj, x, layers, wrt, loss = _stack_inputs(n, d_in, widths, frozen, views,
+                                              trainable, summed, seed)
+
+    def per_layer():
+        h = x
+        for w, b in layers:
+            h = _gcn_layer_record(lambda: adj, h, w, b)
+        return h
+
+    results = []
+    for stack in (lambda: ad.gcn_stack(lambda: adj, x, layers), per_layer):
+        with ad.Tape() as tape:
+            h = stack()
+            grads = tape.backward(loss(h), wrt)
+        results.append([h.data.tobytes()] + [g.tobytes() for g in grads])
+    assert results[0] == results[1]
+    want = np.split(x.data, views)
+    for w, b in layers:
+        want = np.split(_gcn_oracle(adj, want, w.data, b.data), views)
+    assert _max_rel(h.data, np.concatenate(want)) <= 1e-12
+
+
+def test_gcn_stack_recomputes_into_the_buffer_above_and_lets_go():
+    # layer 0 widens a constant input and runs (A X) W: the record keeps
+    # A X but not layer 0's output, which the VJP recomputes, with the
+    # forward pass's bytes, into layer 1's private buffer once layer 1's
+    # mask has been read; then it lets go of every array the record kept
+    rng = np.random.default_rng(8)
+    n, f, d = 6, 5, 4
+    adj = rng.random((n, n))
+    x = ad.constant(rng.normal(size=(2 * n, f)))
+    layers = [(ad.Tensor(rng.normal(size=(f if k == 0 else d, d)), requires_grad=True),
+               ad.Tensor(rng.normal(size=(1, d)), requires_grad=True)) for k in range(3)]
+    h0 = ad.gcn_stack(lambda: adj, x, layers[:1]).data
+    with ad.Tape() as tape:
+        ad.gcn_stack(lambda: adj, x, layers)
+    ((_, _, vjp),) = tape._records
+    cells = dict(zip(vjp.__code__.co_freevars, (c.cell_contents for c in vjp.__closure__)))
+    ahs, outs = cells["ahs"], cells["outs"]
+    assert ahs[0].shape == (2 * n, f) and outs[0] is None
+    layer1 = outs[1]
+    vjp(np.ones((2 * n, d)))
+    assert layer1.tobytes() == h0.tobytes()
+    assert ahs == [None] * 3 and outs == [None] * 3
 
 
 relu_specials = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
@@ -402,24 +505,29 @@ def _check_vjp_against_fd(build, tensors, step=1e-6, order=2):
         assert rel_error(g, fd) < 1e-6
 
 
+def _pre_activations(adj, x, layers, views):
+    """Every layer's A H W + b, one view at a time."""
+    pres, h = [], x
+    for w, b in layers:
+        pres.append(np.concatenate([adj @ v for v in np.split(h, views)]) @ w + b)
+        h = np.maximum(pres[-1], 0.0)
+    return pres
+
+
 @settings(max_examples=40, deadline=None)
-@given(**gcn_layer_shapes)
-@_with_examples(gcn_layer_orders)
+@given(**gcn_stack_shapes)
+@_with_examples(gcn_stack_orders)
 # A (H W) on a trainable input that narrows (d < d_in): dH does not fit
 # the output adjoint's buffer, which only a square layer reuses
-@example(n=2, d=1, d_in=2, views=1, trainable=True, seed=2)
-def test_gcn_layer_vjp_matches_finite_differences(n, d, d_in, views, trainable, seed):
-    rng = np.random.default_rng(seed)
-    adj = rng.random((n, n))
-    h = ad.Tensor(rng.normal(size=(views * n, d_in)), requires_grad=trainable)
-    w = ad.Tensor(rng.normal(size=(d_in, d)), requires_grad=True)
-    b = ad.Tensor(rng.normal(size=(1, d)), requires_grad=True)
-    pre = np.concatenate([adj @ v for v in np.split(h.data, views)]) @ w.data + b.data
-    assume(np.abs(pre).min() > 1e-4)  # away from the relu kink
-    readout = ad.constant(rng.normal(size=(views * n, d)))
-    _check_vjp_against_fd(
-        lambda: ad.sum_all(ad.mul(ad.gcn_layer(lambda: adj, h, w, b), readout)),
-        [h, w, b] if trainable else [w, b])
+@example(n=2, d_in=2, widths=[1], frozen=0, views=1, trainable=True, summed=False, seed=2)
+def test_gcn_stack_vjp_matches_finite_differences(n, d_in, widths, frozen, views,
+                                                  trainable, summed, seed):
+    # the pinned (A X) W examples run the recompute path
+    adj, x, layers, wrt, loss = _stack_inputs(n, d_in, widths, frozen, views,
+                                              trainable, summed, seed)
+    pres = _pre_activations(adj, x.data, [(w.data, b.data) for w, b in layers], views)
+    assume(min(np.abs(p).min() for p in pres) > 1e-4)  # away from the relu kinks
+    _check_vjp_against_fd(lambda: loss(ad.gcn_stack(lambda: adj, x, layers)), wrt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -541,7 +649,7 @@ def test_kernels_skip_adjoints_of_constant_operands():
     e = ad.constant(rng.normal(size=(8, 2)))
     q = ad.Tensor(rng.normal(size=(2, 1)), requires_grad=True)
     with ad.Tape() as tape:
-        h = ad.gcn_layer(lambda: adj, x, w, b)
+        h = ad.gcn_stack(lambda: adj, x, [(w, b)])
         ad.relation_attention([h, e], [[q], [ad.constant(np.ones((2, 1)))]])
     (_, _, vjp_gcn), (_, _, vjp_att) = tape._records
     g_x, g_w, g_b = vjp_gcn(np.ones((8, 2)))
@@ -759,13 +867,13 @@ def test_a_shared_adjoint_reaches_each_vjp_read_only():
               for bias in (9.0, 0.0)]
     c = ad.constant(rng.normal(size=(4, 2)))
     with ad.Tape() as tape:
-        h1, h2 = (ad.gcn_layer(lambda: adj, x, w, b) for w, b in layers)
+        h1, h2 = (ad.gcn_stack(lambda: adj, x, [layer]) for layer in layers)
         assert np.all(h1.data > 0) and 0 < np.count_nonzero(h2.data) < h2.data.size
         grads = tape.backward(ad.sum_all(ad.mul(ad.add(h1, h2), c)),
                               [t for layer in layers for t in layer])
     for (w, b), got in zip(layers, (grads[:2], grads[2:])):
         with ad.Tape() as tape:
-            alone = tape.backward(ad.sum_all(ad.mul(ad.gcn_layer(lambda: adj, x, w, b), c)),
+            alone = tape.backward(ad.sum_all(ad.mul(ad.gcn_stack(lambda: adj, x, [(w, b)]), c)),
                                   [w, b])
         assert [g.tobytes() for g in got] == [g.tobytes() for g in alone]
 

@@ -41,6 +41,31 @@ def test_canberra_values():
     assert gg.canberra(np.zeros(4), np.zeros(4)) == 0.0
 
 
+def _canberra_old_formula(m, n):
+    # the kernel as it was written before it reused its buffers
+    num = np.abs(m - n)
+    den = np.abs(m) + np.abs(n)
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return terms.sum(axis=-1)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_canberra_has_the_bits_of_the_old_formula(data):
+    # one profile against a block of rows, as pairwise_distances calls it,
+    # with exact zeros and -0.0 where 0/0 terms must drop out, and NaN
+    # and infinities, whose terms must stay what they were
+    f = data.draw(st.integers(1, 12))
+    rows = data.draw(st.integers(1, 6))
+    elems = st.sampled_from([0.0, -0.0, 5e-324, np.nan, np.inf]) | st.floats(-50, 50)
+    m = data.draw(hnp.arrays(np.float64, f, elements=elems))
+    n = data.draw(hnp.arrays(np.float64, (rows, f), elements=elems))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+        for rows_of_n in (n, n[0]):
+            want = _canberra_old_formula(m, rows_of_n)
+            assert gg.canberra(m, rows_of_n).tobytes() == want.tobytes()
+
+
 nonneg_vectors = hnp.arrays(
     np.float64, st.integers(1, 12),
     elements=st.floats(0, 50, allow_nan=False, allow_infinity=False))

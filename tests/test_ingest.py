@@ -79,6 +79,31 @@ def test_serialize_parse_round_trip_is_exact():
     assert back.values.tobytes() == t.values.tobytes()
 
 
+def _serialize_per_cell(table, delimiter="\t"):
+    # the writer as it was before it formatted whole rows from tolist()
+    lines = [delimiter.join(ingest.quote_field(c, delimiter)
+                            for c in ["feature_id"] + table.sample_ids)]
+    for j, name in enumerate(table.feature_names):
+        cells = [ingest.quote_field(name, delimiter)]
+        cells += [repr(float(v)) for v in table.values[:, j]]
+        lines.append(delimiter.join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(delimiter=st.sampled_from(["\t", ","]), data=st.data())
+def test_serialize_has_the_bytes_of_the_per_cell_writer(delimiter, data):
+    n = data.draw(st.integers(1, 5))
+    f = data.draw(st.integers(1, 5))
+    cells = st.sampled_from([0.0, 0.1, 1e-05, 5e-324, 1.0, 1e16, 123.456]) \
+        | st.floats(0, 1e300)
+    values = np.array(data.draw(st.lists(cells, min_size=n * f, max_size=n * f)),
+                      dtype=np.float64).reshape(n, f)
+    t = ingest.AbundanceTable([f"s{i}" for i in range(n)],
+                              ["a,b" if j == 0 else f"f{j}" for j in range(f)], values)
+    assert ingest.serialize_abundance_table(t, delimiter) == _serialize_per_cell(t, delimiter)
+
+
 def _csv_safe_names(alphabet):
     """Distinct non-blank names that ``.strip()`` leaves unchanged."""
     return st.lists(st.text(alphabet, min_size=1, max_size=6)

@@ -528,23 +528,24 @@ def test_backward_reads_each_adjacency_after_the_buffer_was_refilled():
 
 def test_joint_forward_tape_is_fused():
     # default shape: 3 relations, 3 GCN layers, 4 heads; both views run
-    # stacked through 9 GCN records, 1 attention record and 1 hybrid-loss
-    # record. The other 57: 6 row views, 9 summary, 39 adversarial, 3 joint.
+    # stacked through 3 GCN-stack records, 1 attention record and 1
+    # hybrid-loss record. The other 57: 6 row views, 9 summary, 39
+    # adversarial, 3 joint.
     n, d = 64, 32
     x, xs, adjs = tiny_problem(n=n, f=8)
     cfg = tiny_cfg(embed_dim=d, gcn_layers=3, bins=16, heads=4)
     p = tiny_params(n_features=8, cfg=cfg)
     with ad.Tape() as tape:
         model.joint_forward(x, xs, adjs, p, cfg)
-    assert len(tape) == 68
+    assert len(tape) == 62
     # distinct buffers of the recorded outputs (a row view holds none of its
-    # own): the ten stacked 2N x D products and the small rest; the hybrid
-    # loss keeps no N x D output
+    # own): the four stacked 2N x D products (three GCN stacks and the
+    # merge) and the small rest; the hybrid loss keeps no N x D output
     buffers = {}
     for out, _, _ in tape._records:
         base = out.data if out.data.base is None else out.data.base
         buffers[id(base)] = base.nbytes
-    assert sum(buffers.values()) <= 10 * 2 * n * d * 8 + 16 * 1024
+    assert sum(buffers.values()) <= 4 * 2 * n * d * 8 + 16 * 1024
 
 
 def test_joint_forward_without_adversarial_records_no_negative_view():
@@ -557,7 +558,7 @@ def test_joint_forward_without_adversarial_records_no_negative_view():
     p = tiny_params(n_features=8, cfg=cfg)
     with ad.Tape() as tape:
         model.joint_forward(x, xs, adjs, p, cfg)
-    assert len(tape) == 25
+    assert len(tape) == 19
     views = [out.data for out, _, vjp in tape._records
              if vjp.__qualname__.startswith("slice_rows.")]
     # one per relation, each rows [0, N) of its stack
@@ -596,51 +597,63 @@ def _tape_bytes_in_stacks(n=64, d=32):
 
 
 def test_joint_forward_tape_holds_outputs_not_square_layer_inputs():
-    # ten stacked outputs, layer 0's A X and the small rest come to about
-    # 13.6 stacks; the unfused hybrid loss's five N x D temporaries made it
-    # about 16.3, and keeping A H for the square layers 1-2 as well, as
-    # (A H) W does, about 22
+    # seven stacked outputs (layers 1-2 of each relation and the merge),
+    # layer 0's A X and the small rest come to about 10.4 stacks; keeping
+    # layer 0's output too, as a record per layer did, about 13.6; the
+    # unfused hybrid loss's five N x D temporaries made that about 16.3,
+    # and keeping A H for the square layers 1-2 as well, as (A H) W does,
+    # about 22
     held, _ = _tape_bytes_in_stacks()
-    assert held < 14.0
+    assert held < 10.75
 
 
 def test_backward_peak_stays_small_above_the_tape():
     # released records, in-place adjoints and deferred relation adjoints:
-    # about 3.6 stacks above what the forward pass left; 5.8 when the
-    # attention VJP formed every relation's adjoint at once, and about 10
-    # for a sweep that keeps every record and pads each row view's
-    # adjoint to 2N x D
+    # about 4.2 stacks above what the forward pass left, which no longer
+    # holds layer 0's outputs (3.6 above a tape that did). A relu mask
+    # formed as a bool array costs 1.1 stacks at this size, in numpy's
+    # float cast of it, so the GCN stack's VJP forms it in its A^T gz
+    # buffer; 5.8 when the attention VJP formed every relation's adjoint
+    # at once, and about 10 for a sweep that keeps every record and pads
+    # each row view's adjoint to 2N x D
     _, increment = _tape_bytes_in_stacks()
     assert increment < 4.5
 
 
-def test_backward_absolute_peak_is_under_eighteen_stacks():
-    # what the tape holds plus what the sweep adds: about 17.2 stacks, with
-    # each relation's adjoint formed only when the sweep reaches that
-    # relation; 19.4 when the attention VJP formed all three at once, and
-    # 20.6 when each VJP's array was copied before the sweep wrote it
+def test_backward_absolute_peak_is_under_fifteen_stacks():
+    # what the tape holds plus what the sweep adds: about 14.6 stacks, with
+    # layer 0's output recomputed from A X and each relation's adjoint
+    # formed only when the sweep reaches that relation; 17.2 with a record
+    # per GCN layer, 19.4 when the attention VJP also formed all three
+    # adjoints at once, and 20.6 when each VJP's array was copied before
+    # the sweep wrote it
     held, increment = _tape_bytes_in_stacks()
-    assert held + increment < 18.0
+    assert held + increment < 15.0
 
 
 def test_gradcheck_instance_product_orders():
     # gradcheck's shape: 5 features, D = 4, 3 layers. Layer 0 widens the
-    # constant input (2 * 4 > 5) and runs (A H) W, keeping A H beside its
-    # output; layers 1-2 are square on a trainable input and run A (H W),
-    # keeping only their output. No record keeps the N x N adjacency: the
-    # VJP asks the multigraph for it again.
+    # constant input (2 * 4 > 5) and runs (A H) W, keeping A H but not its
+    # output, which the VJP recomputes; layers 1-2 are square on a
+    # trainable input and run A (H W), keeping only their output. No
+    # record keeps the N x N adjacency: the VJP asks the multigraph for it
+    # again.
     n, f, d = 6, 5, 4
     x, xs, adjs = tiny_problem(n=n, f=f)
     cfg = tiny_cfg(embed_dim=d, gcn_layers=3, heads=4)
     p = tiny_params(n_features=f, cfg=cfg)
     with ad.Tape() as tape:
         model.joint_forward(x, xs, adjs, p, cfg)
-    kept = [sorted(c.cell_contents.shape for c in vjp.__closure__
-                   if isinstance(c.cell_contents, np.ndarray))
-            for _, _, vjp in tape._records if vjp.__qualname__.startswith("gcn_layer.")]
-    layer0 = sorted([(2 * n, d), (2 * n, f)])
-    square = [(2 * n, d)]
-    assert kept == [layer0, square, square] * len(gg.ALL_KINDS)
+    kept = []
+    for _, _, vjp in tape._records:
+        if vjp.__qualname__.startswith("gcn_stack."):
+            cells = dict(zip(vjp.__code__.co_freevars,
+                             (c.cell_contents for c in vjp.__closure__)))
+            assert not any(isinstance(c, np.ndarray) for c in cells.values())
+            kept.append([[None if a is None else a.shape for a in cells[name]]
+                         for name in ("ahs", "outs")])
+    layers = [[(2 * n, f), None, None], [None, (2 * n, d), (2 * n, d)]]
+    assert kept == [layers] * len(gg.ALL_KINDS)
 
 
 def test_encode_shape_and_determinism():
