@@ -4,9 +4,12 @@ Everything is a (rows, cols) matrix; scalars are 1x1. Operations record
 onto the innermost active ``Tape`` (define-by-run, rebuilt every
 iteration) and ``Tape.backward`` sweeps the record once in reverse,
 propagating vector-Jacobian products. Gradients are return values:
-``backward`` hands back one array per requested leaf, ``clip_global_norm``
-returns scaled arrays, and ``Adam`` updates parameter arrays in place.
-No tensor keeps gradient state between passes.
+``backward`` hands back one array per requested leaf, the caller's own
+and writeable unless it may be shared or broadcast. The optimizer step
+then works in place: ``clip_global_norm`` scales those arrays where they
+lie, and ``Adam.step`` updates the parameter arrays and consumes the
+gradients, forming its update in them through one scratch buffer. No
+tensor keeps gradient state between passes.
 
 A tape is single-use. Each record keeps its output and a VJP closure
 over what the VJP reads; the sweep releases every record once it has
@@ -268,7 +271,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _fresh_arrays(contribs) -> set[int]:
     """ids of the returned arrays the sweep takes ownership of: each holds
     its own memory, is writeable, and no other entry of ``contribs`` is
-    the same array or a view onto it."""
+    the same array or a view onto it. The optimizer step writes in place
+    the gradients this rule picks out."""
     arrays = [c.g if isinstance(c, _RowAdjoint) else c
               for c in contribs if c is not None and not isinstance(c, _Deferred)]
     roots = [id(a) if a.base is None else id(a.base) for a in arrays]
@@ -544,7 +548,8 @@ def relation_attention(embeddings: Sequence[Tensor],
 
     Returns the merged M x D tensor and the T x M x H softmax weights,
     which are all the record keeps for its VJP. The VJP forms the query
-    adjoints at once and returns each trainable embedding's adjoint
+    adjoints at once, each a D x 1 column copy of its own that the
+    sweep owns, and returns each trainable embedding's adjoint
     deferred (``_Deferred``), holding only ``g`` and the small score
     adjoints until the sweep needs it. Its ``make()`` returns one new
     M x D array: the score term ``gs @ q_t^T`` is formed into it and the
@@ -578,7 +583,9 @@ def relation_attention(embeddings: Sequence[Tensor],
             g_emb.append(_Deferred(partial(_embedding_adjoint, g, gs, qt, c))
                          if e.requires_grad else None)
             gq = e.data.T @ gs
-            g_q.extend(gq[:, i:i + 1] if qh.requires_grad else None
+            # each query's adjoint a column copy of its own, which the
+            # sweep owns and the optimizer may write
+            g_q.extend(gq[:, i:i + 1].copy() if qh.requires_grad else None
                        for i, qh in enumerate(per_t))
         return (*g_emb, *g_q)
 
@@ -649,21 +656,44 @@ def hybrid_loss(node_parts: Sequence[Tensor], merged: Tensor) -> Tensor:
 # optimization
 
 
-def clip_global_norm(grads: Sequence[np.ndarray],
-                     max_norm: float) -> list[np.ndarray]:
-    """``grads`` scaled by one factor so their joint L2 norm is <= max_norm,
-    as new arrays; the inputs themselves when no clip is needed. Never
-    writes its inputs, so gradients that share memory are safe."""
+def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float,
+                     scratch: np.ndarray | None = None) -> list[np.ndarray]:
+    """``grads`` scaled by one factor so their joint L2 norm is <= max_norm.
+
+    Each writeable gradient that shares no memory with another entry is
+    scaled in place (``g *= scale``, the bits of ``g * scale``) and
+    returned as itself; any other, a read-only or shared adjoint, is
+    left alone and its scaled copy returned instead. With no clip needed
+    the inputs come back untouched.
+
+    The norm squares each C-contiguous gradient into ``scratch``, a 1-D
+    float64 buffer at least as large as the largest gradient (one is
+    allocated for the call when none is given), so it has the bits of
+    summing ``(g * g).sum()`` over ``grads``. A non-finite norm (an
+    overflowing square, a NaN or an inf) raises ``FloatingPointError``
+    rather than zeroing or poisoning the step.
+    """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
+    if scratch is None:
+        scratch = np.empty(max((g.size for g in grads), default=0))
     total = 0.0
-    for g in grads:
-        total += float((g * g).sum())
+    with np.errstate(over="ignore"):
+        for g in grads:
+            sq = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)) \
+                if g.flags.c_contiguous else g * g
+            total += float(sq.sum())
     norm = np.sqrt(total)
+    if not np.isfinite(norm):
+        raise FloatingPointError(f"non-finite gradient norm {norm}")
     if norm <= max_norm:
         return list(grads)
     scale = max_norm / norm
-    return [g * scale for g in grads]
+    private = _fresh_arrays(grads)
+    for g in grads:
+        if id(g) in private:
+            g *= scale
+    return [g if id(g) in private else g * scale for g in grads]
 
 
 ADAM_BETA1 = 0.9
@@ -674,8 +704,12 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam with bias correction over a fixed ordered list of parameter
     arrays, which ``step`` updates in place: pass each tensor's ``data``
-    and never rebind it, or the optimizer updates a stale array."""
+    and never rebind it, or the optimizer updates a stale array.
 
+    ``scratch`` is one 1-D buffer the size of the largest parameter,
+    allocated here, so a step allocates nothing; ``clip_global_norm``
+    may borrow it between steps.
+    """
     def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3):
         if lr < 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
@@ -683,20 +717,42 @@ class Adam:
         self.lr = float(lr)
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
+        self.scratch = np.empty(max((p.size for p in self.params), default=0))
         self.t = 0
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
+        """One update from ``grads``, which it consumes: a writeable
+        gradient that shares no memory with another entry ends the step
+        holding the update ``lr * m_hat / (sqrt(v_hat) + eps)``, and
+        any other is copied first and left alone. Runs the elementwise
+        operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
+        g^2`` and ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)`` in
+        that order through ``g`` and ``scratch``, so every output has the
+        bits of the out-of-place expressions."""
         if len(grads) != len(self.params):
             raise ValueError(f"got {len(grads)} grads for {len(self.params)} params")
+        for p, g in zip(self.params, grads):
+            if g.shape != p.shape:
+                raise ShapeError(f"grad shape {g.shape} for param {p.shape}")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
+        private = _fresh_arrays(grads)
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g.shape != p.shape:
-                raise ShapeError(f"grad shape {g.shape} for param {p.shape}")
+            if id(g) not in private:
+                g = g.copy()
+            s = self.scratch[:g.size].reshape(g.shape)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - ADAM_BETA2
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
-
+            v += s
+            np.divide(m, b1t, out=g)
+            g *= self.lr
+            np.divide(v, b2t, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            g /= s
+            p -= g

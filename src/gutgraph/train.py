@@ -103,10 +103,13 @@ class TrainConfig:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Joint loss left the finite range; carries the last finite trace."""
+    """Training left the finite range at ``epoch``, in the joint loss or
+    in the gradient norm of that epoch's step; carries the finite loss
+    trace recorded up to then (through ``epoch`` when the gradient norm
+    diverged, since that epoch's loss was finite)."""
 
-    def __init__(self, epoch: int, trace: list[float]):
-        super().__init__(f"non-finite joint loss at epoch {epoch}")
+    def __init__(self, epoch: int, trace: list[float], what: str = "joint loss"):
+        super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
         self.trace = trace
 
@@ -145,7 +148,12 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
             # reuse. Dropped before the forward pass, they cost more faults.
             grads = None
             grads = tape.backward(result.loss, tensors)
-        grads = ad.clip_global_norm(grads, cfg.clip_norm)
+        # the step works in place: clip scales these arrays, and Adam,
+        # through its one scratch buffer, turns them into its update
+        try:
+            grads = ad.clip_global_norm(grads, cfg.clip_norm, optimizer.scratch)
+        except FloatingPointError:
+            raise TrainingDivergedError(epoch + 1, trace, "gradient norm") from None
         optimizer.step(grads)
     return params, trace
 

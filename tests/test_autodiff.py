@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gutgraph import autodiff as ad
-from gutgraph.train import head_gradients
+from gutgraph.model import init_model_params
+from gutgraph.train import TrainConfig, head_gradients
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -1023,9 +1024,10 @@ def test_adam_first_step_magnitude_close_to_lr():
     before = p.copy()
     opt = ad.Adam([p], lr=1e-3)
     g = np.array([[4.0, -3.0]])
+    sign = np.sign(g)  # the step consumes g
     opt.step([g])
     delta = p - before
-    assert np.allclose(delta, -1e-3 * np.sign(g), atol=1e-8)
+    assert np.allclose(delta, -1e-3 * sign, atol=1e-8)
 
 
 def test_adam_lr_zero_is_bit_identity():
@@ -1066,13 +1068,144 @@ def test_clip_global_norm():
     assert g1[0, 0] == 3.0 and g2[0, 1] == 4.0
     g1 = np.array([[6.0, 0.0]])
     g2 = np.array([[0.0, 8.0]])
-    before = g1.tobytes() + g2.tobytes()
+    want = (g1 * 0.5).tobytes() + (g2 * 0.5).tobytes()
     out = ad.clip_global_norm([g1, g2], 5.0)  # joint norm 10 -> scaled by 0.5
     total = np.sqrt((out[0] ** 2).sum() + (out[1] ** 2).sum())
     assert total == pytest.approx(5.0, abs=1e-12)
-    assert g1.tobytes() + g2.tobytes() == before
+    # scaled in place: the same arrays come back, holding g * scale
+    assert out[0] is g1 and out[1] is g2
+    assert g1.tobytes() + g2.tobytes() == want
     small = np.array([[0.1]])
     before = small.tobytes()
     assert ad.clip_global_norm([small], 5.0)[0].tobytes() == before
     with pytest.raises(ValueError):
         ad.clip_global_norm([small], 0.0)
+
+
+@pytest.mark.parametrize("bad", [1e200, np.nan, np.inf, -np.inf])
+def test_clip_rejects_a_non_finite_norm(bad):
+    # 1e200 squared overflows to inf: the old scale 5 / inf zeroed the
+    # whole step, and a NaN or inf turned every parameter into NaN
+    grads = [np.ones((2, 2)), np.array([[bad, 1.0]])]
+    before = [g.tobytes() for g in grads]
+    with pytest.raises(FloatingPointError, match="gradient norm"):
+        ad.clip_global_norm(grads, 5.0)
+    assert [g.tobytes() for g in grads] == before
+
+
+def _clip_reference(grads, max_norm):
+    """The out-of-place clip: a scaled copy of every gradient."""
+    total = 0.0
+    for g in grads:
+        total += float((g * g).sum())
+    norm = np.sqrt(total)
+    if norm <= max_norm:
+        return list(grads)
+    scale = max_norm / norm
+    return [g * scale for g in grads]
+
+
+class _AdamReference:
+    """The out-of-place Adam step, one temporary per operation."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - ad.ADAM_BETA1 ** self.t
+        b2t = 1.0 - ad.ADAM_BETA2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= ad.ADAM_BETA1
+            m += (1.0 - ad.ADAM_BETA1) * g
+            v *= ad.ADAM_BETA2
+            v += (1.0 - ad.ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ad.ADAM_EPS)
+
+
+# signed zeros, the smallest subnormal and magnitudes whose squares still
+# sum to a finite norm over a 272 x 256 tensor
+_ODD_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150, 1e-160, 1.0, -2.5)
+_odd_floats = st.one_of(st.sampled_from(_ODD_VALUES),
+                        st.floats(-1e150, 1e150, allow_nan=False))
+
+
+@st.composite
+def _odd_array(draw, shape):
+    """Small arrays drawn whole; a large one a seeded normal draw at a
+    drawn scale with up to 16 entries drawn from the odd values."""
+    if shape[0] * shape[1] <= 16:
+        return draw(hnp.arrays(np.float64, shape, elements=_odd_floats))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=shape) * draw(st.sampled_from([0.0, 1e-160, 1.0, 1e149]))
+    for _ in range(draw(st.integers(0, 16))):
+        a[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = \
+            draw(_odd_floats)
+    return a
+
+
+@st.composite
+def _optimizer_steps(draw):
+    """Parameters of shapes 1 x 1, D x 1 and 272 x 256, and the gradient
+    sets of one to four steps."""
+    shapes = [(1, 1), (draw(st.integers(1, 16)), 1), (272, 256)]
+    params = [draw(_odd_array(shape)) for shape in shapes]
+    steps = [[draw(_odd_array(shape)) for shape in shapes]
+             for _ in range(draw(st.integers(1, 4)))]
+    return params, steps
+
+
+@pytest.mark.parametrize("max_norm, lr", [
+    (1e-3, 1e-3),   # clipping fires unless a step's gradients are all zero
+    (1e160, 1e-3),  # it never fires
+    (1e-3, 0.0),
+    (1e160, 0.5),
+])
+@settings(max_examples=25, deadline=None)
+@given(case=_optimizer_steps())
+def test_in_place_clip_and_adam_keep_the_bytes_of_the_out_of_place_step(
+        max_norm, lr, case):
+    params, steps = case
+    mine = [p.copy() for p in params]
+    opt = ad.Adam(mine, lr=lr)
+    reference = _AdamReference([p.copy() for p in params], lr)
+    for grads in steps:
+        want = _clip_reference([g.copy() for g in grads], max_norm)
+        clipped = ad.clip_global_norm([g.copy() for g in grads], max_norm, opt.scratch)
+        assert [g.tobytes() for g in clipped] == [g.tobytes() for g in want]
+        opt.step(clipped)
+        reference.step(want)
+        for ours, theirs in (
+                (opt.params, reference.params), (opt.m, reference.m),
+                (opt.v, reference.v)):
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+
+
+@pytest.mark.parametrize("max_norm", [1.0, 1e9])
+def test_clip_and_adam_step_allocate_nothing_per_step(max_norm):
+    # the model's tensors at the default sizes: after the first step, a
+    # clip plus Adam step works in the gradients and the optimizer's one
+    # scratch buffer, whether clipping fires (1.0) or not (1e9)
+    cfg = TrainConfig()
+    rng = np.random.default_rng(0)
+    arrays = [t.data for t in init_model_params(60, cfg, rng).named_tensors().values()]
+    opt = ad.Adam(arrays, lr=cfg.learning_rate)
+    opt.step(ad.clip_global_norm([rng.normal(size=a.shape) for a in arrays],
+                                 max_norm, opt.scratch))
+    grads = [rng.normal(size=a.shape) for a in arrays]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        opt.step(ad.clip_global_norm(grads, max_norm, opt.scratch))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sum(a.size for a in arrays) > 600_000
+    assert peak < 64 * 1024
+

@@ -631,6 +631,25 @@ def test_backward_absolute_peak_is_under_fifteen_stacks():
     assert held + increment < 15.0
 
 
+@pytest.mark.parametrize("attention, two_stage, adversarial",
+                         list(itertools.product((True, False), repeat=3)))
+def test_backward_returns_private_writeable_gradients(attention, two_stage,
+                                                      adversarial):
+    # the optimizer step scales and consumes the gradients in place, so
+    # each model tensor's gradient must be the caller's own array
+    cfg = tiny_cfg(use_attention=attention, two_stage_summary=two_stage,
+                   use_adversarial=adversarial)
+    x, xs, adjs = tiny_problem()
+    p = tiny_params(cfg=cfg)
+    named = p.named_tensors()
+    with ad.Tape() as tape:
+        res = model.joint_forward(x, xs, adjs, p, cfg)
+        grads = dict(zip(named, tape.backward(res.loss, list(named.values()))))
+    assert [name for name, g in grads.items() if not g.flags.writeable] == []
+    assert [(a, b) for a, b in itertools.combinations(grads, 2)
+            if np.shares_memory(grads[a], grads[b])] == []
+
+
 def test_gradcheck_instance_product_orders():
     # gradcheck's shape: 5 features, D = 4, 3 layers. Layer 0 widens the
     # constant input (2 * 4 > 5) and runs (A H) W, keeping A H but not its

@@ -140,8 +140,8 @@ def test_last_steps_gradients_are_gone_when_backward_starts(monkeypatch, clip_no
         handed.extend(weakref.ref(g) for g in grads)
         return grads
 
-    def watched_clip(grads, max_norm):
-        clipped = clip(grads, max_norm)
+    def watched_clip(grads, max_norm, scratch=None):
+        clipped = clip(grads, max_norm, scratch)
         handed.extend(weakref.ref(g) for g in clipped)
         return clipped
 
@@ -249,6 +249,31 @@ def test_divergence_raises_with_trace():
     assert err.epoch >= 1
     assert len(err.trace) == err.epoch - 1
     assert all(np.isfinite(v) for v in err.trace)
+
+
+def test_non_finite_gradient_norm_stops_training(monkeypatch):
+    # a NaN gradient on the last epoch's step: the loss check would only
+    # see the poisoned parameters at an epoch that never comes
+    values, _ = small_problem()
+    cfg = small_cfg(epochs=2)
+    mg = build_multigraph(values, cfg.threshold)
+    backward = ad.Tape.backward
+    sweeps = []
+
+    def poisoned_backward(tape, loss, wrt):
+        grads = backward(tape, loss, wrt)
+        sweeps.append(None)
+        if len(sweeps) == 2:
+            grads[0][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(ad.Tape, "backward", poisoned_backward)
+    with pytest.raises(gt.TrainingDivergedError,
+                       match="non-finite gradient norm at epoch 2") as exc_info:
+        gt.train_unsupervised(mg, cfg)
+    err = exc_info.value
+    assert err.epoch == 2
+    assert len(err.trace) == 2 and all(np.isfinite(v) for v in err.trace)
 
 
 # ---------------------------------------------------------------------------
