@@ -4,35 +4,31 @@ Everything is a (rows, cols) matrix; scalars are 1x1. Operations record
 onto the innermost active ``Tape`` (define-by-run, rebuilt every
 iteration) and ``Tape.backward`` sweeps the record once in reverse,
 propagating vector-Jacobian products. Gradients are return values:
-``backward`` hands back one array per requested leaf, the caller's own
-and writeable unless it may be shared or broadcast. The optimizer step
-then works in place: ``clip_global_norm`` scales those arrays where they
-lie, and ``Adam.step`` updates the parameter arrays and consumes the
-gradients, forming its update in them through one scratch buffer. No
-tensor keeps gradient state between passes.
+``backward`` hands back one array per requested leaf, the caller's own.
+The optimizer step then works in place: ``clip_global_norm`` scales
+those arrays where they lie, and ``Adam.step`` updates the parameter
+arrays and consumes the gradients, forming its update in them through
+one scratch buffer. No tensor keeps gradient state between passes.
 
 A tape is single-use. Each record keeps its output and a VJP closure
 over what the VJP reads; the sweep releases every record once it has
 passed it, so the forward pass's memory falls while the backward pass
 runs, and a second ``backward`` on the same tape raises.
 
-Adjoint ownership. The sweep owns an adjoint array when nothing else
-can see it, and only then writes it: it sums into it in place and hands
-it to a VJP writeable; any other adjoint reaches a VJP as a read-only
-view. The contract for a VJP: it may write its ``g`` only when ``g`` is
-writeable, and it returns new arrays it allocated (``g`` itself counts
-as new when it came writeable), or ``g`` and views (of ``g`` or of
-anything else), never an array it kept. ``Tape.backward`` says which
-returned arrays the sweep takes. ``mean_rows`` and ``sum_all`` return
-read-only broadcast views instead of materialized arrays.
+Adjoint ownership is one rule, the VJP contract: a VJP owns the ``g``
+it is handed and may write it, and it returns only arrays nothing else
+references, each at most once: ``g`` itself or new arrays, never a view
+of an input or of an array it keeps. So every adjoint the sweep holds
+is its own: it sums into it in place, hands it to the next VJP, and
+finally to the caller.
 
 A VJP may also return a deferred adjoint, ``_Deferred(make)``: the
 sweep keeps it unformed until it first needs that input's adjoint, and
-``make()`` must then return a new array, which the sweep owns. A
-deferred adjoint may read the VJP's ``g``, so no code writes that ``g``
-after the VJP returns. ``relation_attention`` returns one per
-embedding, so each relation's adjoint comes into being only when the
-sweep reaches that relation's records.
+``make()`` must then return a new array. A deferred adjoint may read
+the VJP's ``g``, so such a VJP does not return its ``g`` and no code
+writes that ``g`` after the VJP returns. ``relation_attention`` returns
+one per embedding, so each relation's adjoint comes into being only
+when the sweep reaches that relation's records.
 
 Besides elementwise and matrix primitives there are three fused
 kernels, ``gcn_stack``, ``relation_attention`` and ``hybrid_loss``:
@@ -112,9 +108,8 @@ class _RowAdjoint(NamedTuple):
 
 
 class _Deferred(NamedTuple):
-    """An adjoint not yet formed: ``make()`` returns it as a new array,
-    which the sweep owns. ``Tape.backward`` calls it when it first needs
-    the input's adjoint."""
+    """An adjoint not yet formed: ``make()`` returns it as a new array.
+    ``Tape.backward`` calls it when it first needs the input's adjoint."""
 
     make: Callable[[], np.ndarray]
 
@@ -157,34 +152,26 @@ class Tape:
         where the loss does not reach t. ``loss`` must be 1x1.
 
         Every tensor of ``wrt`` must be a leaf, a tensor this tape did not
-        record as an output (a parameter or an input): an intermediate's
-        adjoint is freed once the sweep reaches the record that produced
-        it. The sweep consumes the tape: a second call raises
+        record as an output (a parameter or an input), and appear in it
+        once: an intermediate's adjoint is freed once the sweep reaches
+        the record that produced it, and a repeated leaf would get one
+        array twice. The sweep consumes the tape: a second call raises
         ``ValueError``.
 
-        Ownership: the sweep owns the seed adjoint, every array it
-        allocates, and every array a VJP returns that holds its own
-        memory, is writeable and appears once in the returned tuple with
-        no view of it beside it (so not ``g`` handed over read-only, not
-        a view, not repeated). Each VJP gets its ``g`` writeable only
-        when the sweep owns it, and a read-only view otherwise. Adjoints
-        meeting at one input are summed in place into the one the sweep
-        owns (float addition commutes, so the bits are those of
-        ``prev + contrib``), and into a new array only when it owns
-        neither. A row slice's adjoint is added into the rows it came
-        from, without a zero-padded copy of the whole input.
+        Under the VJP contract (see the module docstring) every adjoint
+        the sweep holds is its own. Adjoints meeting at one input are
+        summed in place into the one that arrived first (float addition
+        commutes, so the bits are those of ``prev + contrib``). A row
+        slice's adjoint is added into the rows it came from, without a
+        zero-padded copy of the whole input.
 
         A deferred adjoint stays unformed in ``pending`` until the sweep
         needs that input's adjoint: when another adjoint arrives for it
-        (the deferred one is formed and owned first, then the sum runs
-        as above), when its own record is popped, or when it is returned
-        for ``wrt``. Its ``make()`` returns a new array the sweep owns,
-        and no code writes the producing VJP's ``g`` after that VJP
-        returns, since ``make()`` may still read it.
+        (the deferred one is formed first, then the sum runs as above),
+        when its own record is popped, or when it is returned for
+        ``wrt``.
 
-        A returned array the sweep owned is writeable and the caller's
-        alone; any other is read-only and may be shared (``add`` hands
-        one adjoint to both inputs) or a broadcast view (``sum_all``).
+        Each returned array is writeable and the caller's alone.
         """
         if self._records is None:
             raise ValueError("backward: this tape has already been swept")
@@ -194,90 +181,52 @@ class Tape:
         recorded = {id(out) for out, _, _ in records}
         if any(id(t) in recorded for t in wrt):
             raise ValueError("backward: wrt holds an output this tape recorded")
+        if len({id(t) for t in wrt}) != len(wrt):
+            raise ValueError("backward: wrt repeats a tensor")
         self._records = None
         pending: dict[int, np.ndarray | _Deferred] = {id(loss): np.ones((1, 1))}
-        # keys whose pending array the sweep owns, deferred ones included
-        owned: set[int] = {id(loss)}
         while records:
             out, inputs, vjp = records.pop()
-            key = id(out)
-            g = pending.pop(key, None)
+            g = pending.pop(id(out), None)
             if g is None:
                 continue
             if isinstance(g, _Deferred):
                 g = g.make()
-            if key in owned:
-                owned.remove(key)
-            else:
-                g = _read_only(g)
-            contribs = vjp(g)
-            _accumulate(pending, owned, inputs, contribs)
-        return [(_formed(pending, id(t)) if id(t) in owned
-                 else _read_only(pending[id(t)]))
-                if id(t) in pending else np.zeros_like(t.data) for t in wrt]
+            _accumulate(pending, inputs, vjp(g))
+        return [_formed(pending, id(t)) if id(t) in pending else np.zeros_like(t.data)
+                for t in wrt]
 
 
-def _formed(pending: dict[int, np.ndarray | _Deferred], key: int) -> np.ndarray | None:
+def _formed(pending: dict[int, np.ndarray | _Deferred], key: int) -> np.ndarray:
     """``pending[key]``, formed first if it is a deferred adjoint."""
-    prev = pending.get(key)
+    prev = pending[key]
     if isinstance(prev, _Deferred):
         prev = pending[key] = prev.make()
     return prev
 
 
-def _accumulate(pending: dict[int, np.ndarray | _Deferred], owned: set[int],
+def _accumulate(pending: dict[int, np.ndarray | _Deferred],
                 inputs: tuple[Tensor, ...], contribs: tuple) -> None:
-    """Add one VJP's adjoints into ``pending`` under ``Tape.backward``'s
-    ownership rule; ``owned`` holds the keys whose array the sweep owns.
-    A deferred adjoint for a key with nothing pending is kept unformed."""
-    fresh = _fresh_arrays(contribs)
+    """Add one VJP's adjoints into ``pending``: an adjoint for a key
+    with nothing pending is kept as it is (a deferred one unformed, a
+    row slice's in a zero array of the input's shape), any other is
+    added into the pending one in place."""
     for inp, contrib in zip(inputs, contribs):
         if contrib is None or not inp.requires_grad:
             continue
         key = id(inp)
-        if isinstance(contrib, _Deferred):
-            if key not in pending:
+        if key not in pending:
+            if not isinstance(contrib, _RowAdjoint):
                 pending[key] = contrib
-                owned.add(key)
                 continue
+            pending[key] = np.zeros_like(inp.data)
+        if isinstance(contrib, _Deferred):
             contrib = contrib.make()
-            fresh.add(id(contrib))
         prev = _formed(pending, key)
         if isinstance(contrib, _RowAdjoint):
-            if key not in owned:
-                pending[key] = (np.zeros_like(inp.data) if prev is None
-                                else prev.copy())
-                owned.add(key)
-            pending[key][contrib.start:contrib.stop] += contrib.g
-        elif key in owned:
-            prev += contrib
+            prev[contrib.start:contrib.stop] += contrib.g
         else:
-            if id(contrib) in fresh:
-                if prev is not None:
-                    contrib += prev
-                owned.add(key)
-            elif prev is not None:
-                contrib = prev + contrib
-                owned.add(key)
-            pending[key] = contrib
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
-def _fresh_arrays(contribs) -> set[int]:
-    """ids of the returned arrays the sweep takes ownership of: each holds
-    its own memory, is writeable, and no other entry of ``contribs`` is
-    the same array or a view onto it. The optimizer step writes in place
-    the gradients this rule picks out."""
-    arrays = [c.g if isinstance(c, _RowAdjoint) else c
-              for c in contribs if c is not None and not isinstance(c, _Deferred)]
-    roots = [id(a) if a.base is None else id(a.base) for a in arrays]
-    return {id(a) for a, root in zip(arrays, roots)
-            if a.base is None and a.flags.writeable and roots.count(root) == 1}
+            prev += contrib
 
 
 def _current_tape() -> Tape | None:
@@ -317,7 +266,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    return _make(a.data + b.data, (a, b), lambda g: (g, g))
+    return _make(a.data + b.data, (a, b), lambda g: (g, g.copy()))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -357,7 +306,7 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    return _make(x.data.T.copy(), (x,), lambda g: (g.T,))
+    return _make(x.data.T.copy(), (x,), lambda g: (g.T.copy(),))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -367,7 +316,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     ca = a.data.shape[1]
 
     def vjp(g):
-        return g[:, :ca], g[:, ca:]
+        return g[:, :ca].copy(), g[:, ca:].copy()
 
     return _make(out, (a, b), vjp)
 
@@ -389,12 +338,12 @@ def mean_rows(x: Tensor) -> Tensor:
     """
     n = x.data.shape[0]
     out = np.sum(np.sort(x.data, axis=0), axis=0, keepdims=True) / n
-    return _make(out, (x,), lambda g: (np.broadcast_to(g / n, x.data.shape),))
+    return _make(out, (x,), lambda g: (np.broadcast_to(g / n, x.data.shape).copy(),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = np.array([[x.data.sum()]])
-    return _make(out, (x,), lambda g: (np.broadcast_to(g, x.data.shape),))
+    return _make(out, (x,), lambda g: (np.broadcast_to(g, x.data.shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +382,13 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
     recorded one at a time.
 
     The VJP sweeps the layers once, last to first, and runs once. It
-    masks an owned adjoint in place and writes a square A (H W) layer's
-    dH into that same buffer. It recomputes a dropped output into the
-    buffer of the output above it once that one's relu mask has been
-    read (a new array when that is the record's output or another
-    shape), lets go of each kept array once past it, and forms every
-    relu mask (as 1.0 and 0.0) and every A^T gz of the stack in one
-    buffer. No adjoint is formed for inputs that need none.
+    masks the adjoint it is handed in place and writes a square A (H W)
+    layer's dH into that same buffer. It recomputes a dropped output
+    into the buffer of the output above it once that one's relu mask
+    has been read (a new array when that is the record's output or
+    another shape), lets go of each kept array once past it, and forms
+    every relu mask (as 1.0 and 0.0) and every A^T gz of the stack in
+    one buffer. No adjoint is formed for inputs that need none.
     """
     a_norm = adj()
     n = a_norm.shape[0]
@@ -483,10 +432,8 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
             if q is None or q.shape != g.shape:
                 q = np.empty_like(g)
             # the relu mask, as 1.0 and 0.0 in q (free until A^T gz goes
-            # there), goes into an owned g in place; gz is this VJP's own
-            # array either way
-            gz = np.multiply(g, np.greater(outs[k], 0.0, out=q),
-                             out=g if g.flags.writeable else None)
+            # there), goes into g in place
+            gz = np.multiply(g, np.greater(outs[k], 0.0, out=q), out=g)
             if k and outs[k - 1] is None:
                 # layer k - 1 kept A H, not its output: recompute that into
                 # this layer's output, read no more and private unless last
@@ -548,14 +495,13 @@ def relation_attention(embeddings: Sequence[Tensor],
 
     Returns the merged M x D tensor and the T x M x H softmax weights,
     which are all the record keeps for its VJP. The VJP forms the query
-    adjoints at once, each a D x 1 column copy of its own that the
-    sweep owns, and returns each trainable embedding's adjoint
-    deferred (``_Deferred``), holding only ``g`` and the small score
-    adjoints until the sweep needs it. Its ``make()`` returns one new
-    M x D array: the score term ``gs @ q_t^T`` is formed into it and the
-    merge term ``c_t * g`` is added in blocks of ``_ROW_BLOCK`` rows
-    (float addition commutes, so the bits are those of
-    ``c_t * g + gs @ q_t^T``).
+    adjoints at once, each a D x 1 column copy of its own, and returns
+    each trainable embedding's adjoint deferred (``_Deferred``), holding
+    only ``g`` and the small score adjoints until the sweep needs it.
+    Its ``make()`` returns one new M x D array: the score term
+    ``gs @ q_t^T`` is formed into it and the merge term ``c_t * g`` is
+    added in blocks of ``_ROW_BLOCK`` rows (float addition commutes, so
+    the bits are those of ``c_t * g + gs @ q_t^T``).
     """
     if len(embeddings) != len(queries) or not embeddings:
         raise ShapeError(f"{len(embeddings)} embeddings for {len(queries)} query sets")
@@ -583,8 +529,7 @@ def relation_attention(embeddings: Sequence[Tensor],
             g_emb.append(_Deferred(partial(_embedding_adjoint, g, gs, qt, c))
                          if e.requires_grad else None)
             gq = e.data.T @ gs
-            # each query's adjoint a column copy of its own, which the
-            # sweep owns and the optimizer may write
+            # each query's adjoint a column copy of its own
             g_q.extend(gq[:, i:i + 1].copy() if qh.requires_grad else None
                        for i, qh in enumerate(per_t))
         return (*g_emb, *g_q)
@@ -612,7 +557,7 @@ def hybrid_loss(node_parts: Sequence[Tensor], merged: Tensor) -> Tensor:
     N rows, so gradients flow back into the node parts. The record keeps
     only P; the VJP recomputes the differences, and the node parts'
     adjoint sums the target's adjoint over rows with one ones-column
-    GEMM; every part receives that same array.
+    GEMM; each part receives its own scaled copy of that sum.
     """
     rows, d = merged.data.shape
     n = rows // 2
@@ -644,7 +589,7 @@ def hybrid_loss(node_parts: Sequence[Tensor], merged: Tensor) -> Tensor:
         g_parts = (None,) * len(node_parts)
         if any(p.requires_grad for p in node_parts):
             g_avg = np.ones((n, 1)).T @ (gm[n:] + gm[:n])
-            g_parts = (g_avg * scale,) * len(node_parts)
+            g_parts = tuple(g_avg * scale for _ in node_parts)
         if not merged.requires_grad:
             return (*g_parts, None)
         return (*g_parts, np.subtract(0.0, gm, out=gm))
@@ -660,11 +605,10 @@ def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float,
                      scratch: np.ndarray | None = None) -> list[np.ndarray]:
     """``grads`` scaled by one factor so their joint L2 norm is <= max_norm.
 
-    Each writeable gradient that shares no memory with another entry is
-    scaled in place (``g *= scale``, the bits of ``g * scale``) and
-    returned as itself; any other, a read-only or shared adjoint, is
-    left alone and its scaled copy returned instead. With no clip needed
-    the inputs come back untouched.
+    Each gradient is scaled in place (``g *= scale``, the bits of
+    ``g * scale``), so each must be the caller's own writeable array, as
+    ``Tape.backward`` returns them; the list of the same arrays comes
+    back. With no clip needed they are left untouched.
 
     The norm squares each C-contiguous gradient into ``scratch``, a 1-D
     float64 buffer at least as large as the largest gradient (one is
@@ -686,14 +630,11 @@ def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float,
     norm = np.sqrt(total)
     if not np.isfinite(norm):
         raise FloatingPointError(f"non-finite gradient norm {norm}")
-    if norm <= max_norm:
-        return list(grads)
-    scale = max_norm / norm
-    private = _fresh_arrays(grads)
-    for g in grads:
-        if id(g) in private:
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads:
             g *= scale
-    return [g if id(g) in private else g * scale for g in grads]
+    return list(grads)
 
 
 ADAM_BETA1 = 0.9
@@ -721,14 +662,14 @@ class Adam:
         self.t = 0
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
-        """One update from ``grads``, which it consumes: a writeable
-        gradient that shares no memory with another entry ends the step
-        holding the update ``lr * m_hat / (sqrt(v_hat) + eps)``, and
-        any other is copied first and left alone. Runs the elementwise
-        operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
-        g^2`` and ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)`` in
-        that order through ``g`` and ``scratch``, so every output has the
-        bits of the out-of-place expressions."""
+        """One update from ``grads``, which it consumes: each must be the
+        caller's own writeable array, as ``Tape.backward`` returns them,
+        and ends the step holding the update ``lr * m_hat / (sqrt(v_hat)
+        + eps)``. Runs the elementwise operations of ``m = b1 m + (1 -
+        b1) g``, ``v = b2 v + (1 - b2) g^2`` and ``p -= lr * (m / b1t) /
+        (sqrt(v / b2t) + eps)`` in that order through ``g`` and
+        ``scratch``, so every output has the bits of the out-of-place
+        expressions."""
         if len(grads) != len(self.params):
             raise ValueError(f"got {len(grads)} grads for {len(self.params)} params")
         for p, g in zip(self.params, grads):
@@ -737,10 +678,7 @@ class Adam:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        private = _fresh_arrays(grads)
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if id(g) not in private:
-                g = g.copy()
             s = self.scratch[:g.size].reshape(g.shape)
             np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             m *= ADAM_BETA1

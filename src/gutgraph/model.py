@@ -105,16 +105,6 @@ def init_model_params(n_features: int, cfg: TrainConfig,
 # encoder and readout
 
 
-def gcn_forward(adj: Callable[[], np.ndarray], x: Tensor,
-                layers: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """relu(A_norm @ H @ W + b) stacked, as one fused record
-    (``autodiff.gcn_stack``); the normalized adjacency ``adj()`` is
-    applied at every layer and the last layer keeps its relu. ``x`` may
-    stack several views of the nodes row-wise; each is propagated over
-    the same graph."""
-    return ad.gcn_stack(adj, x, layers)
-
-
 def node_summary(h: Tensor) -> Tensor:
     """Node-level readout: sigmoid of the column means, 1 x D,
     differentiable."""
@@ -289,7 +279,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     histograms: dict[DistanceKind, np.ndarray] = {}
     l_adv = None
     for kind in ALL_KINDS:
-        h = gcn_forward(partial(adjacency, kind), stacked, params.layers[kind])
+        h = ad.gcn_stack(partial(adjacency, kind), stacked, params.layers[kind])
         h_pos = ad.slice_rows(h, 0, n)
         if cfg.two_stage_summary:
             frozen = None if frozen_histograms is None else frozen_histograms[kind]
@@ -331,6 +321,6 @@ def encode(x: np.ndarray, adjacency: Callable[[DistanceKind], np.ndarray],
     normalized adjacencies ``adjacency(kind)``; ``cfg``'s
     ``use_attention`` picks the merge."""
     xt = ad.constant(x)
-    embeddings = [gcn_forward(partial(adjacency, kind), xt, params.layers[kind])
+    embeddings = [ad.gcn_stack(partial(adjacency, kind), xt, params.layers[kind])
                   for kind in ALL_KINDS]
     return _merge(embeddings, params, cfg).data

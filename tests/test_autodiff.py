@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import weakref
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -327,7 +328,7 @@ def _gcn_layer_record(adj, h, w, b):
     out = ad._relu_in_place(pre)
 
     def vjp(g):
-        gz = np.multiply(g, out > 0, out=g if g.flags.writeable else None)
+        gz = np.multiply(g, out > 0, out=g)
         gb = gz.sum(axis=0, keepdims=True) if b.requires_grad else None
         if weight_first:
             q = per_view(adj().T, gz)
@@ -367,11 +368,11 @@ attention_shapes = dict(gcn_shapes, heads=st.integers(1, 4),
 # d_out <= d_in on a trainable one, (A H) W otherwise. ``widths`` are the
 # layers' output widths and the first ``frozen`` layers have constant
 # weights; under ``summed`` the loss is the plain sum of the output, whose
-# adjoint reaches the stack read-only. The examples pin each order at
-# layer 0 with each kind of input, a dropped layer-0 output recomputed
-# into the buffer of the output above and into a new array (another
-# width), a sweep that stops above layers that need no adjoint, and a
-# read-only adjoint.
+# adjoint reaches the stack as sum_all's broadcast. The examples pin each
+# order at layer 0 with each kind of input, a dropped layer-0 output
+# recomputed into the buffer of the output above and into a new array
+# (another width), a sweep that stops above layers that need no adjoint,
+# and a plain sum.
 gcn_stack_shapes = dict(n=st.integers(2, 20), d_in=st.integers(1, 8),
                         widths=st.lists(st.integers(1, 8), min_size=1, max_size=3),
                         frozen=st.integers(0, 2), views=st.sampled_from([1, 2]),
@@ -672,8 +673,8 @@ def test_slice_rows_is_a_view():
 
 
 def test_row_slice_adjoint_leaves_a_shared_adjoint_alone():
-    # add hands one adjoint array to x and z; the slice's rows must land in
-    # a copy for x, not in the array z received too
+    # add hands x and z an adjoint each; the slice's rows must land in
+    # x's alone, not in the array z received
     rng = np.random.default_rng(5)
     x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     z = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -698,7 +699,7 @@ def test_deferred_adjoints_sum_in_the_eager_order(m, d, heads, seed, data):
     # (at one or two slots each) and row-view adjoints; its gradient must
     # have the bytes of every contribution formed at once and summed in
     # the order the sweep meets them: the ops in reverse, each record's
-    # slots in input order, a row view added into an owned copy
+    # slots in input order, a row view added into the sum so far
     if data is None:
         ops = [("attention", (0, 2)), ("rows", (3, 40)), ("attention", (1,))]
     else:
@@ -789,8 +790,9 @@ def _read_only_leaves(*arrays):
 
 
 def test_ownership_sums_a_twice_used_input_into_a_new_array():
-    # add hands one array to both of its inputs; the sweep owns neither
-    # copy, so it sums them into a new array
+    # add hands its adjoint to one input and a copy to the other; the
+    # sweep sums the copy into the first, an array of its own, not into
+    # the leaf's read-only data or the constant
     rng = np.random.default_rng(21)
     c = rng.normal(size=(3, 4))
     (x,) = _read_only_leaves(rng.normal(size=(3, 4)))
@@ -823,43 +825,11 @@ def test_ownership_adds_row_slices_into_the_owned_whole_adjoint():
     assert gx is returned[0]
 
 
-def _difference(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    # a - b as one record whose VJP returns g itself beside -g (a square
-    # GCN layer's VJP also hands g back, as dH written into its buffer)
-    return ad._make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def test_ownership_of_a_g_that_a_vjp_returns():
-    # An owned g (mul's new array) reaches the difference's VJP writeable
-    # and passes on to x, which then sums its second adjoint into that very
-    # array, after -g was formed; a g the sweep does not own (sum_all's
-    # broadcast view) reaches it read-only, and x's sum goes to a new array.
-    rng = np.random.default_rng(23)
-    c, c2 = rng.normal(size=(2, 3, 2))
-    for through_mul in (True, False):
-        x, z = _read_only_leaves(*rng.normal(size=(2, 3, 2)))
-        with ad.Tape() as tape:
-            second = ad.sum_all(ad.mul(x, ad.constant(c2)))  # swept last
-            diff = _difference(x, z)
-            first = ad.sum_all(ad.mul(diff, ad.constant(c)) if through_mul else diff)
-            loss = ad.add(first, second)
-            i = [out for out, _, _ in tape._records].index(diff)
-            out, inputs, vjp = tape._records[i]
-            handed = []
-            tape._records[i] = (out, inputs, lambda g: handed.append(g) or vjp(g))
-            gx, gz = tape.backward(loss, [x, z])
-        (g,) = handed
-        g_diff = c * np.ones((3, 2)) if through_mul else np.ones((3, 2))
-        assert g.flags.writeable == through_mul
-        assert np.shares_memory(gx, g) == through_mul
-        assert gz.tobytes() == (-g_diff).tobytes()
-        assert gx.tobytes() == (g_diff + c2 * np.ones((3, 2))).tobytes()
-
-
-def test_a_shared_adjoint_reaches_each_vjp_read_only():
-    # add hands one array to both GCN layers; each layer's VJP may mask an
-    # adjoint it owns in place, so this one must reach both read-only, or
-    # the first layer swept would mask the other's adjoint with its own mask
+def test_add_gives_each_gcn_stack_an_adjoint_of_its_own():
+    # add hands each GCN layer an adjoint array of its own; each layer's
+    # VJP masks the adjoint it is handed in place, so with one array
+    # shared the first layer swept would mask the other's adjoint with
+    # its own mask
     rng = np.random.default_rng(24)
     adj = rng.random((4, 4))
     x = ad.constant(rng.normal(size=(4, 3)))
@@ -879,30 +849,74 @@ def test_a_shared_adjoint_reaches_each_vjp_read_only():
         assert [g.tobytes() for g in got] == [g.tobytes() for g in alone]
 
 
-def test_sweep_never_writes_a_view_a_vjp_returns():
-    # a VJP may return a view of an array it keeps; the sweep must sum the
-    # next adjoint into a new array, not into that view
-    rng = np.random.default_rng(25)
-    k, c = rng.normal(size=(2, 3, 2))
-    before = k.tobytes()
-    (x,) = _read_only_leaves(rng.normal(size=(3, 2)))
-    with ad.Tape() as tape:
-        second = ad.sum_all(ad.mul(x, ad.constant(c)))  # swept last
-        # sum(x * k), whose VJP at g = 1 is k itself, handed out as a view
-        first = ad._make(np.array([[(x.data * k).sum()]]), (x,), lambda g: (k[:],))
-        (gx,) = tape.backward(ad.add(first, second), [x])
-    assert k.tobytes() == before
-    assert gx.tobytes() == (k + c * np.ones((3, 2))).tobytes()
+def _leaf(rng, rows, cols):
+    return ad.Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
 
 
-def test_broadcast_adjoints_are_read_only_views():
-    # mean_rows and sum_all hand back views of their 1 x C / 1 x 1 adjoint
-    x = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+def _twice_added(rng):
+    x = _leaf(rng, 4, 3)
+    return ad.add(x, x)
+
+
+def _gcn_stack_case(rng, d_in, widths):
+    adj = rng.random((4, 4))
+    layers, fan_in = [], d_in
+    for width in widths:
+        layers.append((_leaf(rng, fan_in, width), _leaf(rng, 1, width)))
+        fan_in = width
+    return ad.gcn_stack(lambda: adj, _leaf(rng, 8, d_in), layers)
+
+
+# one record per case, every input trainable. The square stack runs A (H W)
+# at both layers and writes dH into the adjoint it is handed; the widening
+# one runs (A X) W at layer 0, recomputing its output, then A (H W).
+_VJP_CASES = {
+    "matmul": lambda rng: ad.matmul(_leaf(rng, 4, 3), _leaf(rng, 3, 2)),
+    "add": lambda rng: ad.add(_leaf(rng, 4, 3), _leaf(rng, 4, 3)),
+    "add(x, x)": _twice_added,
+    "mul": lambda rng: ad.mul(_leaf(rng, 4, 3), _leaf(rng, 4, 3)),
+    "mul_scalar": lambda rng: ad.mul_scalar(_leaf(rng, 4, 3), -1.5),
+    "sigmoid": lambda rng: ad.sigmoid(_leaf(rng, 4, 3)),
+    "softplus": lambda rng: ad.softplus(_leaf(rng, 4, 3)),
+    "transpose": lambda rng: ad.transpose(_leaf(rng, 4, 3)),
+    "concat_cols": lambda rng: ad.concat_cols(_leaf(rng, 4, 3), _leaf(rng, 4, 2)),
+    "slice_rows": lambda rng: ad.slice_rows(_leaf(rng, 5, 3), 1, 4),
+    "mean_rows": lambda rng: ad.mean_rows(_leaf(rng, 4, 3)),
+    "sum_all": lambda rng: ad.sum_all(_leaf(rng, 4, 3)),
+    "gcn_stack A (H W)": partial(_gcn_stack_case, d_in=3, widths=[3, 3]),
+    "gcn_stack (A H) W": partial(_gcn_stack_case, d_in=2, widths=[5, 5]),
+    "relation_attention": lambda rng: ad.relation_attention(
+        [_leaf(rng, 8, 3) for _ in range(2)],
+        [[_leaf(rng, 3, 1) for _ in range(2)] for _ in range(2)]),
+    "hybrid_loss": lambda rng: ad.hybrid_loss([_leaf(rng, 1, 3) for _ in range(2)],
+                                              _leaf(rng, 8, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VJP_CASES))
+def test_every_vjp_returns_arrays_it_owns(name):
+    # the VJP contract: a VJP may write the g it is handed, and returns g
+    # itself or new arrays, each at most once, never a view of an input
+    # or of the record's output; a deferred adjoint's make() returns a
+    # new array, not g, which the other deferred adjoints still read. The
+    # sweep sums into what a VJP returns, and the optimizer scales and
+    # consumes the gradients, all in place
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mean_rows(x))
-        (gx,) = tape.backward(loss, [x])
-    assert gx.tobytes() == np.full((3, 2), 1.0 / 3.0).tobytes()
-    assert not gx.flags.writeable and gx.strides[0] == 0
+        _VJP_CASES[name](rng)
+    ((out, inputs, vjp),) = tape._records
+    g = rng.normal(size=out.shape)
+    returned, deferred = [], []
+    for a in vjp(g):
+        deferred.append(isinstance(a, ad._Deferred))
+        returned.append(a.make() if deferred[-1]
+                        else a.g if isinstance(a, ad._RowAdjoint) else a)
+    assert len(returned) == len(inputs) and all(a is not None for a in returned)
+    kept = [out.data, *(t.data for t in inputs)]
+    for i, a in enumerate(returned):
+        assert a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in returned[i + 1:] + kept)
+        assert (a is g and not deferred[i]) or not np.shares_memory(a, g)
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +947,19 @@ def test_backward_refuses_a_recorded_output():
             tape.backward(loss, [x, y])
         with pytest.raises(ValueError, match="recorded"):
             tape.backward(loss, [loss])
+
+
+def test_backward_refuses_a_repeated_tensor():
+    # each returned gradient is the caller's to scale and consume in
+    # place: one array handed out twice would be clipped twice
+    w = ad.Tensor([[3.0, 3.0]], requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.sum_all(_square(w))
+        with pytest.raises(ValueError, match="repeats"):
+            tape.backward(loss, [w, w])
+        # refused before any sweep, so the tape is still whole
+        (gw,) = tape.backward(loss, [w])
+    assert gw.tolist() == [[6.0, 6.0]]
 
 
 def test_unreached_parameter_has_zero_grad():
@@ -1045,19 +1072,6 @@ def test_adam_rejects_misaligned_grads():
     opt = ad.Adam([p])
     with pytest.raises(ValueError):
         opt.step([])
-
-
-def test_clip_scales_a_shared_adjoint_once_per_entry():
-    # add hands one adjoint array to both leaves; clipping must scale
-    # each entry once and leave the shared input's bytes alone
-    a = ad.Tensor(np.zeros((3, 2)), requires_grad=True)
-    b = ad.Tensor(np.zeros((3, 2)), requires_grad=True)
-    with ad.Tape() as tape:
-        grads = tape.backward(ad.sum_all(ad.add(a, b)), [a, b])
-    clipped = ad.clip_global_norm(grads, 1.0)
-    want = np.full((3, 2), 1.0 / np.sqrt(12.0)).tobytes()
-    assert clipped[0].tobytes() == want and clipped[1].tobytes() == want
-    assert grads[0].tobytes() == grads[1].tobytes() == np.ones((3, 2)).tobytes()
 
 
 def test_clip_global_norm():

@@ -80,7 +80,7 @@ def test_gcn_zero_weights_give_zero_embedding():
         w.data[:] = 0.0
         b.data[:] = 0.0
     x = ad.constant(np.random.default_rng(0).random((5, 4)))
-    h = model.gcn_forward(lambda: np.eye(5), x, p.layers[gg.DistanceKind.EUCLIDEAN])
+    h = ad.gcn_stack(lambda: np.eye(5), x, p.layers[gg.DistanceKind.EUCLIDEAN])
     assert np.all(h.data == 0.0)
 
 
@@ -90,7 +90,7 @@ def test_gcn_hand_case_one_layer():
     x = ad.constant(np.array([[2.0, 0.0], [0.0, 4.0]]))
     w = ad.Tensor(np.eye(2))
     b = ad.Tensor(np.array([[-1.5, 0.0]]))
-    h = model.gcn_forward(lambda: adj, x, [(w, b)])
+    h = ad.gcn_stack(lambda: adj, x, [(w, b)])
     assert np.allclose(h.data, [[0.0, 2.0], [0.0, 2.0]], atol=1e-15)
 
 
@@ -99,9 +99,9 @@ def test_gcn_row_permutation_equivariance():
     p = tiny_params(n_features=4, cfg=tiny_cfg(gcn_layers=3))
     kind = gg.DistanceKind.BRAY_CURTIS
     perm = np.random.default_rng(1).permutation(7)
-    h = model.gcn_forward(partial(adjs, kind), ad.constant(x), p.layers[kind]).data
+    h = ad.gcn_stack(partial(adjs, kind), ad.constant(x), p.layers[kind]).data
     a_perm = adjs(kind)[perm][:, perm]
-    h_perm = model.gcn_forward(lambda: a_perm, ad.constant(x[perm]), p.layers[kind]).data
+    h_perm = ad.gcn_stack(lambda: a_perm, ad.constant(x[perm]), p.layers[kind]).data
     assert np.max(np.abs(h_perm - h[perm])) < 1e-9
 
 
@@ -109,7 +109,7 @@ def test_gcn_final_layer_keeps_relu():
     p = tiny_params()
     kind = gg.DistanceKind.EUCLIDEAN
     x = ad.constant(np.random.default_rng(2).normal(size=(6, 4)) * 10)
-    h = model.gcn_forward(lambda: np.eye(6), x, p.layers[kind])
+    h = ad.gcn_stack(lambda: np.eye(6), x, p.layers[kind])
     assert np.all(h.data >= 0.0)
 
 
@@ -475,7 +475,7 @@ def test_plain_summary_drops_only_the_histogram():
     p = tiny_params(cfg=cfg)
     res = model.joint_forward(x, xs, adjs, p, cfg)
     stacked = ad.constant(np.concatenate([x, xs]))
-    hs = [model.gcn_forward(partial(adjs, kind), stacked, p.layers[kind]).data
+    hs = [ad.gcn_stack(partial(adjs, kind), stacked, p.layers[kind]).data
           for kind in gg.ALL_KINDS]
     merged = model.attention_merge([ad.constant(h) for h in hs], p.queries).data
     target = np.mean([1.0 / (1.0 + np.exp(-h[:n].mean(axis=0))) for h in hs], axis=0)
