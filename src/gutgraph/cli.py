@@ -343,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    tr.pin_allocator()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

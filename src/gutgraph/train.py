@@ -14,6 +14,7 @@ The corruption permutation of the Shuffled-Graph belongs to training:
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import io
 import itertools
@@ -102,6 +103,35 @@ class TrainConfig:
         return cls(**data)
 
 
+# (glibc mallopt parameter, value): M_MMAP_THRESHOLD 8 MiB, M_TRIM_THRESHOLD 64 MiB
+_ALLOCATOR_POLICY = ((-3, 8 << 20), (-1, 64 << 20))
+
+
+def pin_allocator() -> bool:
+    """Fix the C allocator's thresholds for the whole run; returns whether
+    they were applied.
+
+    Blocks of 8 MiB and more are mapped on their own, and the heap is
+    handed back to the system only when 64 MiB lie free at its top. glibc
+    otherwise moves both thresholds as blocks are freed: at N=120 the trim
+    threshold settles near 1 MiB, so each epoch's freed tape and gradients
+    are returned to the system and faulted in again by the next epoch.
+    8 MiB is where glibc's own rule settles at N=960, once the first N x N
+    matrix is freed, and 64 MiB keeps a whole epoch's freed tape (30 MiB
+    at N=960) in the heap. Where the C library has no ``mallopt``
+    (macOS, Windows), nothing happens."""
+    try:
+        # the loaded program's symbols, the C library's among them;
+        # Windows refuses the null name with TypeError
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success
+    return all([mallopt(param, value) == 1 for param, value in _ALLOCATOR_POLICY])
+
+
 class TrainingDivergedError(RuntimeError):
     """Training left the finite range at ``epoch``, in the joint loss or
     in the gradient norm of that epoch's step; carries the finite loss
@@ -142,11 +172,6 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch + 1, trace)
             trace.append(value)
-            # drop the last step's gradients before the sweep, not when its
-            # result replaces them, so the sweep's peak holds one gradient
-            # set: their freed blocks sit under the tape for the sweep to
-            # reuse. Dropped before the forward pass, they cost more faults.
-            grads = None
             grads = tape.backward(result.loss, tensors)
         # the step works in place: clip scales these arrays, and Adam,
         # through its one scratch buffer, turns them into its update
@@ -155,6 +180,7 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
         except FloatingPointError:
             raise TrainingDivergedError(epoch + 1, trace, "gradient norm") from None
         optimizer.step(grads)
+        grads = None  # spent: the next forward pass runs without them
     return params, trace
 
 
@@ -184,12 +210,21 @@ def head_gradients(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     head ``x @ w + b`` against integer labels ``y``, in closed form:
     the logit gradient is (softmax - onehot) / n. The softmax subtracts
     the row max and exponentiates the log-softmax, so the gradient keeps
-    its bits whatever the logit scale."""
+    its bits whatever the logit scale. With two classes, the row max and
+    row sum are one elementwise operation on the two columns (the bits of
+    the axis-1 reductions, at a fraction of their cost), and the logits are
+    worked in place."""
     n = x.shape[0]
-    z = x @ w + b
-    z = z - z.max(axis=1, keepdims=True)
-    g = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
-    g[np.arange(n), y] -= 1.0
+    z = x @ w
+    z += b
+    z -= np.maximum(z[:, :1], z[:, 1:])
+    e = np.exp(z)
+    s = e[:, :1] + e[:, 1:]
+    z -= np.log(s, out=s)
+    g = np.exp(z, out=z)
+    # minus the one-hot labels: y in column 1, 1 - y in column 0
+    g[:, 1] -= y
+    g[:, 0] -= y == 0
     g /= n
     return [x.T @ g, g.sum(axis=0, keepdims=True)]
 
@@ -398,7 +433,10 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
         # logging, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
         n = len(indices)
-        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+        # a worker started by spawn or forkserver does not inherit the
+        # parent's allocator thresholds
+        with ProcessPoolExecutor(max_workers=min(jobs, n),
+                                 initializer=pin_allocator) as pool:
             results = list(pool.map(_evaluate_single_seed, [mg] * n,
                                     [labels] * n, [cfg] * n, indices))
     rows = [row for seed_rows, _ in results for row in seed_rows]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from gutgraph import cli
 from gutgraph.cli import main
 from gutgraph.train import TrainConfig
 
@@ -26,6 +27,21 @@ def cohort(tmp_path):
                  "--separation", "2.0", "--seed", "3", "--out-dir", str(out)])
     assert code == 0
     return str(out / "abundance.tsv"), str(out / "labels.tsv")
+
+
+def test_main_pins_the_allocator_before_parsing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.tr, "pin_allocator", lambda: calls.append("pin"))
+    build_parser = cli.build_parser
+
+    def parser():
+        calls.append("parse")
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", parser)
+    with pytest.raises(SystemExit):
+        main(["synth", "--no-such-flag"])
+    assert calls == ["pin", "parse"]
 
 
 def test_synth_is_byte_deterministic(tmp_path):

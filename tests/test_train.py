@@ -1,8 +1,10 @@
 """Tests for the training loops, metrics, cross-validation and the
 checkpoint format."""
 
+import concurrent.futures
 import dataclasses
 import os
+import platform
 import stat
 import struct
 import weakref
@@ -123,19 +125,24 @@ def test_zero_learning_rate_keeps_params():
 
 
 @pytest.mark.parametrize("clip_norm", [1e-3, 1e6])
-def test_last_steps_gradients_are_gone_when_backward_starts(monkeypatch, clip_norm):
-    # one gradient set at the sweep's peak: neither the arrays backward
-    # returned nor the clipped ones Adam stepped with outlive their step
-    # into the next backward pass, whether clipping fires or not
+def test_last_steps_gradients_are_gone_when_the_next_forward_starts(monkeypatch,
+                                                                   clip_norm):
+    # a step's gradients are spent once Adam has stepped: neither the
+    # arrays backward returned nor the clipped ones Adam stepped with
+    # outlive their step into the next forward pass, whether clipping
+    # fires or not
     values, _ = small_problem()
     cfg = small_cfg(epochs=3, clip_norm=clip_norm)
     mg = build_multigraph(values, cfg.threshold)
     handed = []
     alive_at_start = []
-    backward, clip = ad.Tape.backward, ad.clip_global_norm
+    forward, backward, clip = gm.joint_forward, ad.Tape.backward, ad.clip_global_norm
+
+    def watched_forward(*args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in handed))
+        return forward(*args, **kwargs)
 
     def watched_backward(tape, loss, wrt):
-        alive_at_start.append(sum(ref() is not None for ref in handed))
         grads = backward(tape, loss, wrt)
         handed.extend(weakref.ref(g) for g in grads)
         return grads
@@ -145,6 +152,7 @@ def test_last_steps_gradients_are_gone_when_backward_starts(monkeypatch, clip_no
         handed.extend(weakref.ref(g) for g in clipped)
         return clipped
 
+    monkeypatch.setattr(gm, "joint_forward", watched_forward)
     monkeypatch.setattr(ad.Tape, "backward", watched_backward)
     monkeypatch.setattr(ad, "clip_global_norm", watched_clip)
     gt.train_unsupervised(mg, cfg)
@@ -274,6 +282,52 @@ def test_non_finite_gradient_norm_stops_training(monkeypatch):
     err = exc_info.value
     assert err.epoch == 2
     assert len(err.trace) == 2 and all(np.isfinite(v) for v in err.trace)
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_pin_allocator_applies_under_glibc():
+    assert gt.pin_allocator() is True
+
+
+class _FakeLibc:
+    """A loaded C library whose ``mallopt`` records its calls and returns
+    ``result``; like a ctypes function, it takes attributes."""
+
+    def __init__(self, result):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+def test_pin_allocator_sets_both_thresholds(monkeypatch):
+    libc = _FakeLibc(1)
+    monkeypatch.setattr(gt.ctypes, "CDLL", lambda name: libc)
+    assert gt.pin_allocator() is True
+    # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+    assert libc.calls == [(-3, 8 << 20), (-1, 64 << 20)]
+    refused = _FakeLibc(0)
+    monkeypatch.setattr(gt.ctypes, "CDLL", lambda name: refused)
+    assert gt.pin_allocator() is False
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("loader", [lambda name: object(), _no_c_library],
+                         ids=["no-mallopt", "no-library"])
+def test_pin_allocator_is_a_silent_no_op_without_mallopt(monkeypatch, loader):
+    # macOS and Windows C libraries have no mallopt
+    monkeypatch.setattr(gt.ctypes, "CDLL", loader)
+    assert gt.pin_allocator() is False
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +461,39 @@ def test_head_gradients_match_finite_differences(n, d, scale, seed):
         assert err < 1e-6
 
 
+def _head_gradients_by_reductions(x, w, b, y):
+    """The head gradient with the softmax's row max and row sum as axis-1
+    reductions and the labels subtracted by fancy indexing: the general
+    form that ``head_gradients`` specializes to two columns."""
+    n = x.shape[0]
+    z = x @ w + b
+    z = z - z.max(axis=1, keepdims=True)
+    g = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+    g[np.arange(n), y] -= 1.0
+    g /= n
+    return [x.T @ g, g.sum(axis=0, keepdims=True)]
+
+
+@pytest.mark.parametrize("n, d, scale", [(1, 3, 1.0), (2, 1, 0.1), (9, 4, 30.0),
+                                         (96, 16, 1.0), (768, 8, 300.0)])
+def test_head_gradients_keep_the_bits_of_the_reductions(n, d, scale):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, d))
+    w = scale * rng.normal(size=(d, 2))
+    b = scale * rng.normal(size=(1, 2))
+    y = rng.integers(0, 2, size=n)
+    want = _head_gradients_by_reductions(x, w, b, y)
+    got = gt.head_gradients(x, w, b, y)
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+    # a NaN logit row spreads NaN through the weight gradient and the
+    # bias gradient alike under both forms
+    x[n // 2, 0] = np.nan
+    want = _head_gradients_by_reductions(x, w, b, y)
+    got = gt.head_gradients(x, w, b, y)
+    assert np.isnan(got[1]).all()
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -536,6 +623,31 @@ def test_parallel_jobs_match_serial():
     serial = gt.run_cross_validation(values, labels, cfg, jobs=1)
     parallel = gt.run_cross_validation(values, labels, cfg, jobs=2)
     assert gt.report_to_json(serial) == gt.report_to_json(parallel)
+
+
+def test_pool_workers_start_under_the_allocator_policy(monkeypatch):
+    # a worker started by spawn or forkserver inherits no mallopt setting,
+    # so each one runs the policy itself
+    initializers = []
+
+    class Recorder:
+        def __init__(self, max_workers=None, initializer=None):
+            initializers.append(initializer)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    values, labels = small_problem(n_per_class=8, n_features=8)
+    cfg = small_cfg(eval_seeds=2, epochs=1, classifier_steps=5)
+    gt.run_cross_validation(values, labels, cfg, jobs=2)
+    assert initializers == [gt.pin_allocator]
 
 
 def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
