@@ -67,11 +67,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got ndim={arr.ndim}")
         if arr.size == 0:
             raise ShapeError(f"zero-size tensor with shape {arr.shape}")
@@ -602,30 +598,27 @@ def hybrid_loss(node_parts: Sequence[Tensor], merged: Tensor) -> Tensor:
 
 
 def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float,
-                     scratch: np.ndarray | None = None) -> list[np.ndarray]:
-    """``grads`` scaled by one factor so their joint L2 norm is <= max_norm.
+                     scratch: np.ndarray) -> float:
+    """Scale ``grads`` by one factor so their joint L2 norm is <=
+    max_norm; returns the joint norm measured before scaling.
 
     Each gradient is scaled in place (``g *= scale``, the bits of
-    ``g * scale``), so each must be the caller's own writeable array, as
-    ``Tape.backward`` returns them; the list of the same arrays comes
-    back. With no clip needed they are left untouched.
+    ``g * scale``), so each must be the caller's own writeable C-ordered
+    array, as ``Tape.backward`` returns them. With no clip needed they
+    are left untouched.
 
-    The norm squares each C-contiguous gradient into ``scratch``, a 1-D
-    float64 buffer at least as large as the largest gradient (one is
-    allocated for the call when none is given), so it has the bits of
-    summing ``(g * g).sum()`` over ``grads``. A non-finite norm (an
-    overflowing square, a NaN or an inf) raises ``FloatingPointError``
-    rather than zeroing or poisoning the step.
+    The norm squares each gradient into ``scratch``, a 1-D float64
+    buffer at least as large as the largest gradient, so it has the bits
+    of ``sqrt`` of summing ``(g * g).sum()`` over ``grads``. A non-finite
+    norm (an overflowing square, a NaN or an inf) raises
+    ``FloatingPointError`` rather than zeroing or poisoning the step.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    if scratch is None:
-        scratch = np.empty(max((g.size for g in grads), default=0))
     total = 0.0
     with np.errstate(over="ignore"):
         for g in grads:
-            sq = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)) \
-                if g.flags.c_contiguous else g * g
+            sq = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))
             total += float(sq.sum())
     norm = np.sqrt(total)
     if not np.isfinite(norm):
@@ -634,7 +627,7 @@ def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float,
         scale = max_norm / norm
         for g in grads:
             g *= scale
-    return list(grads)
+    return float(norm)
 
 
 ADAM_BETA1 = 0.9
@@ -651,7 +644,7 @@ class Adam:
     allocated here, so a step allocates nothing; ``clip_global_norm``
     may borrow it between steps.
     """
-    def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3):
+    def __init__(self, params: Sequence[np.ndarray], lr: float):
         if lr < 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
         self.params = list(params)

@@ -23,12 +23,10 @@ import sys
 from . import model
 from . import train as tr
 from .gradcheck import DEFAULT_TOLERANCE, gradient_check
-from .graph import GraphBuildError, build_multigraph, edge_list_lines, \
-    edge_list_sidecar
-from .ingest import (FilterPolicy, TableFormatError, filter_low_abundance,
-                     parse_abundance_table, quote_field, read_labels,
-                     removal_report, serialize_abundance_table,
-                     serialize_labels, synth_cohort)
+from .graph import build_multigraph, edge_list_lines, edge_list_sidecar
+from .ingest import (FilterPolicy, filter_low_abundance, parse_abundance_table,
+                     quote_field, read_labels, removal_report,
+                     serialize_abundance_table, serialize_labels, synth_cohort)
 
 OUTDIR_ENV = "GUTGRAPH_OUTDIR"
 
@@ -42,6 +40,18 @@ _ABLATION_FLAGS = [
     ("--no-two-stage-summary", "two_stage_summary"),
     ("--no-adversarial", "use_adversarial"),
 ]
+
+
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, got {text!r}")
+    return text
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_config_options(p: argparse.ArgumentParser) -> None:
@@ -63,7 +73,7 @@ def _add_common(p: argparse.ArgumentParser, table: bool = True,
     if table:
         p.add_argument("--table", required=True,
                        help="feature-major abundance table")
-        p.add_argument("--delimiter", default="\t")
+        p.add_argument("--delimiter", type=_delimiter, default="\t")
     if labels:
         p.add_argument("--labels", required=True,
                        help="two-column sample id / 0-1 label file")
@@ -140,13 +150,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_build_graphs(args) -> int:
     out_dir = _resolve_out_dir(args)
-    cfg = _resolve_config(args)
-    _echo_config(out_dir, "build-graphs", {
-        "table": os.path.abspath(args.table),
-        "delimiter": args.delimiter,
-        "config": cfg.as_dict(),
-    })
-    table = _read_table(args)
+    cfg, _, table = _model_and_table(args, out_dir, "build-graphs", {})
     # every relation is built before any file is written
     graphs = build_multigraph(table.values, cfg.threshold).graphs
     for kind, graph in graphs.items():
@@ -163,13 +167,7 @@ def cmd_build_graphs(args) -> int:
 
 def cmd_train(args) -> int:
     out_dir = _resolve_out_dir(args)
-    cfg = _resolve_config(args)
-    _echo_config(out_dir, "train", {
-        "table": os.path.abspath(args.table),
-        "delimiter": args.delimiter,
-        "config": cfg.as_dict(),
-    })
-    table = _read_table(args)
+    cfg, _, table = _model_and_table(args, out_dir, "train", {})
     mg = build_multigraph(table.values, cfg.threshold)
     params, trace = tr.train_unsupervised(mg, cfg)
     tr.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params, cfg, trace,
@@ -184,10 +182,11 @@ def cmd_train(args) -> int:
 
 
 def _model_and_table(args, out_dir: str, command: str, echo: dict):
-    """(config, trained params or None, table) for a command that takes
-    either --checkpoint or config flags. Echoes the resolved config
-    before reading the table, which must have the checkpoint's features
-    in the checkpoint's order."""
+    """(config, trained params or None, table) for a command that reads
+    a table under config flags or, for evaluate and embed, a
+    --checkpoint. Echoes the resolved config before reading the table,
+    which must have the checkpoint's features in the checkpoint's
+    order."""
     echo = {"table": os.path.abspath(args.table),
             "delimiter": args.delimiter, **echo}
     ckpt = params = None
@@ -304,19 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graphs", help="export relation edge lists")
     _add_common(p)
     _add_config_options(p)
-    p.set_defaults(func=cmd_build_graphs)
+    p.set_defaults(func=cmd_build_graphs, checkpoint=None)
 
     p = sub.add_parser("train", help="unsupervised training, no labels read")
     _add_common(p)
     _add_config_options(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, checkpoint=None)
 
     p = sub.add_parser("evaluate", help="repeated k-fold evaluation")
     _add_common(p, labels=True)
     _add_config_options(p)
     p.add_argument("--checkpoint", help="evaluate a saved model instead of "
                    "training per seed")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel seed workers (results independent of this)")
     p.set_defaults(func=cmd_evaluate)
 
@@ -347,8 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TableFormatError, GraphBuildError, tr.CheckpointError,
-            tr.TrainingDivergedError, ValueError, OSError) as exc:
+    except (tr.TrainingDivergedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,7 +62,7 @@ def _fd_grad(loss_fn, params: list[np.ndarray]) -> np.ndarray:
     return np.array(out)
 
 
-def gradient_sides(seed: int = 0) -> Sides:
+def gradient_sides(seed: int) -> Sides:
     """Per parameter group, one flattened (analytic, central difference)
     pair per model that holds it, over the distinct models the
     ``_SWITCHES`` of ``_CFG`` make (six of the eight combinations), on
@@ -71,7 +71,7 @@ def gradient_sides(seed: int = 0) -> Sides:
     root = np.random.SeedSequence(seed)
     data_rng = np.random.default_rng(root.spawn(1)[0])
     x = data_rng.random((_N_NODES, _N_FEATURES)) + 0.05
-    adjs = build_multigraph(x, threshold=0.6).normalized
+    adjs = build_multigraph(x, _CFG.threshold).normalized
     x_shuffled, _ = shuffle_features(x, seed=seed + 1)
     init_ss = root.spawn(2)[1]
 
@@ -105,7 +105,7 @@ def worst_errors(sides: Sides) -> dict[str, float]:
     return errors
 
 
-def gradient_check(seed: int = 0) -> dict[str, float]:
+def gradient_check(seed: int) -> dict[str, float]:
     """Worst relative error per parameter group of ``gradient_sides``."""
     return worst_errors(gradient_sides(seed))
 

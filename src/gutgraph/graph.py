@@ -150,7 +150,7 @@ class RelationGraph:
 
 
 def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
-                         threshold: float = 0.6) -> RelationGraph:
+                         threshold: float) -> RelationGraph:
     """Threshold min-max rescaled distances into a relation graph.
 
     The rescale uses only off-diagonal entries; an edge (i, j), i != j,
@@ -197,27 +197,25 @@ def _off_diagonal_range(d: np.ndarray) -> tuple[float, float]:
     return d.min(where=off, initial=np.inf), d.max(where=off, initial=-np.inf)
 
 
-def normalize_adjacency(graph: RelationGraph,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def normalize_adjacency(graph: RelationGraph, out: np.ndarray) -> np.ndarray:
     """Symmetric degree-normalized adjacency with self-loops folded in:
     D^(-1/2) (A + I) D^(-1/2), written into ``out`` (an N x N float64
-    array) when given, else into a new array.
+    array), which it returns.
 
-    Built in one N x N array: the diagonal is empty, so setting it to 1
+    Built in ``out`` alone: the diagonal is empty, so setting it to 1
     adds I exactly, and each entry (i, j) is divided in place by
     sqrt(deg_i * deg_j), ``_ROW_BLOCK`` rows at a time; the bits are
-    those of ``a_hat / np.sqrt(np.outer(deg, deg))``."""
-    a_hat = np.empty(graph.adjacency.shape) if out is None else out
-    a_hat[...] = graph.adjacency
-    np.fill_diagonal(a_hat, 1.0)
-    deg = a_hat.sum(axis=1)
+    those of ``(A + I) / np.sqrt(np.outer(deg, deg))``."""
+    out[...] = graph.adjacency
+    np.fill_diagonal(out, 1.0)
+    deg = out.sum(axis=1)
     n = len(deg)
     block = np.empty((min(_ROW_BLOCK, n), n))
     for r in range(0, n, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
         scale = np.outer(deg[rows], deg, out=block[:n - r])
-        a_hat[rows] /= np.sqrt(scale, out=scale)
-    return a_hat
+        out[rows] /= np.sqrt(scale, out=scale)
+    return out
 
 
 def shuffle_features(values: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +232,6 @@ def shuffle_features(values: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
     while n >= 2 and np.array_equal(perm, np.arange(n)):
         perm = rng.permutation(n)
     return values[perm], perm
-
-
-def relation_graph(values: np.ndarray, kind: DistanceKind,
-                   threshold: float) -> RelationGraph:
-    """The ``kind`` relation graph over the rows of ``values``."""
-    return build_relation_graph(pairwise_distances(values, kind), kind, threshold)
 
 
 @dataclass
@@ -290,11 +282,13 @@ class MultiGraph:
         return view
 
 
-def build_multigraph(values: np.ndarray, threshold: float = 0.6) -> MultiGraph:
+def build_multigraph(values: np.ndarray, threshold: float) -> MultiGraph:
     """One relation graph per distance kind in ``ALL_KINDS``, in that
     order, over a private float64 copy of ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    graphs = {kind: relation_graph(values, kind, threshold) for kind in ALL_KINDS}
+    graphs = {kind: build_relation_graph(pairwise_distances(values, kind), kind,
+                                         threshold)
+              for kind in ALL_KINDS}
     return MultiGraph(values.copy(), graphs)
 
 

@@ -8,7 +8,6 @@ In memory everything is sample-major float64.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -78,8 +77,6 @@ def _records(stream, delimiter: str):
     """(1-based record number, fields) of every non-blank record. A
     record csv cannot split, such as one a stray quote runs past the
     field size limit, raises TableFormatError naming its first line."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
     reader = csv.reader(stream, delimiter=delimiter)
     line = 1
     try:
@@ -100,7 +97,7 @@ def quote_field(cell: str, delimiter: str) -> str:
     return cell
 
 
-def parse_abundance_table(stream, delimiter: str = "\t") -> AbundanceTable:
+def parse_abundance_table(stream, delimiter: str) -> AbundanceTable:
     """Parse a feature-major delimited table into a sample-major one.
 
     Row 1 is the header: its first cell is ignored, the rest are sample
@@ -205,7 +202,7 @@ def kfold_split(n_samples: int, k: int, seed: int) -> np.ndarray:
     return fold_of_sample
 
 
-def read_labels(stream, sample_ids: list[str], delimiter: str = "\t") -> np.ndarray:
+def read_labels(stream, sample_ids: list[str], delimiter: str) -> np.ndarray:
     """Two-column id/label file, as int64 0/1 disease labels (1 =
     diseased) reordered to match ``sample_ids``."""
     mapping: dict[str, int] = {}

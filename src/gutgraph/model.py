@@ -111,8 +111,7 @@ def node_summary(h: Tensor) -> Tensor:
     return ad.sigmoid(ad.mean_rows(h))
 
 
-def value_histogram(values: np.ndarray, bins: int,
-                    weighting: str = "magnitude") -> np.ndarray:
+def value_histogram(values: np.ndarray, bins: int, weighting: str) -> np.ndarray:
     """Graph-level readout: histogram of all embedding values, 1 x K.
 
     Bins split [min, max] uniformly with the top edge closed; the bin
@@ -148,7 +147,7 @@ def value_histogram(values: np.ndarray, bins: int,
     return (mass / mass.sum()).reshape(1, bins)
 
 
-def graph_summary(h: Tensor, bins: int, weighting: str = "magnitude",
+def graph_summary(h: Tensor, bins: int, weighting: str,
                   frozen_histogram: np.ndarray | None = None) -> tuple[Tensor, Tensor, np.ndarray]:
     """Two-stage readout: (summary 1x(D+K), node-level part 1xD,
     histogram array). The histogram enters as a constant, so gradients
@@ -162,22 +161,6 @@ def graph_summary(h: Tensor, bins: int, weighting: str = "magnitude",
 
 # ---------------------------------------------------------------------------
 # merging
-
-
-def attention_merge(embeddings: list[Tensor],
-                    queries_per_head: list[dict[DistanceKind, Tensor]],
-                    return_weights: bool = False):
-    """Per head, per node: softmax over relation types of query . H_i,
-    then the weighted sum of the relation embeddings; heads are
-    averaged. ``embeddings`` follow the order of each head's query keys.
-    One fused record (``autodiff.relation_attention``) covers every
-    head. ``return_weights`` adds one N x T weight matrix per head."""
-    out, w = ad.relation_attention(
-        embeddings, [[queries[kind] for queries in queries_per_head]
-                     for kind in queries_per_head[0]])
-    if not return_weights:
-        return out
-    return out, [w[:, :, h].T.copy() for h in range(w.shape[2])]
 
 
 def average_merge(embeddings: list[Tensor]) -> Tensor:
@@ -309,8 +292,14 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
 
 def _merge(embeddings: list[Tensor], params: ModelParams,
            cfg: TrainConfig) -> Tensor:
+    """The attention merge of ``embeddings`` (one per relation in
+    ``ALL_KINDS`` order) over every head's queries, one fused record, or
+    their mean without ``use_attention``."""
     if cfg.use_attention:
-        return attention_merge(embeddings, params.queries)
+        merged, _ = ad.relation_attention(
+            embeddings, [[queries[kind] for queries in params.queries]
+                         for kind in ALL_KINDS])
+        return merged
     return average_merge(embeddings)
 
 

@@ -176,7 +176,7 @@ def train_unsupervised(mg: MultiGraph, cfg: TrainConfig
         # the step works in place: clip scales these arrays, and Adam,
         # through its one scratch buffer, turns them into its update
         try:
-            grads = ad.clip_global_norm(grads, cfg.clip_norm, optimizer.scratch)
+            ad.clip_global_norm(grads, cfg.clip_norm, optimizer.scratch)
         except FloatingPointError:
             raise TrainingDivergedError(epoch + 1, trace, "gradient norm") from None
         optimizer.step(grads)
@@ -231,25 +231,19 @@ def head_gradients(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 def train_classifier(embeddings: np.ndarray, labels: np.ndarray,
                      train_idx: np.ndarray, cfg: TrainConfig,
-                     seed=None) -> ClassifierHead:
-    """Fit the softmax head on frozen embeddings with full-batch Adam on
-    the closed-form ``head_gradients``. A zero-step budget returns the
-    freshly initialized head."""
+                     seed) -> ClassifierHead:
+    """Fit the softmax head, its weights drawn from ``seed``, on frozen
+    embeddings with full-batch Adam on the closed-form
+    ``head_gradients``. A zero-step budget returns the freshly
+    initialized head."""
     train_idx = np.asarray(train_idx)
-    if train_idx.size == 0:
-        raise ValueError("empty training fold")
-    y = np.asarray(labels)[train_idx]
-    bad = sorted(set(y.tolist()) - {0, 1})
-    if bad:
-        raise ValueError(f"labels must be 0 or 1, found {bad}")
-    if np.unique(y).size < 2:
-        raise ValueError("training fold contains a single class")
+    y = _training_labels(labels, train_idx)
     x_train = embeddings[train_idx]
     mean = x_train.mean(axis=0)
     scale = x_train.std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
     d = embeddings.shape[1]
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d)
     w = rng.uniform(-bound, bound, size=(d, 2))
     b = np.zeros((1, 2))
@@ -258,6 +252,20 @@ def train_classifier(embeddings: np.ndarray, labels: np.ndarray,
     for _ in range(cfg.classifier_steps):
         optimizer.step(head_gradients(x, w, b, y))
     return ClassifierHead(w, b, mean, scale)
+
+
+def _training_labels(labels: np.ndarray, train_idx: np.ndarray) -> np.ndarray:
+    """``labels[train_idx]``, refused unless they hold both classes, 0
+    and 1, and nothing else."""
+    if train_idx.size == 0:
+        raise ValueError("empty training fold")
+    y = np.asarray(labels)[train_idx]
+    bad = sorted(set(y.tolist()) - {0, 1})
+    if bad:
+        raise ValueError(f"labels must be 0 or 1, found {bad}")
+    if np.unique(y).size < 2:
+        raise ValueError("training fold contains a single class")
+    return y
 
 
 def head_scores(head: ClassifierHead, embeddings: np.ndarray) -> np.ndarray:
@@ -282,14 +290,13 @@ class MetricsRow:
     n_test: int
 
 
-def threshold_metrics(scores: np.ndarray, labels: np.ndarray,
-                      threshold: float = 0.5) -> dict[str, float]:
-    """Confusion-matrix metrics with predicted positive iff score >
-    threshold. Zero predicted positives define precision (and then f1)
-    as 0 rather than dividing by zero."""
+def threshold_metrics(scores: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """Confusion-matrix metrics with predicted positive iff score > 0.5.
+    Zero predicted positives define precision (and then f1) as 0 rather
+    than dividing by zero."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pred = scores > threshold
+    pred = scores > 0.5
     actual = labels == 1
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))
@@ -364,12 +371,23 @@ def aggregate_rows(rows: list[MetricsRow]) -> dict[str, dict[str, float | None]]
     return out
 
 
+def _draw_split(labels: np.ndarray, cfg: TrainConfig, seed_index: int) -> np.ndarray:
+    """The fold of each sample under the split drawn at seed ``cfg.seed +
+    seed_index``. A split depends on nothing the encoder learns, so it is
+    drawn, and a training fold the head could not fit on is refused,
+    before any graph is built or any encoder trained."""
+    fold_of_sample = kfold_split(labels.size, cfg.folds, seed=cfg.seed + seed_index)
+    for fold in range(cfg.folds):
+        _training_labels(labels, np.flatnonzero(fold_of_sample != fold))
+    return fold_of_sample
+
+
 def _fold_rows(embeddings: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
-               seed_index: int) -> list[MetricsRow]:
-    """One head per fold of the split drawn at seed ``cfg.seed +
-    seed_index``, each scored on its held-out fold."""
+               seed_index: int, fold_of_sample: np.ndarray) -> list[MetricsRow]:
+    """One head per fold of ``fold_of_sample``, seed index
+    ``seed_index``'s split (``_draw_split``), each scored on its held-out
+    fold."""
     run_seed = cfg.seed + seed_index
-    fold_of_sample = kfold_split(embeddings.shape[0], cfg.folds, seed=run_seed)
     rows: list[MetricsRow] = []
     for fold in range(cfg.folds):
         train_idx = np.flatnonzero(fold_of_sample != fold)
@@ -392,12 +410,13 @@ def _fold_rows(embeddings: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
 
 
 def _evaluate_single_seed(mg: MultiGraph, labels: np.ndarray,
-                          cfg: TrainConfig, seed_index: int
+                          cfg: TrainConfig, seed_index: int,
+                          fold_of_sample: np.ndarray
                           ) -> tuple[list[MetricsRow], list[float]]:
     run_cfg = dataclasses.replace(cfg, seed=cfg.seed + seed_index)
     params, trace = train_unsupervised(mg, run_cfg)
     embeddings = model.encode(mg.features, mg.normalized, params, cfg)
-    return _fold_rows(embeddings, labels, cfg, seed_index), trace
+    return _fold_rows(embeddings, labels, cfg, seed_index, fold_of_sample), trace
 
 
 def _labelled_values(values: np.ndarray, labels: np.ndarray
@@ -419,15 +438,18 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
     same parameters), then one classifier per fold. The graphs use ALL
     samples and no seed, so they are built once and shared by every
     seed and every worker; the split only gates which labels the
-    classifier sees. Rows come in (seed, fold) order whatever ``jobs``
-    is."""
+    classifier sees, and every seed's split is drawn (``_draw_split``)
+    before the graphs are built. Rows come in (seed, fold) order
+    whatever ``jobs`` is."""
     values, labels = _labelled_values(values, labels)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    mg = build_multigraph(values, cfg.threshold)
     indices = range(cfg.eval_seeds)
+    splits = [_draw_split(labels, cfg, i) for i in indices]
+    mg = build_multigraph(values, cfg.threshold)
     if jobs == 1 or len(indices) == 1:
-        results = [_evaluate_single_seed(mg, labels, cfg, i) for i in indices]
+        results = [_evaluate_single_seed(mg, labels, cfg, i, splits[i])
+                   for i in indices]
     else:
         # imported here: the pool pulls in multiprocessing, socket and
         # logging, which no other command needs
@@ -438,7 +460,7 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
         with ProcessPoolExecutor(max_workers=min(jobs, n),
                                  initializer=pin_allocator) as pool:
             results = list(pool.map(_evaluate_single_seed, [mg] * n,
-                                    [labels] * n, [cfg] * n, indices))
+                                    [labels] * n, [cfg] * n, indices, splits))
     rows = [row for seed_rows, _ in results for row in seed_rows]
     traces = [trace for _, trace in results]
     return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
@@ -451,9 +473,10 @@ def evaluate_with_params(values: np.ndarray, labels: np.ndarray,
     """Fold evaluation against an already-trained encoder (checkpoint
     path): the folds of seed index 0, no unsupervised training."""
     values, labels = _labelled_values(values, labels)
+    split = _draw_split(labels, cfg, 0)
     mg = build_multigraph(values, cfg.threshold)
     embeddings = model.encode(mg.features, mg.normalized, params, cfg)
-    rows = _fold_rows(embeddings, labels, cfg, 0)
+    rows = _fold_rows(embeddings, labels, cfg, 0, split)
     return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
                          config=cfg.as_dict())
 

@@ -143,8 +143,8 @@ def test_criterion_3_readout_invariants():
     bits_ok = bit_failures == 0
 
     k = 7
-    uniform = gm.value_histogram(np.zeros((5, 3)), k)
-    one_hot = gm.value_histogram(np.full((4, 2), 2.5), k)
+    uniform = gm.value_histogram(np.zeros((5, 3)), k, "magnitude")
+    one_hot = gm.value_histogram(np.full((4, 2), 2.5), k, "magnitude")
     degen_ok = (uniform.tobytes() == np.full((1, k), 1.0 / k).tobytes()
                 and one_hot[0, 0] == 1.0 and one_hot[0, 1:].sum() == 0.0)
 
@@ -204,20 +204,18 @@ def test_criterion_5_attention_contract():
         embeddings = [ad.constant(rng.normal(size=(n, d))) for _ in kinds]
         queries = [{k: ad.Tensor(rng.normal(size=(d, 1))) for k in kinds}
                    for _ in range(heads)]
-        _, weights = gm.attention_merge(embeddings, queries,
-                                        return_weights=True)
-        for w in weights:
-            worst_sum = max(worst_sum,
-                            float(np.abs(w.sum(axis=1) - 1.0).max()))
-        zero_queries = [{k: ad.Tensor(np.zeros((d, 1))) for k in kinds}
-                        for _ in range(heads)]
-        merged_zero = gm.attention_merge(embeddings, zero_queries)
+        # relation-major, as the fused kernel takes them
+        per_relation = [[q[k] for q in queries] for k in kinds]
+        _, weights = ad.relation_attention(embeddings, per_relation)  # T x N x H
+        worst_sum = max(worst_sum,
+                        float(np.abs(weights.sum(axis=0) - 1.0).max()))
+        zero_queries = [[ad.Tensor(np.zeros((d, 1))) for _ in range(heads)]
+                        for _ in kinds]
+        merged_zero, _ = ad.relation_attention(embeddings, zero_queries)
         averaged = gm.average_merge(embeddings)
         worst_avg_gap = max(worst_avg_gap,
                             float(np.abs(merged_zero.data - averaged.data).max()))
-        single = gm.attention_merge(
-            [embeddings[0]],
-            [{kinds[0]: q[kinds[0]]} for q in queries])
+        single, _ = ad.relation_attention([embeddings[0]], per_relation[:1])
         if single.data.tobytes() != embeddings[0].data.tobytes():
             identity_ok = False
     ok = worst_sum <= 1e-12 and worst_avg_gap <= 1e-12 and identity_ok
@@ -338,9 +336,9 @@ _LABELS_ENV = "GUTGRAPH_CIRRHOSIS_LABELS"
            "to run this informational gate")
 def test_criterion_10_external_cohort_gate():
     with open(os.environ[_TABLE_ENV], encoding="utf-8") as fh:
-        table = parse_abundance_table(fh)
+        table = parse_abundance_table(fh, "\t")
     with open(os.environ[_LABELS_ENV], encoding="utf-8") as fh:
-        labels = read_labels(fh, table.sample_ids)
+        labels = read_labels(fh, table.sample_ids, "\t")
     filtered = filter_low_abundance(table, FilterPolicy())
     cfg = gt.TrainConfig()  # full protocol: 5 folds x 5 seeds
     report = gt.run_cross_validation(filtered.values, labels, cfg)

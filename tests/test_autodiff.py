@@ -76,6 +76,13 @@ def test_shape_mismatch_messages():
         ad.Tensor(np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("data", [2.0, np.float64(2.0), [1.0, 2.0], np.ones(3)])
+def test_tensor_refuses_0d_and_1d_input(data):
+    # every tensor is 2-D: a scalar or a vector is not reshaped into one
+    with pytest.raises(ad.ShapeError, match="2-D"):
+        ad.Tensor(data)
+
+
 def test_backward_of_sum_is_ones():
     x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with ad.Tape() as tape:
@@ -1069,31 +1076,47 @@ def test_adam_lr_zero_is_bit_identity():
 
 def test_adam_rejects_misaligned_grads():
     p = np.ones((2, 2))
-    opt = ad.Adam([p])
+    opt = ad.Adam([p], lr=1e-3)
     with pytest.raises(ValueError):
         opt.step([])
 
 
 def test_clip_global_norm():
+    scratch = np.empty(2)
     g1 = np.array([[3.0, 0.0]])
     g2 = np.array([[0.0, 4.0]])
-    out = ad.clip_global_norm([g1, g2], 5.0)  # joint norm exactly 5: untouched
-    assert out[0] is g1 and out[1] is g2
+    ad.clip_global_norm([g1, g2], 5.0, scratch)  # joint norm exactly 5: untouched
     assert g1[0, 0] == 3.0 and g2[0, 1] == 4.0
     g1 = np.array([[6.0, 0.0]])
     g2 = np.array([[0.0, 8.0]])
     want = (g1 * 0.5).tobytes() + (g2 * 0.5).tobytes()
-    out = ad.clip_global_norm([g1, g2], 5.0)  # joint norm 10 -> scaled by 0.5
-    total = np.sqrt((out[0] ** 2).sum() + (out[1] ** 2).sum())
+    ad.clip_global_norm([g1, g2], 5.0, scratch)  # joint norm 10 -> scaled by 0.5
+    total = np.sqrt((g1 ** 2).sum() + (g2 ** 2).sum())
     assert total == pytest.approx(5.0, abs=1e-12)
-    # scaled in place: the same arrays come back, holding g * scale
-    assert out[0] is g1 and out[1] is g2
+    # scaled in place: the arrays hold g * scale
     assert g1.tobytes() + g2.tobytes() == want
     small = np.array([[0.1]])
     before = small.tobytes()
-    assert ad.clip_global_norm([small], 5.0)[0].tobytes() == before
+    ad.clip_global_norm([small], 5.0, scratch)
+    assert small.tobytes() == before
     with pytest.raises(ValueError):
-        ad.clip_global_norm([small], 0.0)
+        ad.clip_global_norm([small], 0.0, scratch)
+
+
+@pytest.mark.parametrize("max_norm", [1e-3, 1e9])
+def test_clip_returns_the_joint_norm_it_measured(max_norm):
+    # the norm before scaling, with the bits of sqrt of the summed
+    # (g * g).sum(), whether clipping fires (1e-3) or not (1e9)
+    rng = np.random.default_rng(12)
+    grads = [rng.normal(size=shape) for shape in [(7, 5), (1, 5), (5, 1), (3, 3)]]
+    total = 0.0
+    for g in grads:
+        total += float((g * g).sum())
+    want = np.sqrt(total)
+    norm = ad.clip_global_norm(grads, max_norm, np.empty(35))
+    assert np.float64(norm).tobytes() == want.tobytes()
+    clipped = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    assert clipped == pytest.approx(min(want, max_norm), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [1e200, np.nan, np.inf, -np.inf])
@@ -1103,7 +1126,7 @@ def test_clip_rejects_a_non_finite_norm(bad):
     grads = [np.ones((2, 2)), np.array([[bad, 1.0]])]
     before = [g.tobytes() for g in grads]
     with pytest.raises(FloatingPointError, match="gradient norm"):
-        ad.clip_global_norm(grads, 5.0)
+        ad.clip_global_norm(grads, 5.0, np.empty(4))
     assert [g.tobytes() for g in grads] == before
 
 
@@ -1187,7 +1210,8 @@ def test_in_place_clip_and_adam_keep_the_bytes_of_the_out_of_place_step(
     reference = _AdamReference([p.copy() for p in params], lr)
     for grads in steps:
         want = _clip_reference([g.copy() for g in grads], max_norm)
-        clipped = ad.clip_global_norm([g.copy() for g in grads], max_norm, opt.scratch)
+        clipped = [g.copy() for g in grads]
+        ad.clip_global_norm(clipped, max_norm, opt.scratch)
         assert [g.tobytes() for g in clipped] == [g.tobytes() for g in want]
         opt.step(clipped)
         reference.step(want)
@@ -1206,8 +1230,9 @@ def test_clip_and_adam_step_allocate_nothing_per_step(max_norm):
     rng = np.random.default_rng(0)
     arrays = [t.data for t in init_model_params(60, cfg, rng).named_tensors().values()]
     opt = ad.Adam(arrays, lr=cfg.learning_rate)
-    opt.step(ad.clip_global_norm([rng.normal(size=a.shape) for a in arrays],
-                                 max_norm, opt.scratch))
+    first = [rng.normal(size=a.shape) for a in arrays]
+    ad.clip_global_norm(first, max_norm, opt.scratch)
+    opt.step(first)
     grads = [rng.normal(size=a.shape) for a in arrays]
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -1215,7 +1240,8 @@ def test_clip_and_adam_step_allocate_nothing_per_step(max_norm):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        opt.step(ad.clip_global_norm(grads, max_norm, opt.scratch))
+        ad.clip_global_norm(grads, max_norm, opt.scratch)
+        opt.step(grads)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:

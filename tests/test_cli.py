@@ -242,6 +242,20 @@ def test_build_graphs_one_all_zero_sample_is_isolated_in_bray_curtis(tmp_path):
     assert all("1" not in line.split("\t") for line in edges)
 
 
+@pytest.mark.parametrize("command", ["build-graphs", "train"])
+def test_build_graphs_and_train_echo_the_resolved_config(tmp_path, cohort, command):
+    table_path, _ = cohort
+    out = tmp_path / "run"
+    assert main([command, "--table", table_path, "--out-dir", str(out)] + FAST) == 0
+    doc = json.loads((out / "config.json").read_text())
+    assert set(doc) == {"command", "out_dir", "table", "delimiter", "config"}
+    assert doc["command"] == command
+    assert doc["out_dir"] == str(out)
+    assert doc["table"] == os.path.abspath(table_path)
+    assert doc["delimiter"] == "\t"
+    assert set(doc["config"]) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
 def test_train_writes_checkpoint_and_trace(tmp_path, cohort):
     table_path, _ = cohort
     out = tmp_path / "run"
@@ -316,6 +330,81 @@ def test_evaluate_from_checkpoint_matches_end_to_end(tmp_path, cohort):
                  "--checkpoint", str(train_out / "model.ckpt")]) == 0
     assert (direct / "metrics.json").read_bytes() \
         == (via_ckpt / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["folds", "one-class", "jobs", "checkpoint"])
+def test_evaluate_refuses_an_unusable_split_before_training(tmp_path, cohort,
+                                                            capsys, monkeypatch, case):
+    # a split depends only on the cohort's size, folds and the seed, so
+    # both evaluate paths refuse it before building a graph or training
+    table_path, labels_path = cohort
+    extra, want = ["--folds", "17"], "error: k=17 exceeds n_samples=16"
+    if case == "one-class":
+        one_class = tmp_path / "one_class.tsv"
+        one_class.write_text("".join(f"sample{i:04d}\t0\n" for i in range(16)))
+        labels_path = str(one_class)
+        extra, want = [], "error: training fold contains a single class"
+    elif case == "jobs":
+        extra += ["--eval-seeds", "3", "--jobs", "2"]
+    elif case == "checkpoint":
+        train_out = tmp_path / "train"
+        assert main(["train", "--table", table_path,
+                     "--out-dir", str(train_out)] + FAST + extra) == 0
+        extra = ["--checkpoint", str(train_out / "model.ckpt")]
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluate trained before checking its split")
+
+    monkeypatch.setattr(cli.tr, "build_multigraph", never)
+    monkeypatch.setattr(cli.tr, "train_unsupervised", never)
+    out = tmp_path / "out"
+    args = ["evaluate", "--table", table_path, "--labels", labels_path,
+            "--out-dir", str(out)]
+    if case != "checkpoint":
+        args += FAST
+    capsys.readouterr()
+    assert main(args + extra) == 1
+    assert capsys.readouterr().err.splitlines() == [want]
+    assert not (out / "metrics.json").exists()
+
+
+_TABLE_COMMANDS = ["preprocess", "build-graphs", "train", "evaluate", "embed"]
+
+
+@pytest.mark.parametrize("delimiter", ["", ",,"])
+@pytest.mark.parametrize("command", _TABLE_COMMANDS)
+def test_delimiter_must_be_one_character(tmp_path, cohort, capsys, command, delimiter):
+    table_path, labels_path = cohort
+    out = tmp_path / "out"
+    args = [command, "--table", table_path, "--out-dir", str(out),
+            "--delimiter", delimiter]
+    if command == "evaluate":
+        args += ["--labels", labels_path]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(
+        f"error: argument --delimiter: must be one character, got {delimiter!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_jobs_must_be_a_positive_integer(tmp_path, cohort, capsys, jobs, checkpoint):
+    table_path, labels_path = cohort
+    out = tmp_path / "out"
+    args = ["evaluate", "--table", table_path, "--labels", labels_path,
+            "--out-dir", str(out), "--jobs", jobs]
+    if checkpoint:
+        args += ["--checkpoint", str(tmp_path / "model.ckpt")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(
+        f"error: argument --jobs: must be a positive integer, got {jobs!r}")
+    assert not out.exists()
 
 
 def test_evaluate_checkpoint_rejects_config_flags(tmp_path, cohort, capsys):

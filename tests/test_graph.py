@@ -334,16 +334,21 @@ def test_relation_graph_validation():
 # normalization
 
 
+def normalized(graph: gg.RelationGraph) -> np.ndarray:
+    """``graph``'s normalized adjacency in a new array."""
+    return gg.normalize_adjacency(graph, np.empty(graph.adjacency.shape))
+
+
 def test_normalize_two_node_edge():
     g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN,
                          np.array([[False, True], [True, False]]), 0.5)
-    m = gg.normalize_adjacency(g)
+    m = normalized(g)
     assert np.array_equal(m, np.full((2, 2), 0.5))
 
 
 def test_normalize_edgeless_is_identity():
     g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN, np.zeros((3, 3), dtype=bool), 0.5)
-    m = gg.normalize_adjacency(g)
+    m = normalized(g)
     assert np.array_equal(m, np.eye(3))
 
 
@@ -355,7 +360,7 @@ def test_normalize_spectral_radius_at_most_one():
         a = np.triu(a, k=1)
         a = a | a.T
         g = gg.RelationGraph(gg.DistanceKind.BRAY_CURTIS, a, 0.6)
-        m = gg.normalize_adjacency(g)
+        m = normalized(g)
         assert np.array_equal(m, m.T)
         eig = np.linalg.eigvalsh(m)
         assert np.max(np.abs(eig)) <= 1.0 + 1e-9
@@ -369,7 +374,7 @@ def test_normalize_entry_formula():
         [0, 0, 1, 0],
     ], dtype=bool)
     g = gg.RelationGraph(gg.DistanceKind.CANBERRA, a, 0.6)
-    m = gg.normalize_adjacency(g)
+    m = normalized(g)
     deg = a.sum(axis=1) + 1.0
     assert m[0, 1] == pytest.approx(1.0 / np.sqrt(deg[0] * deg[1]), abs=1e-15)
     assert m[1, 1] == pytest.approx(1.0 / deg[1], abs=1e-15)
@@ -394,7 +399,7 @@ def symmetric_adjacencies(draw):
 @given(a=symmetric_adjacencies())
 def test_normalize_has_the_bytes_of_the_outer_product_formula(a):
     g = gg.RelationGraph(gg.DistanceKind.BRAY_CURTIS, a, 0.6)
-    assert gg.normalize_adjacency(g).tobytes() == _normalized_by_formula(a).tobytes()
+    assert normalized(g).tobytes() == _normalized_by_formula(a).tobytes()
 
 
 def test_normalize_allocates_about_one_matrix():
@@ -412,7 +417,7 @@ def test_normalize_allocates_about_one_matrix():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        m = gg.normalize_adjacency(g)
+        m = normalized(g)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -463,11 +468,11 @@ def test_build_multigraph():
     mg = gg.build_multigraph(x, threshold=0.6)
     assert tuple(mg.graphs) == gg.ALL_KINDS
     for kind in gg.ALL_KINDS:
-        graph = gg.relation_graph(x, kind, 0.6)
+        graph = gg.build_relation_graph(gg.pairwise_distances(x, kind), kind, 0.6)
         assert graph.adjacency.shape == (10, 10)
         # the same bits as normalizing the relation graph built on its own
         assert (mg.normalized(kind).tobytes()
-                == gg.normalize_adjacency(graph).tobytes())
+                == normalized(graph).tobytes())
 
 
 @settings(max_examples=40, deadline=None)
@@ -476,10 +481,10 @@ def test_build_multigraph():
 def test_normalized_has_the_bytes_of_normalize_adjacency(n, seed, kinds):
     # whatever the buffer held before, each call returns the bytes of
     # normalizing that relation on its own, read-only
-    mg = gg.build_multigraph(np.random.default_rng(seed).random((n, 5)) + 0.01)
+    mg = gg.build_multigraph(np.random.default_rng(seed).random((n, 5)) + 0.01, 0.6)
     for kind in kinds:
         m = mg.normalized(kind)
-        assert m.tobytes() == gg.normalize_adjacency(mg.graphs[kind]).tobytes()
+        assert m.tobytes() == normalized(mg.graphs[kind]).tobytes()
         assert not m.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 2.0
@@ -496,7 +501,7 @@ def test_multigraph_holds_one_normalized_matrix():
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        mg = gg.build_multigraph(x)
+        mg = gg.build_multigraph(x, 0.6)
         for kind in gg.ALL_KINDS:
             mg.normalized(kind)
         held = tracemalloc.get_traced_memory()[0] - base
@@ -510,7 +515,7 @@ def test_multigraph_holds_one_normalized_matrix():
 
 def test_corruption_leaves_multigraph_unchanged():
     x = np.random.default_rng(9).random((7, 4)) + 0.01
-    mg = gg.build_multigraph(x)
+    mg = gg.build_multigraph(x, 0.6)
     # adjacency is a function of the ORIGINAL features only
     before = ({k: mg.normalized(k).tobytes() for k in gg.ALL_KINDS},
               mg.features.tobytes())
@@ -523,14 +528,14 @@ def test_corruption_leaves_multigraph_unchanged():
 
 def test_multigraph_validation():
     x = np.random.default_rng(9).random((5, 3)) + 0.01
-    mg = gg.build_multigraph(x)
+    mg = gg.build_multigraph(x, 0.6)
     with pytest.raises(gg.GraphBuildError, match="5 nodes for 4 samples"):
         gg.MultiGraph(x[:4], mg.graphs)
 
 
 def test_multigraph_refuses_a_missing_or_extra_relation():
     x = np.random.default_rng(9).random((5, 3)) + 0.01
-    graphs = gg.build_multigraph(x).graphs
+    graphs = gg.build_multigraph(x, 0.6).graphs
     missing = {k: g for k, g in graphs.items() if k is not gg.DistanceKind.CANBERRA}
     with pytest.raises(gg.GraphBuildError, match="relations"):
         gg.MultiGraph(x, missing)
@@ -540,7 +545,7 @@ def test_multigraph_refuses_a_missing_or_extra_relation():
 
 def test_multigraph_refuses_a_graph_filed_under_another_kind():
     x = np.random.default_rng(9).random((5, 3)) + 0.01
-    graphs = dict(gg.build_multigraph(x).graphs)
+    graphs = dict(gg.build_multigraph(x, 0.6).graphs)
     graphs[gg.DistanceKind.EUCLIDEAN] = graphs[gg.DistanceKind.CANBERRA]
     with pytest.raises(gg.GraphBuildError, match="canberra graph filed as euclidean"):
         gg.MultiGraph(x, graphs)
@@ -549,9 +554,10 @@ def test_multigraph_refuses_a_graph_filed_under_another_kind():
 def test_multigraph_refuses_graphs_of_different_sizes():
     # one relation over fewer nodes than the others and the features
     x = np.random.default_rng(9).random((5, 3)) + 0.01
-    graphs = dict(gg.build_multigraph(x).graphs)
-    graphs[gg.DistanceKind.EUCLIDEAN] = gg.relation_graph(
-        x[:4], gg.DistanceKind.EUCLIDEAN, 0.6)
+    graphs = dict(gg.build_multigraph(x, 0.6).graphs)
+    graphs[gg.DistanceKind.EUCLIDEAN] = gg.build_relation_graph(
+        gg.pairwise_distances(x[:4], gg.DistanceKind.EUCLIDEAN),
+        gg.DistanceKind.EUCLIDEAN, 0.6)
     with pytest.raises(gg.GraphBuildError, match="euclidean graph has 4 nodes for 5"):
         gg.MultiGraph(x, graphs)
 

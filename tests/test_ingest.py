@@ -1,9 +1,19 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gutgraph import ingest
+
+
+def parse_table(text: str, delimiter: str = "\t") -> ingest.AbundanceTable:
+    return ingest.parse_abundance_table(io.StringIO(text), delimiter)
+
+
+def parse_labels(text: str, sample_ids: list[str], delimiter: str = "\t") -> np.ndarray:
+    return ingest.read_labels(io.StringIO(text), sample_ids, delimiter)
 
 
 SMALL_TABLE = (
@@ -14,7 +24,7 @@ SMALL_TABLE = (
 
 
 def test_parse_small_table():
-    t = ingest.parse_abundance_table(SMALL_TABLE)
+    t = parse_table(SMALL_TABLE)
     assert t.sample_ids == ["S1", "S2", "S3"]
     assert t.feature_names == ["taxonA", "taxonB"]
     assert np.allclose(t.values, [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]])
@@ -22,47 +32,47 @@ def test_parse_small_table():
 
 
 def test_parse_comma_delimiter():
-    t = ingest.parse_abundance_table("x,A,B\nf,1.5,2.5\n", delimiter=",")
+    t = parse_table("x,A,B\nf,1.5,2.5\n", delimiter=",")
     assert t.values.tolist() == [[1.5], [2.5]]
 
 
 def test_parse_ragged_row_reports_row_number():
     text = "id\tS1\tS2\nfA\t0.1\t0.2\nfB\t0.3\n"
     with pytest.raises(ingest.TableFormatError, match="row 3"):
-        ingest.parse_abundance_table(text)
+        parse_table(text)
 
 
 def test_parse_bad_cell_reports_row_and_column():
     text = "id\tS1\tS2\nfA\t0.1\toops\n"
     with pytest.raises(ingest.TableFormatError, match="row 2, column 3"):
-        ingest.parse_abundance_table(text)
+        parse_table(text)
 
 
 def test_parse_rejects_negative_and_nan():
     with pytest.raises(ingest.TableFormatError, match="negative"):
-        ingest.parse_abundance_table("id\tS1\nfA\t-0.1\n")
+        parse_table("id\tS1\nfA\t-0.1\n")
     with pytest.raises(ingest.TableFormatError, match="non-finite"):
-        ingest.parse_abundance_table("id\tS1\nfA\tnan\n")
+        parse_table("id\tS1\nfA\tnan\n")
 
 
 def test_parse_accepts_percent_scale_values():
     # Some public abundance tables are percentages; >1 is legal.
-    t = ingest.parse_abundance_table("id\tS1\nfA\t87.5\n")
+    t = parse_table("id\tS1\nfA\t87.5\n")
     assert t.values[0, 0] == 87.5
 
 
 def test_parse_duplicate_ids_rejected():
     with pytest.raises(ingest.TableFormatError, match="duplicate sample id"):
-        ingest.parse_abundance_table("id\tS1\tS1\nfA\t0.1\t0.2\n")
+        parse_table("id\tS1\tS1\nfA\t0.1\t0.2\n")
     with pytest.raises(ingest.TableFormatError, match="duplicate feature"):
-        ingest.parse_abundance_table("id\tS1\nfA\t0.1\nfA\t0.2\n")
+        parse_table("id\tS1\nfA\t0.1\nfA\t0.2\n")
 
 
 def test_parse_empty_and_headerless():
     with pytest.raises(ingest.TableFormatError, match="empty"):
-        ingest.parse_abundance_table("")
+        parse_table("")
     with pytest.raises(ingest.TableFormatError, match="no feature rows"):
-        ingest.parse_abundance_table("id\tS1\n")
+        parse_table("id\tS1\n")
 
 
 def test_serialize_parse_round_trip_is_exact():
@@ -73,7 +83,7 @@ def test_serialize_parse_round_trip_is_exact():
         rng.random((4, 6)) * 3.0,
     )
     text = ingest.serialize_abundance_table(t)
-    back = ingest.parse_abundance_table(text)
+    back = parse_table(text)
     assert back.sample_ids == t.sample_ids
     assert back.feature_names == t.feature_names
     assert back.values.tobytes() == t.values.tobytes()
@@ -120,19 +130,19 @@ def test_round_trip_names_with_quotes_and_delimiters(delimiter, data):
     values = np.arange(len(ids) * len(names), dtype=np.float64).reshape(
         len(ids), len(names))
     t = ingest.AbundanceTable(ids, names, values)
-    back = ingest.parse_abundance_table(
+    back = parse_table(
         ingest.serialize_abundance_table(t, delimiter), delimiter)
     assert back.sample_ids == ids
     assert back.feature_names == names
     assert back.values.tobytes() == values.tobytes()
     labels = np.arange(len(ids)) % 2
-    again = ingest.read_labels(ingest.serialize_labels(ids, labels, delimiter),
+    again = parse_labels(ingest.serialize_labels(ids, labels, delimiter),
                                ids, delimiter)
     assert again.tolist() == labels.tolist()
 
 
 def test_plain_names_are_not_quoted():
-    t = ingest.parse_abundance_table(SMALL_TABLE)
+    t = parse_table(SMALL_TABLE)
     assert ingest.serialize_abundance_table(t) == (
         "feature_id\tS1\tS2\tS3\n"
         "taxonA\t0.1\t0.2\t0.3\n"
@@ -144,10 +154,10 @@ def test_unsplittable_record_names_its_line():
     table = "id\tS1\n" + "taxon0\t0.5\n" + '"taxon1\t0.5\n' \
         + "".join(f"taxon{i}\t0.5\n" for i in range(2, 20000))
     with pytest.raises(ingest.TableFormatError, match="^line 3: field larger"):
-        ingest.parse_abundance_table(table)
+        parse_table(table)
     labels = '"s0\t0\n' + "".join(f"s{i}\t1\n" for i in range(1, 20000))
     with pytest.raises(ingest.TableFormatError, match="^line 1: field larger"):
-        ingest.read_labels(labels, ["s0"])
+        parse_labels(labels, ["s0"])
 
 
 def test_filter_threshold_is_strict():
@@ -236,25 +246,25 @@ def test_kfold_is_a_partition(n, k, seed):
 
 def test_labels_round_trip_and_alignment():
     text = "s2\t1\ns0\t0\ns1\t1\n"
-    labels = ingest.read_labels(text, ["s0", "s1", "s2"])
+    labels = parse_labels(text, ["s0", "s1", "s2"])
     assert labels.dtype == np.int64
     assert labels.tolist() == [0, 1, 1]
     out = ingest.serialize_labels(["s0", "s1", "s2"], labels)
-    again = ingest.read_labels(out, ["s0", "s1", "s2"])
+    again = parse_labels(out, ["s0", "s1", "s2"])
     assert np.array_equal(again, labels)
 
 
 def test_labels_errors():
     with pytest.raises(ingest.TableFormatError, match="no label for"):
-        ingest.read_labels("s0\t0\n", ["s0", "s1"])
+        parse_labels("s0\t0\n", ["s0", "s1"])
     with pytest.raises(ingest.TableFormatError, match="unknown sample id"):
-        ingest.read_labels("s0\t0\nsX\t1\n", ["s0"])
+        parse_labels("s0\t0\nsX\t1\n", ["s0"])
     with pytest.raises(ingest.TableFormatError, match="must be 0 or 1"):
-        ingest.read_labels("s0\t2\n", ["s0"])
+        parse_labels("s0\t2\n", ["s0"])
     with pytest.raises(ingest.TableFormatError, match="duplicate"):
-        ingest.read_labels("s0\t0\ns0\t1\n", ["s0"])
+        parse_labels("s0\t0\ns0\t1\n", ["s0"])
     with pytest.raises(ingest.TableFormatError, match="expected 2 fields"):
-        ingest.read_labels("s0\t0\textra\n", ["s0"])
+        parse_labels("s0\t0\textra\n", ["s0"])
 
 
 def test_synth_cohort_shapes_and_composition():

@@ -134,22 +134,22 @@ def test_node_summary_bit_invariant_under_row_permutation():
 
 
 def test_value_histogram_hand_cases():
-    q = model.value_histogram(np.array([1.0, 1.0, 3.0]), bins=2)
+    q = model.value_histogram(np.array([1.0, 1.0, 3.0]), bins=2, weighting="magnitude")
     assert np.allclose(q, [[0.4, 0.6]], atol=1e-15)
     q = model.value_histogram(np.array([1.0, 1.0, 3.0]), bins=2, weighting="count")
     assert np.allclose(q, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
     # top edge closed: the max value belongs to the last bin
-    q = model.value_histogram(np.array([1.0, 3.0]), bins=2)
+    q = model.value_histogram(np.array([1.0, 3.0]), bins=2, weighting="magnitude")
     assert np.allclose(q, [[0.25, 0.75]], atol=1e-15)
     # negative values weight by magnitude
-    q = model.value_histogram(np.array([-3.0, 1.0]), bins=2)
+    q = model.value_histogram(np.array([-3.0, 1.0]), bins=2, weighting="magnitude")
     assert np.allclose(q, [[0.75, 0.25]], atol=1e-15)
 
 
 def test_value_histogram_degenerate_cases():
-    q = model.value_histogram(np.zeros((4, 3)), bins=5)
+    q = model.value_histogram(np.zeros((4, 3)), bins=5, weighting="magnitude")
     assert np.allclose(q, np.full((1, 5), 0.2), atol=1e-16)
-    q = model.value_histogram(np.full((2, 2), 7.0), bins=4)
+    q = model.value_histogram(np.full((2, 2), 7.0), bins=4, weighting="magnitude")
     assert q.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
@@ -157,27 +157,27 @@ def test_value_histogram_sums_to_one_and_is_permutation_stable():
     rng = np.random.default_rng(4)
     for _ in range(100):
         h = rng.normal(size=(int(rng.integers(2, 12)), int(rng.integers(1, 8))))
-        q = model.value_histogram(h, bins=16)
+        q = model.value_histogram(h, bins=16, weighting="magnitude")
         assert abs(q.sum() - 1.0) < 1e-12
         assert np.all(q >= 0)
         flat = h.ravel()
         q2 = model.value_histogram(flat[rng.permutation(flat.size)].reshape(h.shape),
-                                   bins=16)
+                                   bins=16, weighting="magnitude")
         assert q.tobytes() == q2.tobytes()
 
 
 def test_value_histogram_range_follows_the_values():
     # the bin range is recomputed per call, not cached
-    a = model.value_histogram(np.array([0.0, 1.0, 2.0]), bins=2)
-    b = model.value_histogram(np.array([0.0, 10.0, 20.0]), bins=2)
+    a = model.value_histogram(np.array([0.0, 1.0, 2.0]), bins=2, weighting="magnitude")
+    b = model.value_histogram(np.array([0.0, 10.0, 20.0]), bins=2, weighting="magnitude")
     assert np.allclose(a, b, atol=1e-15)  # same shape of mass, scaled support
-    c = model.value_histogram(np.array([0.0, 1.0, 20.0]), bins=2)
+    c = model.value_histogram(np.array([0.0, 1.0, 20.0]), bins=2, weighting="magnitude")
     assert not np.allclose(a, c, atol=1e-3)
 
 
 def test_value_histogram_validation():
     with pytest.raises(ValueError):
-        model.value_histogram(np.ones(3), bins=0)
+        model.value_histogram(np.ones(3), bins=0, weighting="magnitude")
     with pytest.raises(ValueError):
         model.value_histogram(np.ones(3), bins=4, weighting="nope")
 
@@ -187,7 +187,7 @@ def test_graph_summary_histogram_is_stop_gradient():
     data = rng.normal(size=(6, 4))
     h1 = ad.Tensor(data.copy(), requires_grad=True)
     with ad.Tape() as tape:
-        summary, _, _ = model.graph_summary(h1, bins=3)
+        summary, _, _ = model.graph_summary(h1, bins=3, weighting="magnitude")
         (g1,) = tape.backward(ad.sum_all(summary), [h1])
     h2 = ad.Tensor(data.copy(), requires_grad=True)
     with ad.Tape() as tape:
@@ -199,12 +199,13 @@ def test_graph_summary_histogram_is_stop_gradient():
 
 def test_graph_summary_shape_and_frozen_override():
     h = ad.constant(np.random.default_rng(6).normal(size=(5, 4)))
-    s, p, q = model.graph_summary(h, bins=3)
+    s, p, q = model.graph_summary(h, bins=3, weighting="magnitude")
     assert s.data.shape == (1, 7)
     assert np.array_equal(s.data[:, :4], p.data)
     assert np.array_equal(s.data[:, 4:], q)
     frozen = np.full((1, 3), 1.0 / 3.0)
-    s2, _, q2 = model.graph_summary(h, bins=3, frozen_histogram=frozen)
+    s2, _, q2 = model.graph_summary(h, bins=3, weighting="magnitude",
+                                      frozen_histogram=frozen)
     assert np.array_equal(s2.data[:, 4:], frozen)
     assert np.array_equal(q2, frozen)
 
@@ -213,25 +214,27 @@ def test_graph_summary_shape_and_frozen_override():
 # merging
 
 
+def attention(embeddings, queries_per_head, kinds=gg.ALL_KINDS):
+    """The fused attention merge of ``embeddings`` (one per relation in
+    ``kinds``) under per-head query dicts: (merged, T x M x H weights)."""
+    return ad.relation_attention(
+        embeddings, [[queries[kind] for queries in queries_per_head] for kind in kinds])
+
+
 def test_attention_single_relation_is_identity():
     kind = gg.DistanceKind.EUCLIDEAN
-    queries = [{kind: per_kind[kind]} for per_kind in tiny_params().queries]
     h = ad.constant(np.random.default_rng(7).normal(size=(5, 3)))
-    merged, weights = model.attention_merge([h], queries, return_weights=True)
+    merged, weights = attention([h], tiny_params().queries, kinds=(kind,))
     assert merged.data.tobytes() == h.data.tobytes()
-    assert len(weights) == 2
-    assert all(w.shape == (5, 1) and np.all(w == 1.0) for w in weights)
+    assert weights.shape == (1, 5, 2) and np.all(weights == 1.0)
 
 
 def test_attention_weights_sum_to_one():
     p = tiny_params(cfg=tiny_cfg(heads=4))
-    x, xs, adjs = tiny_problem()
     hs = [ad.constant(np.random.default_rng(i).normal(size=(8, 3))) for i in range(3)]
-    merged, weights = model.attention_merge(hs, p.queries, return_weights=True)
-    assert len(weights) == 4
-    for w in weights:
-        assert w.shape == (8, 3)
-        assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
+    merged, weights = attention(hs, p.queries)
+    assert weights.shape == (3, 8, 4)
+    assert np.all(np.abs(weights.sum(axis=0) - 1.0) < 1e-12)
     assert merged.data.shape == (8, 3)
 
 
@@ -241,7 +244,7 @@ def test_zero_queries_match_average_merge():
         for q in per_kind.values():
             q.data[:] = 0.0
     hs = [ad.constant(np.random.default_rng(i).normal(size=(6, 3))) for i in range(3)]
-    att = model.attention_merge(hs, p.queries)
+    att, _ = attention(hs, p.queries)
     avg = model.average_merge(hs)
     assert np.max(np.abs(att.data - avg.data)) < 1e-12
 
@@ -252,7 +255,7 @@ def test_attention_two_relation_hand_case():
     h2 = ad.constant(2.0 * np.ones((3, 2)))
     q = {gg.DistanceKind.BRAY_CURTIS: ad.Tensor([[1.0], [0.0]]),
          gg.DistanceKind.EUCLIDEAN: ad.Tensor([[1.0], [0.0]])}
-    merged = model.attention_merge([h1, h2], [q])
+    merged, _ = attention([h1, h2], [q], kinds=tuple(q))
     w2 = math.exp(2.0) / (math.exp(1.0) + math.exp(2.0))
     want = (1.0 - w2) * 1.0 + w2 * 2.0
     assert np.allclose(merged.data, want, atol=1e-12)
@@ -477,7 +480,7 @@ def test_plain_summary_drops_only_the_histogram():
     stacked = ad.constant(np.concatenate([x, xs]))
     hs = [ad.gcn_stack(partial(adjs, kind), stacked, p.layers[kind]).data
           for kind in gg.ALL_KINDS]
-    merged = model.attention_merge([ad.constant(h) for h in hs], p.queries).data
+    merged = attention([ad.constant(h) for h in hs], p.queries)[0].data
     target = np.mean([1.0 / (1.0 + np.exp(-h[:n].mean(axis=0))) for h in hs], axis=0)
     want = ((target - merged[:n]) ** 2).sum() - ((target - merged[n:]) ** 2).sum()
     assert res.hybrid == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -699,7 +702,7 @@ def gradcheck_pass():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "joint_forward", recording_forward)
-        sides = gradient_sides()
+        sides = gradient_sides(0)
     return sides, calls
 
 
