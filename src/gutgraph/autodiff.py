@@ -352,10 +352,13 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
     """A GCN stack, H_{k+1} = relu(A @ H_k @ W_k + b_k) for each
     (W_k, b_k) of ``layers`` from H_0 = x, applied to every view of the
     N nodes stacked row-wise in ``x`` (V*N rows), as one record.
-    ``adj()`` returns the constant N x N normalized adjacency; the
-    forward pass calls it once and the VJP once more for A^T, so the
-    record keeps no N x N matrix and ``adj`` may hand out a shared
-    buffer it refills in between (``MultiGraph``). The relu's
+    ``adj()`` returns the constant N x N normalized adjacency, which
+    must be symmetric: the VJP multiplies by A itself where the
+    adjoint reads A^T (``graph.normalize_adjacency`` is bitwise
+    symmetric, and a C-ordered A runs faster than its transposed
+    view). The forward pass calls ``adj`` once and the VJP once more,
+    so the record keeps no N x N matrix and ``adj`` may hand out a
+    shared buffer it refills in between (``MultiGraph``). The relu's
     subgradient at exactly 0 is 0.
 
     Each layer takes whichever product order costs fewer multiply-adds
@@ -420,7 +423,7 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
         h_grad = h_grad or w.requires_grad or b.requires_grad
 
     def vjp(g):
-        a_t = adj().T
+        a_t = adj()  # A^T, since A is symmetric
         grads: list[np.ndarray | None] = [None] * (2 * len(layers))
         q = gh = None
         for k in range(last, -1, -1):

@@ -209,12 +209,17 @@ def _model_and_table(args, out_dir: str, command: str, echo: dict):
 
 
 def cmd_evaluate(args) -> int:
+    if args.checkpoint and args.jobs is not None:
+        raise ValueError("--jobs spreads training seeds over workers and "
+                         "--checkpoint trains none; drop --jobs or evaluate "
+                         "without --checkpoint")
+    jobs = args.jobs or 1
     out_dir = _resolve_out_dir(args)
     cfg, params, table = _model_and_table(args, out_dir, "evaluate", {
-        "labels": os.path.abspath(args.labels), "jobs": args.jobs})
+        "labels": os.path.abspath(args.labels), "jobs": jobs})
     labels = _read_labels(args, table)
     if params is None:
-        report = tr.run_cross_validation(table.values, labels, cfg, jobs=args.jobs)
+        report = tr.run_cross_validation(table.values, labels, cfg, jobs=jobs)
     else:
         report = tr.evaluate_with_params(table.values, labels, params, cfg)
     tr.atomic_write_text(os.path.join(out_dir, "metrics.json"),
@@ -315,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p)
     p.add_argument("--checkpoint", help="evaluate a saved model instead of "
                    "training per seed")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel seed workers (results independent of this)")
+    p.add_argument("--jobs", type=_positive_int,
+                   help="parallel seed workers, 1 if omitted (results "
+                   "independent of this); not with --checkpoint")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("embed", help="write the merged embedding matrix")

@@ -6,12 +6,15 @@ is drawn wherever the rescaled distance falls strictly below a
 threshold. Self-loops enter only later, inside the symmetric degree
 normalization (A + I).
 
-Each distance kernel takes one profile ``m`` and either one profile or a
-block of profiles ``n`` (one per row) and returns one distance per row,
-so ``pairwise_distances`` makes one kernel call per sample.
+``relation_distances`` computes all three metrics in one pass over the
+samples, one row of sample pairs per step, from temporaries the metrics
+share. It holds the three dense N x N float64 matrices at once: 21 MiB
+at N=960. It takes finite non-negative values only, as
+``ingest.AbundanceTable`` does, and raises ``GraphBuildError`` on any
+other.
 
 All-zero profiles (``preprocess`` can leave them): Bray-Curtis between
-two all-zero profiles is 0/0, so ``pairwise_distances`` raises
+two all-zero profiles is 0/0, so ``relation_distances`` raises
 ``GraphBuildError`` naming both sample indices. One all-zero profile
 against a non-zero one has Bray-Curtis distance 1.0, and the other two
 metrics are defined for any pair.
@@ -34,14 +37,6 @@ class GraphBuildError(ValueError):
     """Raised when a relation graph cannot be constructed."""
 
 
-class ZeroProfilesError(GraphBuildError):
-    """Bray-Curtis met two all-zero profiles: ``m`` and row ``row`` of ``n``."""
-
-    def __init__(self, row: int):
-        super().__init__("bray-curtis undefined for two all-zero profiles")
-        self.row = row
-
-
 class DistanceKind(enum.Enum):
     BRAY_CURTIS = "bray_curtis"
     EUCLIDEAN = "euclidean"
@@ -53,66 +48,62 @@ ALL_KINDS: tuple[DistanceKind, ...] = (
     DistanceKind.BRAY_CURTIS, DistanceKind.EUCLIDEAN, DistanceKind.CANBERRA)
 
 
-def bray_curtis(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """sum|m_i - n_i| / sum(m_i + n_i) from profile ``m`` to each row of
-    ``n``; undefined where both profiles are all zero. Both sums share
-    one order, so nonnegative profiles cannot round above 1."""
-    t = m - n
-    num = np.abs(t, out=t).sum(axis=-1)
-    denom = np.add(m, n, out=t).sum(axis=-1)
-    zero = np.flatnonzero(denom == 0)
-    if zero.size:
-        raise ZeroProfilesError(int(zero[0]))
-    return num / denom
+def relation_distances(values: np.ndarray) -> dict[DistanceKind, np.ndarray]:
+    """Dense symmetric Bray-Curtis, Euclidean and Canberra distance
+    matrices, each with an exactly-zero diagonal, keyed in ``ALL_KINDS``
+    order, from one pass over the samples of a finite non-negative table.
 
+    Row i takes sample m = i against the block n of samples i+1..N-1 and
+    shares two temporaries between the metrics: t = m - n, which
+    Euclidean squares and whose |t| is the numerator of Bray-Curtis and
+    Canberra, and s = m + n, the Bray-Curtis denominator and, on
+    non-negative values, also Canberra's |m| + |n|. Canberra's 0/0
+    terms are 0 (there s is 0, so |t| is 0 too and is left as it is).
+    Bray-Curtis sums |t| and s in one order, so it cannot round above 1.
+    Each row lands in the upper triangle of each matrix and is copied
+    into the column below the diagonal, so no N x N temporary is formed.
 
-def euclidean(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    d = m - n
-    return np.sqrt((d * d).sum(axis=-1))
-
-
-def canberra(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """sum over features of |m_i - n_i| / (|m_i| + |n_i|) from profile
-    ``m`` to each row of ``n``, with 0/0 terms contributing zero."""
-    num = np.subtract(m, n)
-    np.abs(num, out=num)
-    # |n| + |m| has the bits of |m| + |n|: float addition commutes
-    den = np.abs(n, out=np.empty_like(num))
-    den += np.abs(m)
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return terms.sum(axis=-1)
-
-
-_METRICS = {
-    DistanceKind.BRAY_CURTIS: bray_curtis,
-    DistanceKind.EUCLIDEAN: euclidean,
-    DistanceKind.CANBERRA: canberra,
-}
-
-
-def pairwise_distances(values: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """Dense symmetric distance matrix with an exactly-zero diagonal.
-
-    Row i comes from one kernel call of sample i against samples
-    i+1..N-1 and is mirrored into column i.
+    Bray-Curtis is 0/0 between two all-zero profiles, so the first such
+    pair (i, j) raises ``GraphBuildError`` naming both samples. One
+    all-zero profile against a non-zero one has Bray-Curtis distance 1.0.
     """
-    # C order makes each row's reduction run in the same order as the
-    # 1-D kernel on that row alone, so every entry is bit-identical to it.
+    # C order makes each row's reduction run in the same order as over
+    # that row alone, so every entry has the bits of its pair alone
     values = np.ascontiguousarray(values, dtype=np.float64)
-    n = values.shape[0]
+    n, f = values.shape
     if n < 2:
         raise GraphBuildError(f"need at least 2 samples, got {n}")
-    metric = _METRICS[kind]
-    out = np.zeros((n, n))
+    bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        i, j = bad[0]
+        raise GraphBuildError(
+            f"sample {i} has value {float(values[i, j])!r} at feature {j}; relation "
+            "distances need finite non-negative values")
+    # on non-negative values sum(m + n) is 0 exactly when both profiles are
+    # all zero, so the first pair with a zero denominator is the first two
+    zero = np.flatnonzero(~values.any(axis=1))
+    if zero.size > 1:
+        raise GraphBuildError(
+            f"samples {zero[0]} and {zero[1]} are both all-zero profiles; "
+            "bray-curtis distance is undefined between them")
+    out = {kind: np.zeros((n, n)) for kind in ALL_KINDS}
+    bray_curtis, euclidean, canberra = (out[kind] for kind in ALL_KINDS)
+    t_block, s_block = np.empty((n - 1, f)), np.empty((n - 1, f))
+    positive = np.empty((n - 1, f), dtype=bool)
+    total = np.add.reduce  # ndarray.sum's reduction, minus its dispatch
     for i in range(n - 1):
-        try:
-            row = metric(values[i], values[i + 1:])
-        except ZeroProfilesError as exc:
-            raise GraphBuildError(
-                f"samples {i} and {i + 1 + exc.row} are both all-zero profiles; "
-                "bray-curtis distance is undefined between them") from None
-        out[i, i + 1:] = row
-        out[i + 1:, i] = row
+        m, rest, cols = values[i], values[i + 1:], slice(i + 1, n)
+        t = np.subtract(m, rest, out=t_block[:len(rest)])
+        s = np.multiply(t, t, out=s_block[:len(rest)])
+        np.sqrt(total(s, axis=-1), out=euclidean[i, cols])
+        np.abs(t, out=t)
+        numerator = total(t, axis=-1)
+        np.add(m, rest, out=s)
+        np.divide(numerator, total(s, axis=-1), out=bray_curtis[i, cols])
+        np.divide(t, s, out=t, where=np.greater(s, 0.0, out=positive[:len(rest)]))
+        total(t, axis=-1, out=canberra[i, cols])
+        for d in out.values():
+            d[cols, i] = d[i, cols]
     return out
 
 
@@ -286,9 +277,8 @@ def build_multigraph(values: np.ndarray, threshold: float) -> MultiGraph:
     """One relation graph per distance kind in ``ALL_KINDS``, in that
     order, over a private float64 copy of ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    graphs = {kind: build_relation_graph(pairwise_distances(values, kind), kind,
-                                         threshold)
-              for kind in ALL_KINDS}
+    graphs = {kind: build_relation_graph(d, kind, threshold)
+              for kind, d in relation_distances(values).items()}
     return MultiGraph(values.copy(), graphs)
 
 

@@ -14,7 +14,7 @@ import gutgraph.model as gm
 import gutgraph.train as gt
 from gutgraph.gradcheck import DEFAULT_TOLERANCE, gradient_check
 from gutgraph.graph import (ALL_KINDS, DistanceKind, build_multigraph,
-                            pairwise_distances, shuffle_features)
+                            relation_distances, shuffle_features)
 from gutgraph.ingest import (FilterPolicy, filter_low_abundance,
                              parse_abundance_table, read_labels, synth_cohort)
 
@@ -93,8 +93,9 @@ def test_criterion_2_metric_oracles():
         if trial % 3 == 0:
             x[rng.uniform(size=x.shape) < 0.3] = 0.0
             x[:, 0] += 0.01  # keep every row nonzero somewhere
+        distances = relation_distances(x)
         for kind in ALL_KINDS:
-            got = pairwise_distances(x, kind)
+            got = distances[kind]
             want = _oracle_distance_matrix(x, kind)
             worst_dist = max(worst_dist, float(np.abs(got - want).max()))
     dist_ok = worst_dist <= 1e-12

@@ -318,7 +318,8 @@ def _gcn_oracle(adj, views, w, b):
 def _gcn_layer_record(adj, h, w, b):
     """One GCN layer as its own tape record, with the operations and
     product-order rule the model ran layer by layer before a stack became
-    one record: the byte oracle ``gcn_stack`` must match."""
+    one record: the byte oracle ``gcn_stack`` must match. Like
+    ``gcn_stack``, its VJP multiplies by the symmetric A for A^T."""
     a_norm = adj()
     n = a_norm.shape[0]
     rows, d_in = h.data.shape
@@ -338,12 +339,12 @@ def _gcn_layer_record(adj, h, w, b):
         gz = np.multiply(g, out > 0, out=g)
         gb = gz.sum(axis=0, keepdims=True) if b.requires_grad else None
         if weight_first:
-            q = per_view(adj().T, gz)
+            q = per_view(adj(), gz)
             gw = h.data.T @ q if w.requires_grad else None
             gh = np.matmul(q, w.data.T, out=gz if d_in == d_out else None) \
                 if h.requires_grad else None
             return gh, gw, gb
-        return (per_view(adj().T, gz @ w.data.T) if h.requires_grad else None,
+        return (per_view(adj(), gz @ w.data.T) if h.requires_grad else None,
                 ah.T @ gz if w.requires_grad else None, gb)
 
     return ad._make(out, (h, w, b), vjp)
@@ -405,13 +406,19 @@ def _with_examples(examples):
     return decorate
 
 
+def _symmetric_adjacency(rng, n):
+    """A random N x N matrix equal to its transpose bit for bit."""
+    a = rng.random((n, n))
+    return (a + a.T) / 2
+
+
 def _stack_inputs(n, d_in, widths, frozen, views, trainable, summed, seed):
     """An adjacency, a V*N x d_in input, one (W, b) per width, the first
     ``frozen`` of them constant (at most all but the last), the tensors
-    that need gradients and the loss of an output. The adjacency is not
-    symmetric, so a missing transpose in a VJP shows."""
+    that need gradients and the loss of an output. The adjacency is
+    symmetric, as ``gcn_stack`` requires."""
     rng = np.random.default_rng(seed)
-    adj = rng.random((n, n))
+    adj = _symmetric_adjacency(rng, n)
     x = ad.Tensor(rng.normal(size=(views * n, d_in)), requires_grad=trainable)
     layers, fan_in = [], d_in
     for k, width in enumerate(widths):
@@ -458,7 +465,7 @@ def test_gcn_stack_recomputes_into_the_buffer_above_and_lets_go():
     # mask has been read; then it lets go of every array the record kept
     rng = np.random.default_rng(8)
     n, f, d = 6, 5, 4
-    adj = rng.random((n, n))
+    adj = _symmetric_adjacency(rng, n)
     x = ad.constant(rng.normal(size=(2 * n, f)))
     layers = [(ad.Tensor(rng.normal(size=(f if k == 0 else d, d)), requires_grad=True),
                ad.Tensor(rng.normal(size=(1, d)), requires_grad=True)) for k in range(3)]
@@ -651,7 +658,7 @@ def test_relation_attention_extreme_scores_stay_finite():
 
 def test_kernels_skip_adjoints_of_constant_operands():
     rng = np.random.default_rng(13)
-    adj = rng.random((4, 4))
+    adj = _symmetric_adjacency(rng, 4)
     x = ad.constant(rng.normal(size=(8, 3)))
     w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
@@ -838,7 +845,7 @@ def test_add_gives_each_gcn_stack_an_adjoint_of_its_own():
     # shared the first layer swept would mask the other's adjoint with
     # its own mask
     rng = np.random.default_rng(24)
-    adj = rng.random((4, 4))
+    adj = _symmetric_adjacency(rng, 4)
     x = ad.constant(rng.normal(size=(4, 3)))
     # the first layer's relu passes everything, the second's only a part
     layers = [_read_only_leaves(rng.normal(size=(3, 2)), np.full((1, 2), bias))
@@ -866,7 +873,7 @@ def _twice_added(rng):
 
 
 def _gcn_stack_case(rng, d_in, widths):
-    adj = rng.random((4, 4))
+    adj = _symmetric_adjacency(rng, 4)
     layers, fan_in = [], d_in
     for width in widths:
         layers.append((_leaf(rng, fan_in, width), _leaf(rng, 1, width)))

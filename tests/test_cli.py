@@ -407,6 +407,26 @@ def test_jobs_must_be_a_positive_integer(tmp_path, cohort, capsys, jobs, checkpo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_evaluate_checkpoint_refuses_jobs(tmp_path, cohort, capsys, jobs):
+    # a checkpoint is evaluated in process, so --jobs would be echoed
+    # into config.json and ignored; it is refused before anything is written
+    table_path, labels_path = cohort
+    train_out = tmp_path / "train"
+    assert main(["train", "--table", table_path,
+                 "--out-dir", str(train_out)] + FAST) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["evaluate", "--table", table_path, "--labels", labels_path,
+                 "--out-dir", str(out), "--checkpoint", str(train_out / "model.ckpt"),
+                 "--jobs", jobs])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --jobs spreads training seeds over workers and --checkpoint "
+        "trains none; drop --jobs or evaluate without --checkpoint"]
+    assert not out.exists()
+
+
 def test_evaluate_checkpoint_rejects_config_flags(tmp_path, cohort, capsys):
     table_path, labels_path = cohort
     train_out = tmp_path / "train"

@@ -1,8 +1,9 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,60 +11,87 @@ from gutgraph import graph as gg
 
 
 # ---------------------------------------------------------------------------
-# metrics, hand-checked values
+# distances, hand-checked values
 
 
-def test_bray_curtis_values():
-    assert gg.bray_curtis(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(0.4)
-    assert gg.bray_curtis(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-    assert gg.bray_curtis(np.array([0.2, 0.8]), np.array([0.2, 0.8])) == 0.0
-    # disjoint profiles: summing m and n apart rounded the denominator
-    # below the numerator, giving 1.0000000000000002
-    m, n = np.array([15.0, 0.0, 49.72136905]), np.array([0.0, 1.40319754, 0.0])
-    assert gg.bray_curtis(m, n) == gg.bray_curtis(n, m) == 1.0
+def _bray_curtis(m, n):
+    return np.abs(m - n).sum(axis=-1) / np.add(m, n).sum(axis=-1)
 
 
-def test_bray_curtis_two_zero_profiles_error():
-    z = np.zeros(3)
-    with pytest.raises(gg.GraphBuildError, match="all-zero"):
-        gg.bray_curtis(z, z)
+def _euclidean(m, n):
+    d = m - n
+    return np.sqrt((d * d).sum(axis=-1))
 
 
-def test_euclidean_values():
-    assert gg.euclidean(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-    assert gg.euclidean(np.array([1.0]), np.array([-1.0])) == 2.0
-
-
-def test_canberra_values():
-    assert gg.canberra(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
-    # 0/0 terms drop out instead of poisoning the sum
-    assert gg.canberra(np.array([0.0, 1.0]), np.array([0.0, 3.0])) == 0.5
-    assert gg.canberra(np.zeros(4), np.zeros(4)) == 0.0
-
-
-def _canberra_old_formula(m, n):
-    # the kernel as it was written before it reused its buffers
+def _canberra(m, n):
     num = np.abs(m - n)
     den = np.abs(m) + np.abs(n)
     terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return terms.sum(axis=-1)
 
 
+# one formula per metric, each over one pair of profiles: the per-pair
+# oracle whose bits every entry of the one-pass matrices must have
+PAIR_FORMULAS = {
+    gg.DistanceKind.BRAY_CURTIS: _bray_curtis,
+    gg.DistanceKind.EUCLIDEAN: _euclidean,
+    gg.DistanceKind.CANBERRA: _canberra,
+}
+
+
+def pair_distances(m, n) -> dict:
+    """Each metric's distance between profiles ``m`` and ``n``, read off
+    ``relation_distances`` over the two-sample table."""
+    d = gg.relation_distances(np.array([m, n], dtype=np.float64))
+    return {kind: d[kind][0, 1] for kind in gg.ALL_KINDS}
+
+
+def test_bray_curtis_values():
+    def bray_curtis(m, n):
+        return pair_distances(m, n)[gg.DistanceKind.BRAY_CURTIS]
+
+    assert bray_curtis([1.0, 2.0], [3.0, 4.0]) == pytest.approx(0.4)
+    assert bray_curtis([1.0, 0.0], [0.0, 1.0]) == 1.0
+    assert bray_curtis([0.2, 0.8], [0.2, 0.8]) == 0.0
+    # disjoint profiles: summing m and n apart rounded the denominator
+    # below the numerator, giving 1.0000000000000002
+    m, n = [15.0, 0.0, 49.72136905], [0.0, 1.40319754, 0.0]
+    assert bray_curtis(m, n) == bray_curtis(n, m) == 1.0
+
+
+def test_bray_curtis_two_zero_profiles_error():
+    with pytest.raises(gg.GraphBuildError, match="all-zero"):
+        gg.relation_distances(np.zeros((2, 3)))
+
+
+def test_euclidean_values():
+    assert pair_distances([0.0, 0.0], [3.0, 4.0])[gg.DistanceKind.EUCLIDEAN] == 5.0
+    assert pair_distances([0.0], [2.0])[gg.DistanceKind.EUCLIDEAN] == 2.0
+
+
+def test_canberra_values():
+    assert pair_distances([1.0, 0.0], [0.0, 1.0])[gg.DistanceKind.CANBERRA] == 2.0
+    # 0/0 terms drop out instead of poisoning the sum
+    assert pair_distances([0.0, 1.0], [0.0, 3.0])[gg.DistanceKind.CANBERRA] == 0.5
+    assert pair_distances([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])[gg.DistanceKind.CANBERRA] == 0.0
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_canberra_has_the_bits_of_the_old_formula(data):
-    # one profile against a block of rows, as pairwise_distances calls it,
-    # with exact zeros and -0.0 where 0/0 terms must drop out, and NaN
-    # and infinities, whose terms must stay what they were
+    # |m - n| / (|m| + |n|) with 0/0 terms 0, over tables with exact
+    # zeros, -0.0 and the smallest subnormal, where Canberra's
+    # denominator m + n and its 0/0 terms must keep the bits of the
+    # formula written with absolute values
     f = data.draw(st.integers(1, 12))
-    rows = data.draw(st.integers(1, 6))
-    elems = st.sampled_from([0.0, -0.0, 5e-324, np.nan, np.inf]) | st.floats(-50, 50)
-    m = data.draw(hnp.arrays(np.float64, f, elements=elems))
-    n = data.draw(hnp.arrays(np.float64, (rows, f), elements=elems))
-    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
-        for rows_of_n in (n, n[0]):
-            want = _canberra_old_formula(m, rows_of_n)
-            assert gg.canberra(m, rows_of_n).tobytes() == want.tobytes()
+    rows = data.draw(st.integers(2, 6))
+    elems = st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(0, 50)
+    x = data.draw(hnp.arrays(np.float64, (rows, f), elements=elems))
+    assume(np.count_nonzero(~x.any(axis=1)) < 2)  # Bray-Curtis needs it
+    d = gg.relation_distances(x)[gg.DistanceKind.CANBERRA]
+    for i in range(rows):
+        for j in range(i + 1, rows):
+            assert d[i, j].tobytes() == _canberra(x[i], x[j]).tobytes(), (i, j)
 
 
 nonneg_vectors = hnp.arrays(
@@ -74,10 +102,8 @@ nonneg_vectors = hnp.arrays(
 @given(x=nonneg_vectors)
 @settings(max_examples=50, deadline=None)
 def test_metric_self_distance_zero(x):
-    assert gg.euclidean(x, x) == 0.0
-    assert gg.canberra(x, x) == 0.0
-    if x.sum() > 0:
-        assert gg.bray_curtis(x, x) == 0.0
+    assume(x.sum() > 0)  # Bray-Curtis refuses two all-zero profiles
+    assert list(pair_distances(x, x).values()) == [0.0, 0.0, 0.0]
 
 
 @given(data=st.data())
@@ -87,13 +113,11 @@ def test_metric_symmetry_and_bounds(data):
     elems = st.floats(0, 50, allow_nan=False, allow_infinity=False)
     x = data.draw(hnp.arrays(np.float64, n, elements=elems))
     y = data.draw(hnp.arrays(np.float64, n, elements=elems))
-    assert gg.euclidean(x, y) == gg.euclidean(y, x)
-    assert gg.canberra(x, y) == gg.canberra(y, x)
-    assert 0.0 <= gg.canberra(x, y) <= n
-    if x.sum() + y.sum() > 0:
-        b = gg.bray_curtis(x, y)
-        assert b == gg.bray_curtis(y, x)
-        assert 0.0 <= b <= 1.0
+    assume(x.sum() + y.sum() > 0)
+    forward, backward = pair_distances(x, y), pair_distances(y, x)
+    assert forward == backward
+    assert 0.0 <= forward[gg.DistanceKind.CANBERRA] <= n
+    assert 0.0 <= forward[gg.DistanceKind.BRAY_CURTIS] <= 1.0
 
 
 def _oracle_distance(a: np.ndarray, b: np.ndarray, kind: gg.DistanceKind) -> float:
@@ -117,7 +141,7 @@ def test_pairwise_matches_independent_oracle(kind):
         n = int(rng.integers(3, 9))
         f = int(rng.integers(2, 15))
         x = rng.random((n, f)) + 0.01
-        d = gg.pairwise_distances(x, kind)
+        d = gg.relation_distances(x)[kind]
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
         for i in range(n):
@@ -125,13 +149,6 @@ def test_pairwise_matches_independent_oracle(kind):
                 want = _oracle_distance(x[i], x[j], kind)
                 rel = abs(d[i, j] - want) / max(abs(want), 1e-300)
                 assert rel < 1e-12
-
-
-KERNELS = {
-    gg.DistanceKind.BRAY_CURTIS: gg.bray_curtis,
-    gg.DistanceKind.EUCLIDEAN: gg.euclidean,
-    gg.DistanceKind.CANBERRA: gg.canberra,
-}
 
 
 @st.composite
@@ -153,12 +170,19 @@ def abundance_tables(draw):
 @given(x=abundance_tables())
 @settings(max_examples=40, deadline=None)
 def test_pairwise_entries_are_bit_identical_to_pair_kernel(x):
+    # the one pass shares m - n and m + n between the metrics; every
+    # entry, both triangles and the zero diagonal, has the bits of its
+    # metric's formula over that one pair
     n = x.shape[0]
-    for kind, kernel in KERNELS.items():
-        d = gg.pairwise_distances(x, kind)
+    distances = gg.relation_distances(x)
+    assert tuple(distances) == gg.ALL_KINDS
+    for kind, formula in PAIR_FORMULAS.items():
+        d = distances[kind]
+        assert d.shape == (n, n) and d.dtype == np.float64
+        assert d.diagonal().tobytes() == np.zeros(n).tobytes()
         for i in range(n):
             for j in range(i + 1, n):
-                want = np.float64(kernel(x[i], x[j])).tobytes()
+                want = np.float64(formula(x[i], x[j])).tobytes()
                 assert d[i, j].tobytes() == want, (kind, i, j)
                 assert d[j, i].tobytes() == want, (kind, j, i)
 
@@ -167,29 +191,45 @@ def test_pairwise_entries_are_bit_identical_to_pair_kernel(x):
 @settings(max_examples=40, deadline=None)
 def test_pairwise_bit_invariant_under_sample_permutation(x, data):
     p = np.array(data.draw(st.permutations(range(x.shape[0]))))
-    for kind in gg.DistanceKind:
-        permuted = gg.pairwise_distances(x[p], kind)
-        assert permuted.tobytes() == gg.pairwise_distances(x, kind)[np.ix_(p, p)].tobytes()
+    permuted, original = gg.relation_distances(x[p]), gg.relation_distances(x)
+    for kind in gg.ALL_KINDS:
+        assert permuted[kind].tobytes() == original[kind][np.ix_(p, p)].tobytes()
 
 
 def test_two_all_zero_profiles_name_both_samples():
-    x = np.array([[0.2, 0.8], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
-    with pytest.raises(gg.GraphBuildError, match="samples 1 and 3 are both all-zero"):
-        gg.pairwise_distances(x, gg.DistanceKind.BRAY_CURTIS)
-    for kind in (gg.DistanceKind.EUCLIDEAN, gg.DistanceKind.CANBERRA):
-        assert gg.pairwise_distances(x, kind)[1, 3] == 0.0
+    # the first pair, as the Bray-Curtis row loop met it: samples 1 and 3
+    x = np.array([[0.2, 0.8], [0.0, 0.0], [0.5, 0.5], [0.0, -0.0], [0.0, 0.0]])
+    want = ("samples 1 and 3 are both all-zero profiles; "
+            "bray-curtis distance is undefined between them")
+    for build in (gg.relation_distances, lambda v: gg.build_multigraph(v, 0.6)):
+        with pytest.raises(gg.GraphBuildError) as exc:
+            build(x)
+        assert str(exc.value) == want
 
 
 def test_one_all_zero_profile_is_at_bray_curtis_distance_one():
     x = np.array([[0.2, 0.8], [0.0, 0.0], [0.5, 0.3]])
-    d = gg.pairwise_distances(x, gg.DistanceKind.BRAY_CURTIS)
+    d = gg.relation_distances(x)[gg.DistanceKind.BRAY_CURTIS]
     assert d[1].tolist() == [1.0, 0.0, 1.0]
     assert d[:, 1].tolist() == [1.0, 0.0, 1.0]
 
 
 def test_pairwise_needs_two_samples():
-    with pytest.raises(gg.GraphBuildError):
-        gg.pairwise_distances(np.ones((1, 3)), gg.DistanceKind.EUCLIDEAN)
+    with pytest.raises(gg.GraphBuildError, match="at least 2 samples"):
+        gg.relation_distances(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -2.0, np.nan, np.inf, -np.inf])
+def test_relation_distances_refuse_a_negative_or_non_finite_value(bad):
+    # the one pass takes |m| + |n| as m + n, which holds on finite
+    # non-negative values only
+    x = np.random.default_rng(6).random((4, 3)) + 0.01
+    x[2, 1] = bad
+    want = f"sample 2 has value {float(bad)!r} at feature 1"
+    with pytest.raises(gg.GraphBuildError, match=re.escape(want)):
+        gg.relation_distances(x)
+    with pytest.raises(gg.GraphBuildError, match=re.escape(want)):
+        gg.build_multigraph(x, 0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +298,8 @@ def test_build_relation_graph_allocates_no_float_matrix():
     # at N=960; copying the off-diagonal entries and rescaling the whole
     # matrix took 2.38
     n = 960
-    d = gg.pairwise_distances(np.random.default_rng(5).random((n, 4)),
-                              gg.DistanceKind.EUCLIDEAN)
+    d = gg.relation_distances(
+        np.random.default_rng(5).random((n, 4)))[gg.DistanceKind.EUCLIDEAN]
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -277,7 +317,7 @@ def test_build_relation_graph_allocates_no_float_matrix():
 def test_threshold_extremes():
     rng = np.random.default_rng(3)
     x = rng.random((8, 5))
-    d = gg.pairwise_distances(x, gg.DistanceKind.EUCLIDEAN)
+    d = gg.relation_distances(x)[gg.DistanceKind.EUCLIDEAN]
     near_one = gg.build_relation_graph(d, gg.DistanceKind.EUCLIDEAN, 1.0 - 1e-9)
     # everything except the single farthest pair
     assert near_one.n_edges == 8 * 7 // 2 - 1
@@ -307,9 +347,7 @@ def test_rescale_invariant_under_positive_affine_maps():
 
 def test_equal_distances_rejected():
     # distinct one-hot profiles are pairwise equidistant for all metrics
-    x = np.eye(4)
-    for kind in gg.DistanceKind:
-        d = gg.pairwise_distances(x, kind)
+    for kind, d in gg.relation_distances(np.eye(4)).items():
         with pytest.raises(gg.GraphBuildError, match="no scale"):
             gg.build_relation_graph(d, kind, 0.6)
 
@@ -402,6 +440,15 @@ def test_normalize_has_the_bytes_of_the_outer_product_formula(a):
     assert normalized(g).tobytes() == _normalized_by_formula(a).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=symmetric_adjacencies())
+def test_normalize_is_bitwise_symmetric(a):
+    # gcn_stack's VJP multiplies by A where it means A^T: entry (i, j)
+    # divides by sqrt(deg_i * deg_j), and that product commutes
+    m = normalized(gg.RelationGraph(gg.DistanceKind.CANBERRA, a, 0.6))
+    assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
+
+
 def test_normalize_allocates_about_one_matrix():
     # the result and one row block of sqrt(deg_i deg_j): about 1.09 N x N
     # float64 arrays at N=960 (1.15 when each block was a new array, so
@@ -467,8 +514,8 @@ def test_build_multigraph():
     x = rng.random((10, 6)) + 0.01
     mg = gg.build_multigraph(x, threshold=0.6)
     assert tuple(mg.graphs) == gg.ALL_KINDS
-    for kind in gg.ALL_KINDS:
-        graph = gg.build_relation_graph(gg.pairwise_distances(x, kind), kind, 0.6)
+    for kind, d in gg.relation_distances(x).items():
+        graph = gg.build_relation_graph(d, kind, 0.6)
         assert graph.adjacency.shape == (10, 10)
         # the same bits as normalizing the relation graph built on its own
         assert (mg.normalized(kind).tobytes()
@@ -556,7 +603,7 @@ def test_multigraph_refuses_graphs_of_different_sizes():
     x = np.random.default_rng(9).random((5, 3)) + 0.01
     graphs = dict(gg.build_multigraph(x, 0.6).graphs)
     graphs[gg.DistanceKind.EUCLIDEAN] = gg.build_relation_graph(
-        gg.pairwise_distances(x[:4], gg.DistanceKind.EUCLIDEAN),
+        gg.relation_distances(x[:4])[gg.DistanceKind.EUCLIDEAN],
         gg.DistanceKind.EUCLIDEAN, 0.6)
     with pytest.raises(gg.GraphBuildError, match="euclidean graph has 4 nodes for 5"):
         gg.MultiGraph(x, graphs)

@@ -687,7 +687,7 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
 
 def test_graph_is_built_once_per_cross_validation(monkeypatch):
     values, labels = small_problem(n_per_class=12, n_features=8)
-    calls = {"pairwise_distances": 0, "build_relation_graph": 0,
+    calls = {"relation_distances": 0, "build_relation_graph": 0,
              "normalize_adjacency": 0}
     for name in calls:
         original = getattr(gg, name)
@@ -699,12 +699,13 @@ def test_graph_is_built_once_per_cross_validation(monkeypatch):
         monkeypatch.setattr(gg, name, counted)
     gt.run_cross_validation(values, labels,
                             small_cfg(eval_seeds=3, epochs=2, classifier_steps=5))
-    # one distance matrix and graph per relation, not one per relation and
-    # seed. The shared buffer is refilled whenever it holds another kind:
-    # per seed 3 + 2 in the first epoch (the sweep starts on the relation
-    # the forward pass ended on), 2 + 2 in the second (the sweep ended on
-    # the first relation, which the forward pass starts on) and 2 in encode
-    assert calls == {"pairwise_distances": 3, "build_relation_graph": 3,
+    # one distance pass for all relations and one graph per relation, not
+    # one per relation and seed. The shared buffer is refilled whenever it
+    # holds another kind: per seed 3 + 2 in the first epoch (the sweep
+    # starts on the relation the forward pass ended on), 2 + 2 in the
+    # second (the sweep ended on the first relation, which the forward
+    # pass starts on) and 2 in encode
+    assert calls == {"relation_distances": 1, "build_relation_graph": 3,
                      "normalize_adjacency": 3 * (5 + 4 + 2)}
 
 
