@@ -23,7 +23,7 @@ import sys
 from . import model
 from . import train as tr
 from .gradcheck import DEFAULT_TOLERANCE, gradient_check
-from .graph import build_multigraph, edge_list_lines, edge_list_sidecar
+from .graph import build_multigraph, edge_list_lines
 from .ingest import (FilterPolicy, filter_low_abundance, parse_abundance_table,
                      quote_field, read_labels, removal_report,
                      serialize_abundance_table, serialize_labels, synth_cohort)
@@ -158,9 +158,11 @@ def cmd_build_graphs(args) -> int:
         body = "\n".join(lines) + "\n" if lines else ""
         tr.atomic_write_text(
             os.path.join(out_dir, f"edges_{kind.value}.tsv"), body)
+        sidecar = {"relation": kind.value, "threshold": cfg.threshold,
+                   "n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
         tr.atomic_write_text(
             os.path.join(out_dir, f"edges_{kind.value}.json"),
-            json.dumps(edge_list_sidecar(graph), sort_keys=True, indent=2) + "\n")
+            json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         print(f"{kind.value}: {graph.n_edges} edges over {graph.n_nodes} nodes")
     return 0
 
@@ -301,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="drop low-abundance features")
     _add_common(p)
-    p.add_argument("--abundance-threshold", type=float, default=0.01)
-    p.add_argument("--host-count-threshold", type=int, default=120)
+    p.add_argument("--abundance-threshold", type=float,
+                   default=FilterPolicy.abundance_threshold)
+    p.add_argument("--host-count-threshold", type=int,
+                   default=FilterPolicy.host_count_threshold)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("build-graphs", help="export relation edge lists")

@@ -1,10 +1,10 @@
 """Sample-similarity graphs from abundance profiles.
 
-One relation graph per distance metric: pairwise distances are min-max
-rescaled to [0, 1] over the off-diagonal entries and an undirected edge
-is drawn wherever the rescaled distance falls strictly below a
-threshold. Self-loops enter only later, inside the symmetric degree
-normalization (A + I).
+One relation graph per distance metric, named by its key in
+``MultiGraph.graphs``: pairwise distances are min-max rescaled to [0, 1]
+over the off-diagonal entries and an undirected edge is drawn wherever
+the rescaled distance falls strictly below a threshold. Self-loops
+enter only later, inside the symmetric degree normalization (A + I).
 
 ``relation_distances`` computes all three metrics in one pass over the
 samples, one row of sample pairs per step, from temporaries the metrics
@@ -115,11 +115,11 @@ _ROW_BLOCK = 64
 
 @dataclass
 class RelationGraph:
-    """One undirected relation type: binary adjacency, no self-loops."""
+    """One undirected relation type: binary adjacency, no self-loops.
+    A graph is named by its ``MultiGraph.graphs`` key, and its threshold
+    is the run's ``TrainConfig.threshold``; it stores neither."""
 
-    kind: DistanceKind
     adjacency: np.ndarray
-    threshold: float
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=bool)
@@ -147,7 +147,9 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
     The rescale uses only off-diagonal entries; an edge (i, j), i != j,
     exists iff (d_ij - min) / (max - min) < threshold, strictly. A
     degenerate matrix whose off-diagonal distances are all equal has no
-    usable scale and is rejected.
+    usable scale and is rejected, naming ``kind``. ``distances`` comes
+    from ``relation_distances``, which builds it symmetric with a zero
+    diagonal, so neither is checked again here.
 
     The extremes are reduced under an off-diagonal mask and the
     rescale runs ``_ROW_BLOCK`` rows at a time through one block
@@ -158,10 +160,6 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
     n = d.shape[0]
     if d.ndim != 2 or d.shape[1] != n or n < 2:
         raise GraphBuildError(f"distances must be square with n >= 2, got {d.shape}")
-    if not np.array_equal(d, d.T):
-        raise GraphBuildError("distance matrix must be symmetric")
-    if np.any(np.diag(d) != 0):
-        raise GraphBuildError("distance matrix must have a zero diagonal")
     if not (0.0 < threshold < 1.0):
         raise GraphBuildError(f"threshold must lie in (0, 1), got {threshold}")
     lo, hi = _off_diagonal_range(d)
@@ -178,7 +176,7 @@ def build_relation_graph(distances: np.ndarray, kind: DistanceKind,
         rescaled /= scale
         np.less(rescaled, threshold, out=adjacency[rows])
     np.fill_diagonal(adjacency, False)
-    return RelationGraph(kind, adjacency, threshold)
+    return RelationGraph(adjacency)
 
 
 def _off_diagonal_range(d: np.ndarray) -> tuple[float, float]:
@@ -251,9 +249,6 @@ class MultiGraph:
                 f"relations {sorted(k.value for k in self.graphs)} are not "
                 f"{sorted(k.value for k in ALL_KINDS)}")
         for kind, graph in self.graphs.items():
-            if graph.kind is not kind:
-                raise GraphBuildError(
-                    f"{graph.kind.value} graph filed as {kind.value}")
             if graph.n_nodes != n:
                 raise GraphBuildError(
                     f"{kind.value} graph has {graph.n_nodes} nodes for {n} samples")
@@ -286,13 +281,3 @@ def edge_list_lines(graph: RelationGraph) -> list[str]:
     """Tab-separated `i<TAB>j` lines, i < j, sorted."""
     i_idx, j_idx = np.nonzero(np.triu(graph.adjacency, k=1))
     return [f"{i}\t{j}" for i, j in zip(i_idx.tolist(), j_idx.tolist())]
-
-
-def edge_list_sidecar(graph: RelationGraph) -> dict:
-    """Metadata written next to an exported edge list."""
-    return {
-        "relation": graph.kind.value,
-        "threshold": graph.threshold,
-        "n_nodes": graph.n_nodes,
-        "n_edges": graph.n_edges,
-    }

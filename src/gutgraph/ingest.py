@@ -67,8 +67,9 @@ class FilterPolicy:
     host_count_threshold: int = 120
 
     def __post_init__(self):
-        if self.abundance_threshold <= 0:
-            raise ValueError("abundance_threshold must be positive")
+        if not 0 < self.abundance_threshold < math.inf:
+            raise ValueError(f"abundance_threshold must be a positive finite "
+                             f"number, got {self.abundance_threshold!r}")
         if self.host_count_threshold < 1:
             raise ValueError("host_count_threshold must be >= 1")
 
@@ -256,8 +257,8 @@ def synth_cohort(n_per_class: int, n_features: int, separation: float,
         raise ValueError(f"n_per_class must be >= 2, got {n_per_class}")
     if n_features < 2:
         raise ValueError(f"n_features must be >= 2, got {n_features}")
-    if separation < 0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not 0 <= separation < math.inf:
+        raise ValueError(f"separation must be a finite number >= 0, got {separation}")
     rng = np.random.default_rng(seed)
     base = _PROFILE_SPREAD * rng.normal(size=n_features)
     direction = rng.normal(size=n_features)

@@ -253,6 +253,9 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     defers each relation's 2N x D adjoint until the sweep reaches that
     relation's records: the sweep holds one relation's adjoint at a
     time and peaks in the first GCN-stack VJP it meets.
+    The graph-level readout is built only for the discriminator (under
+    ``two_stage_summary`` and ``use_adversarial``), else ``histograms``
+    is empty.
     ``frozen_histograms`` substitutes stored graph-level readouts (they
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""
@@ -264,7 +267,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     for kind in ALL_KINDS:
         h = ad.gcn_stack(partial(adjacency, kind), stacked, params.layers[kind])
         h_pos = ad.slice_rows(h, 0, n)
-        if cfg.two_stage_summary:
+        if cfg.two_stage_summary and cfg.use_adversarial:
             frozen = None if frozen_histograms is None else frozen_histograms[kind]
             summary, p, histograms[kind] = graph_summary(
                 h_pos, cfg.bins, cfg.histogram_weighting, frozen)

@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import struct
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -33,13 +34,17 @@ from .graph import MultiGraph, build_multigraph, shuffle_features
 from .ingest import kfold_split
 
 
-# accepted values per annotated field type; bool is an int subclass in
-# Python, so it is refused where a number is expected
+# (description, test of accepted values) per annotated field type; bool is
+# an int subclass in Python, so it is refused where a number is expected,
+# and a real-valued field takes only numbers that are finite as floats
+# (not NaN, an infinity, or an int beyond the float range)
 _FIELD_TYPES = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
+    "int": ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number",
+              lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -70,8 +75,9 @@ class TrainConfig:
         # JSON and checkpoints can carry any type: check types before ranges
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not _FIELD_TYPES[f.type](value):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            description, accepts = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {description}, got {value!r}")
         if self.embed_dim < 1 or self.gcn_layers < 1 or self.bins < 1 or self.heads < 1:
             raise ValueError("embed_dim, gcn_layers, bins, heads must be >= 1")
         if not (0.0 < self.threshold < 1.0):
@@ -530,7 +536,6 @@ _VERSION = 2
 
 @dataclass
 class Checkpoint:
-    version: int
     config: dict
     feature_names: list[str]
     tensors: dict[str, np.ndarray]
@@ -601,7 +606,10 @@ class _Reader:
 
 
 def parse_checkpoint(blob: bytes) -> Checkpoint:
-    """Inverse of ``checkpoint_bytes``; any damage raises CheckpointError."""
+    """Inverse of ``checkpoint_bytes``; any damage raises CheckpointError.
+    Training raises ``TrainingDivergedError`` before it could save a
+    non-finite value, so a non-finite tensor entry or trace value marks a
+    damaged file and is refused too."""
     r = _Reader(blob)
     if r.take(4) != _MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -616,17 +624,22 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         raise CheckpointError(f"corrupt config JSON: {exc}") from None
     feature_names = [r.text() for _ in range(r.u32())]
     n_trace = r.u32()
-    trace = np.frombuffer(r.take(8 * n_trace), dtype="<f8").tolist()
+    trace = np.frombuffer(r.take(8 * n_trace), dtype="<f8")
+    if not np.isfinite(trace).all():
+        raise CheckpointError("checkpoint loss trace holds a non-finite value")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.text()
         rows, cols = struct.unpack("<II", r.take(8))
         data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} holds a non-finite value")
         tensors[name] = data.reshape(rows, cols).copy()
     if not r.done():
         raise CheckpointError("trailing bytes after checkpoint payload")
-    return Checkpoint(version=version, config=config, feature_names=feature_names,
-                      tensors=tensors, trace=trace)
+    return Checkpoint(config=config, feature_names=feature_names,
+                      tensors=tensors, trace=trace.tolist())
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -596,6 +596,85 @@ def test_config_file_wrong_type_exits_in_one_line(tmp_path, cohort, capsys, payl
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("clip_norm", "nan"), ("clip_norm", "inf"), ("learning_rate", "nan")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_setting_exits_before_anything_is_written(
+        tmp_path, cohort, capsys, source, field, value):
+    # float() reads "nan" and "inf" from a flag, and JSON's NaN and
+    # Infinity from a config file
+    table_path, labels_path = cohort
+    if source == "flag":
+        given = ["--" + field.replace("_", "-"), value]
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: float(value)}))
+        given = ["--config", str(cfg_file)]
+    out = tmp_path / "out"
+    code = main(["evaluate", "--table", table_path, "--labels", labels_path,
+                 "--out-dir", str(out)] + FAST + given)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {field} must be a finite number, got {float(value)!r}"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "embed"])
+@pytest.mark.parametrize("damage", ["config", "tensor"])
+def test_checkpoint_with_a_non_finite_value_exits_in_one_line(
+        tmp_path, cohort, capsys, damage, command):
+    table_path, labels_path = cohort
+    train_out = tmp_path / "train"
+    assert main(["train", "--table", table_path,
+                 "--out-dir", str(train_out)] + FAST) == 0
+    blob = (train_out / "model.ckpt").read_bytes()
+    if damage == "config":
+        # the config JSON follows the magic and version, after its length
+        (n,) = struct.unpack("<I", blob[8:12])
+        text = blob[12:12 + n].replace(b'"clip_norm":5.0', b'"clip_norm":Infinity')
+        blob = blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + n:]
+        want = "invalid checkpoint config: clip_norm must be a finite number, got inf"
+    else:
+        name = "attention/head0/bray_curtis/query"
+        at = blob.index(name.encode()) + len(name) + 8  # past its shape
+        blob = blob[:at] + struct.pack("<d", float("nan")) + blob[at + 8:]
+        want = f"checkpoint tensor {name!r} holds a non-finite value"
+    damaged = tmp_path / "damaged.ckpt"
+    damaged.write_bytes(blob)
+    out = tmp_path / "out"
+    args = [command, "--table", table_path, "--out-dir", str(out),
+            "--checkpoint", str(damaged)]
+    if command == "evaluate":
+        args += ["--labels", labels_path]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_preprocess_refuses_a_non_finite_abundance_threshold(
+        tmp_path, cohort, capsys, value):
+    table_path, _ = cohort
+    out = tmp_path / "out"
+    assert main(["preprocess", "--table", table_path, "--out-dir", str(out),
+                 "--abundance-threshold", value]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: abundance_threshold must be a positive finite number, "
+        f"got {float(value)!r}"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_refuses_a_non_finite_separation(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert main(["synth", "--n-per-class", "4", "--separation", value,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: separation must be a finite number >= 0, got {value}"]
+    assert not (out / "abundance.tsv").exists()
+
+
 def test_ablation_flags_land_in_config(tmp_path, cohort):
     table_path, _ = cohort
     out = tmp_path / "run"

@@ -253,7 +253,6 @@ def test_build_relation_graph_hand_case():
         want[i, j] = want[j, i] = True
     assert np.array_equal(g.adjacency, want)
     assert g.n_edges == 3
-    assert g.threshold == 0.6
 
 
 def _thresholded_by_formula(d: np.ndarray, threshold: float) -> np.ndarray:
@@ -362,10 +361,10 @@ def test_relation_graph_validation():
     asym = np.zeros((3, 3), dtype=bool)
     asym[0, 1] = True
     with pytest.raises(gg.GraphBuildError, match="symmetric"):
-        gg.RelationGraph(gg.DistanceKind.EUCLIDEAN, asym, 0.6)
+        gg.RelationGraph(asym)
     loops = np.eye(3, dtype=bool)
     with pytest.raises(gg.GraphBuildError, match="diagonal"):
-        gg.RelationGraph(gg.DistanceKind.EUCLIDEAN, loops, 0.6)
+        gg.RelationGraph(loops)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +377,13 @@ def normalized(graph: gg.RelationGraph) -> np.ndarray:
 
 
 def test_normalize_two_node_edge():
-    g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN,
-                         np.array([[False, True], [True, False]]), 0.5)
+    g = gg.RelationGraph(np.array([[False, True], [True, False]]))
     m = normalized(g)
     assert np.array_equal(m, np.full((2, 2), 0.5))
 
 
 def test_normalize_edgeless_is_identity():
-    g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN, np.zeros((3, 3), dtype=bool), 0.5)
+    g = gg.RelationGraph(np.zeros((3, 3), dtype=bool))
     m = normalized(g)
     assert np.array_equal(m, np.eye(3))
 
@@ -397,7 +395,7 @@ def test_normalize_spectral_radius_at_most_one():
         a = rng.random((n, n)) < 0.4
         a = np.triu(a, k=1)
         a = a | a.T
-        g = gg.RelationGraph(gg.DistanceKind.BRAY_CURTIS, a, 0.6)
+        g = gg.RelationGraph(a)
         m = normalized(g)
         assert np.array_equal(m, m.T)
         eig = np.linalg.eigvalsh(m)
@@ -411,7 +409,7 @@ def test_normalize_entry_formula():
         [1, 0, 0, 1],
         [0, 0, 1, 0],
     ], dtype=bool)
-    g = gg.RelationGraph(gg.DistanceKind.CANBERRA, a, 0.6)
+    g = gg.RelationGraph(a)
     m = normalized(g)
     deg = a.sum(axis=1) + 1.0
     assert m[0, 1] == pytest.approx(1.0 / np.sqrt(deg[0] * deg[1]), abs=1e-15)
@@ -436,7 +434,7 @@ def symmetric_adjacencies(draw):
 @settings(max_examples=60, deadline=None)
 @given(a=symmetric_adjacencies())
 def test_normalize_has_the_bytes_of_the_outer_product_formula(a):
-    g = gg.RelationGraph(gg.DistanceKind.BRAY_CURTIS, a, 0.6)
+    g = gg.RelationGraph(a)
     assert normalized(g).tobytes() == _normalized_by_formula(a).tobytes()
 
 
@@ -445,7 +443,7 @@ def test_normalize_has_the_bytes_of_the_outer_product_formula(a):
 def test_normalize_is_bitwise_symmetric(a):
     # gcn_stack's VJP multiplies by A where it means A^T: entry (i, j)
     # divides by sqrt(deg_i * deg_j), and that product commutes
-    m = normalized(gg.RelationGraph(gg.DistanceKind.CANBERRA, a, 0.6))
+    m = normalized(gg.RelationGraph(a))
     assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
 
 
@@ -457,7 +455,7 @@ def test_normalize_allocates_about_one_matrix():
     n = 960
     rng = np.random.default_rng(3)
     a = np.triu(rng.random((n, n)) < 0.3, k=1)
-    g = gg.RelationGraph(gg.DistanceKind.EUCLIDEAN, a | a.T, 0.6)
+    g = gg.RelationGraph(a | a.T)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -590,14 +588,6 @@ def test_multigraph_refuses_a_missing_or_extra_relation():
         gg.MultiGraph(x, {})
 
 
-def test_multigraph_refuses_a_graph_filed_under_another_kind():
-    x = np.random.default_rng(9).random((5, 3)) + 0.01
-    graphs = dict(gg.build_multigraph(x, 0.6).graphs)
-    graphs[gg.DistanceKind.EUCLIDEAN] = graphs[gg.DistanceKind.CANBERRA]
-    with pytest.raises(gg.GraphBuildError, match="canberra graph filed as euclidean"):
-        gg.MultiGraph(x, graphs)
-
-
 def test_multigraph_refuses_graphs_of_different_sizes():
     # one relation over fewer nodes than the others and the features
     x = np.random.default_rng(9).random((5, 3)) + 0.01
@@ -613,6 +603,3 @@ def test_edge_list_export():
     g = gg.build_relation_graph(HAND_DISTANCES, gg.DistanceKind.BRAY_CURTIS, 0.6)
     lines = gg.edge_list_lines(g)
     assert lines == ["0\t1", "0\t2", "0\t3"]
-    side = gg.edge_list_sidecar(g)
-    assert side == {"relation": "bray_curtis", "threshold": 0.6,
-                    "n_nodes": 4, "n_edges": 3}

@@ -551,17 +551,23 @@ def test_joint_forward_tape_is_fused():
     assert sum(buffers.values()) <= 4 * 2 * n * d * 8 + 16 * 1024
 
 
-def test_joint_forward_without_adversarial_records_no_negative_view():
+def test_joint_forward_without_adversarial_records_no_negative_view(monkeypatch):
     # the fused test's shape less the 39 adversarial records, the 3 row
-    # views of the shuffled rows that only the discriminators read and
-    # the joint loss's add
+    # views of the shuffled rows that only the discriminators read, the
+    # joint loss's add and the 3 concat_cols of the graph-level readout,
+    # which only the discriminators read too
+    def unread(*args, **kwargs):
+        raise AssertionError("value_histogram called without a discriminator")
+
+    monkeypatch.setattr(model, "value_histogram", unread)
     n, d = 64, 32
     x, xs, adjs = tiny_problem(n=n, f=8)
     cfg = tiny_cfg(embed_dim=d, gcn_layers=3, bins=16, heads=4, use_adversarial=False)
     p = tiny_params(n_features=8, cfg=cfg)
     with ad.Tape() as tape:
-        model.joint_forward(x, xs, adjs, p, cfg)
-    assert len(tape) == 19
+        res = model.joint_forward(x, xs, adjs, p, cfg)
+    assert len(tape) == 16
+    assert res.histograms == {}
     views = [out.data for out, _, vjp in tape._records
              if vjp.__qualname__.startswith("slice_rows.")]
     # one per relation, each rows [0, N) of its stack

@@ -68,6 +68,11 @@ def test_config_defaults_valid():
     {"folds": 1},
     {"eval_seeds": 0},
     {"histogram_weighting": "median"},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"clip_norm": float("nan")},
+    {"clip_norm": float("inf")},
+    {"clip_norm": 10**400},  # an int no float can hold
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -738,7 +743,6 @@ def test_checkpoint_round_trip_bytes(tmp_path):
     path = str(tmp_path / "model.ckpt")
     gt.save_checkpoint(path, params, cfg, trace, NAMES)
     ckpt = gt.load_checkpoint(path)
-    assert ckpt.version == 2
     assert ckpt.config == cfg.as_dict()
     assert ckpt.feature_names == NAMES
     assert np.asarray(ckpt.trace).tobytes() == np.asarray(trace).tobytes()
@@ -824,6 +828,24 @@ def test_checkpoint_damage_raises_only_checkpoint_error():
         damaged = bytearray(blob)
         damaged[bit // 8] ^= 1 << (bit % 8)
         load(bytes(damaged))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_checkpoint_refuses_a_non_finite_value(value):
+    # training never saves one, so one marks a damaged file
+    _, _, cfg, params, trace = trained_fixture()
+    blob = gt.checkpoint_bytes(params, cfg, trace, NAMES)
+    name = "attention/head0/bray_curtis/query"
+    at = blob.index(name.encode()) + len(name) + 8  # past its shape
+    damaged = blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    with pytest.raises(gt.CheckpointError,
+                       match=f"checkpoint tensor '{name}' holds a non-finite value"):
+        gt.parse_checkpoint(damaged)
+    at = blob.index(np.asarray(trace, dtype="<f8").tobytes()) + 8
+    damaged = blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    with pytest.raises(gt.CheckpointError,
+                       match="checkpoint loss trace holds a non-finite value"):
+        gt.parse_checkpoint(damaged)
 
 
 def test_checkpoint_truncation(tmp_path):
