@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Subcommands: preprocess, build-graphs, train, evaluate, embed, synth,
-gradcheck. Every subcommand writes its fully resolved configuration to
-the output directory before doing any work, and every output file is
+gradcheck. Every subcommand checks its settings before it writes
+anything, and writes its fully resolved configuration to the output
+directory before it reads an input or trains. Every output file is
 written atomically (temp file plus rename), so a failed run never
 leaves a partial artifact behind.
 
@@ -255,14 +256,15 @@ def cmd_embed(args) -> int:
 
 def cmd_synth(args) -> int:
     out_dir = _resolve_out_dir(args)
+    # synth_cohort checks every argument, so it runs before the echo
+    table, labels = synth_cohort(args.n_per_class, args.n_features,
+                                 args.separation, args.seed)
     _echo_config(out_dir, "synth", {
         "n_per_class": args.n_per_class,
         "n_features": args.n_features,
         "separation": args.separation,
         "seed": args.seed,
     })
-    table, labels = synth_cohort(args.n_per_class, args.n_features,
-                                 args.separation, args.seed)
     tr.atomic_write_text(os.path.join(out_dir, "abundance.tsv"),
                          serialize_abundance_table(table))
     tr.atomic_write_text(os.path.join(out_dir, "labels.tsv"),
@@ -273,6 +275,8 @@ def cmd_synth(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     out_dir = _resolve_out_dir(args)
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     _echo_config(out_dir, "gradcheck", {
         "seed": args.seed,
         "tolerance": DEFAULT_TOLERANCE,

@@ -259,6 +259,8 @@ def synth_cohort(n_per_class: int, n_features: int, separation: float,
         raise ValueError(f"n_features must be >= 2, got {n_features}")
     if not 0 <= separation < math.inf:
         raise ValueError(f"separation must be a finite number >= 0, got {separation}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     base = _PROFILE_SPREAD * rng.normal(size=n_features)
     direction = rng.normal(size=n_features)

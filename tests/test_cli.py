@@ -1,5 +1,6 @@
 """End-to-end tests that drive the CLI through main(argv)."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -672,7 +673,22 @@ def test_synth_refuses_a_non_finite_separation(tmp_path, capsys, value):
                  "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: separation must be a finite number >= 0, got {value}"]
-    assert not (out / "abundance.tsv").exists()
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["synth", "--n-per-class", "1"], "n_per_class must be >= 2, got 1"),
+    (["synth", "--n-per-class", "4", "--n-features", "1"],
+     "n_features must be >= 2, got 1"),
+    (["synth", "--n-per-class", "4", "--seed", "-2"], "seed must be >= 0, got -2"),
+    (["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_synth_and_gradcheck_check_their_arguments_before_writing(
+        tmp_path, capsys, argv, want):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+    assert list(out.iterdir()) == []
 
 
 def test_ablation_flags_land_in_config(tmp_path, cohort):
@@ -705,3 +721,18 @@ def test_synth_output_feeds_preprocess_cleanly(tmp_path, cohort):
     assert main(["preprocess", "--table", table_path,
                  "--out-dir", str(out)]) == 0
     assert (out / "removed_features.tsv").read_text() == ""
+
+
+def test_same_bytes_harness_runs_every_subcommand_and_switch():
+    # .github/same-bytes.sh is the one list of commands compared byte for
+    # byte across hash seeds, BLAS threads and a parent tree: a subcommand
+    # or switch missing from it would go uncompared
+    script = Path(__file__).resolve().parents[1] / ".github" / "same-bytes.sh"
+    text = script.read_text().replace("\\\n", " ")
+    run = [line.split() for line in text.splitlines()
+           if line.split()[:1] == ["gutgraph"]]
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) <= {words[1] for words in run}
+    flags = {word for words in run for word in words}
+    assert {flag for flag, _ in cli._ABLATION_FLAGS} <= flags
