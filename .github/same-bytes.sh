@@ -45,8 +45,10 @@ gutgraph() {
 # --no-two-stage-summary reads each relation out through mean_rows alone,
 # and --static-corruption draws one corruption for the whole run. evaluate
 # and embed also run from a checkpoint, which reads the saved config
-# instead of the flags. At N=120 and N=960 the GEMMs are large enough for
-# the BLAS to split them over threads.
+# instead of the flags: from the full model and from the --no-attention
+# one, whose relations the checkpoint path merges by their mean. At N=120
+# and N=960 the GEMMs are large enough for the BLAS to split them over
+# threads.
 run_list() {
   o=$1
   gutgraph synth --n-per-class 20 --seed 4 --out-dir "$o/data"
@@ -76,6 +78,10 @@ run_list() {
     --checkpoint "$o/run/model.ckpt" --out-dir "$o/evalckpt"
   gutgraph embed --table "$table" --checkpoint "$o/run/model.ckpt" \
     --out-dir "$o/embedckpt"
+  gutgraph evaluate --table "$table" --labels "$labels" \
+    --checkpoint "$o/noattention/model.ckpt" --out-dir "$o/evalckpt-noattention"
+  gutgraph embed --table "$table" --checkpoint "$o/noattention/model.ckpt" \
+    --out-dir "$o/embedckpt-noattention"
   # the benchmark workloads' evaluate: cv-small, then cohort-large
   gutgraph evaluate --table "$o/n120/abundance.tsv" --labels "$o/n120/labels.tsv" \
     --epochs 60 --eval-seeds 2 --folds 5 --seed 0 --out-dir "$o/cv-small"

@@ -95,7 +95,7 @@ def _config_flags(args) -> dict:
 def _resolve_config(args) -> tr.TrainConfig:
     data = tr.TrainConfig().as_dict()
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object, "
@@ -112,13 +112,14 @@ def _echo_config(out_dir: str, command: str, payload: dict) -> None:
                          json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+# newline="" hands quoted line breaks to the csv reader unchanged
 def _read_table(args):
-    with open(args.table, encoding="utf-8") as fh:
+    with open(args.table, encoding="utf-8", newline="") as fh:
         return parse_abundance_table(fh, args.delimiter)
 
 
 def _read_labels(args, table):
-    with open(args.labels, encoding="utf-8") as fh:
+    with open(args.labels, encoding="utf-8", newline="") as fh:
         return read_labels(fh, table.sample_ids, args.delimiter)
 
 
@@ -221,10 +222,8 @@ def cmd_evaluate(args) -> int:
     cfg, params, table = _model_and_table(args, out_dir, "evaluate", {
         "labels": os.path.abspath(args.labels), "jobs": jobs})
     labels = _read_labels(args, table)
-    if params is None:
-        report = tr.run_cross_validation(table.values, labels, cfg, jobs=jobs)
-    else:
-        report = tr.evaluate_with_params(table.values, labels, params, cfg)
+    report = tr.run_cross_validation(table.values, labels, cfg, jobs=jobs,
+                                     params=params)
     tr.atomic_write_text(os.path.join(out_dir, "metrics.json"),
                          tr.report_to_json(report))
     tr.atomic_write_text(os.path.join(out_dir, "metrics.txt"),

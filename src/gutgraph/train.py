@@ -47,6 +47,11 @@ _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
 }
 
+# the least accepted value of each field bounded from below alone
+_LEAST_VALUES = {"embed_dim": 1, "gcn_layers": 1, "bins": 1, "heads": 1,
+                 "epochs": 0, "learning_rate": 0, "seed": 0, "folds": 2,
+                 "eval_seeds": 1, "classifier_steps": 0}
+
 
 @dataclass
 class TrainConfig:
@@ -78,22 +83,14 @@ class TrainConfig:
             description, accepts = _FIELD_TYPES[f.type]
             if not accepts(value):
                 raise ValueError(f"{f.name} must be {description}, got {value!r}")
-        if self.embed_dim < 1 or self.gcn_layers < 1 or self.bins < 1 or self.heads < 1:
-            raise ValueError("embed_dim, gcn_layers, bins, heads must be >= 1")
+        for name, least in _LEAST_VALUES.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.epochs < 0 or self.classifier_steps < 0:
-            raise ValueError("epochs and classifier_steps must be >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
         if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.eval_seeds < 1:
-            raise ValueError("eval_seeds must be >= 1")
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.histogram_weighting not in ("magnitude", "count"):
             raise ValueError(f"unknown histogram_weighting {self.histogram_weighting!r}")
 
@@ -355,7 +352,8 @@ class MetricsReport:
     rows: list[MetricsRow]
     aggregate: dict[str, dict[str, float | None]]
     config: dict
-    traces: list[list[float]] = field(default_factory=list, repr=False)
+    # each seed's loss trace, empty where the encoder was given
+    traces: list[list[float]] = field(repr=False)
 
 
 _METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "auc")
@@ -417,28 +415,23 @@ def _fold_rows(embeddings: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
 
 def _evaluate_single_seed(mg: MultiGraph, labels: np.ndarray,
                           cfg: TrainConfig, seed_index: int,
-                          fold_of_sample: np.ndarray
+                          fold_of_sample: np.ndarray,
+                          params: model.ModelParams | None = None
                           ) -> tuple[list[MetricsRow], list[float]]:
-    run_cfg = dataclasses.replace(cfg, seed=cfg.seed + seed_index)
-    params, trace = train_unsupervised(mg, run_cfg)
+    """Seed index ``seed_index``'s fold rows and loss trace; an encoder
+    given as ``params`` is scored as it is, with an empty trace."""
+    trace: list[float] = []
+    if params is None:
+        run_cfg = dataclasses.replace(cfg, seed=cfg.seed + seed_index)
+        params, trace = train_unsupervised(mg, run_cfg)
     embeddings = model.encode(mg.features, mg.normalized, params, cfg)
     return _fold_rows(embeddings, labels, cfg, seed_index, fold_of_sample), trace
 
 
-def _labelled_values(values: np.ndarray, labels: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(values as float64, labels) after checking there is one label
-    per sample row."""
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.shape != (values.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match {values.shape[0]} samples")
-    return values, labels
-
-
 def run_cross_validation(values: np.ndarray, labels: np.ndarray,
-                         cfg: TrainConfig, jobs: int = 1) -> MetricsReport:
+                         cfg: TrainConfig, jobs: int = 1,
+                         params: model.ModelParams | None = None
+                         ) -> MetricsReport:
     """Repeated k-fold evaluation: one unsupervised run per seed (the
     stage is label-free, so refitting it per fold would reproduce the
     same parameters), then one classifier per fold. The graphs use ALL
@@ -446,15 +439,23 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
     seed and every worker; the split only gates which labels the
     classifier sees, and every seed's split is drawn (``_draw_split``)
     before the graphs are built. Rows come in (seed, fold) order
-    whatever ``jobs`` is."""
-    values, labels = _labelled_values(values, labels)
+    whatever ``jobs`` is.
+
+    With an already-trained encoder ``params`` (the checkpoint path),
+    nothing is trained and only seed index 0's folds are scored,
+    whatever ``cfg.eval_seeds`` is."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    if labels.shape != (values.shape[0],):
+        raise ValueError(
+            f"labels shape {labels.shape} does not match {values.shape[0]} samples")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    indices = range(cfg.eval_seeds)
+    indices = range(cfg.eval_seeds if params is None else 1)
     splits = [_draw_split(labels, cfg, i) for i in indices]
     mg = build_multigraph(values, cfg.threshold)
     if jobs == 1 or len(indices) == 1:
-        results = [_evaluate_single_seed(mg, labels, cfg, i, splits[i])
+        results = [_evaluate_single_seed(mg, labels, cfg, i, splits[i], params)
                    for i in indices]
     else:
         # imported here: the pool pulls in multiprocessing, socket and
@@ -471,20 +472,6 @@ def run_cross_validation(values: np.ndarray, labels: np.ndarray,
     traces = [trace for _, trace in results]
     return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
                          config=cfg.as_dict(), traces=traces)
-
-
-def evaluate_with_params(values: np.ndarray, labels: np.ndarray,
-                         params: model.ModelParams, cfg: TrainConfig
-                         ) -> MetricsReport:
-    """Fold evaluation against an already-trained encoder (checkpoint
-    path): the folds of seed index 0, no unsupervised training."""
-    values, labels = _labelled_values(values, labels)
-    split = _draw_split(labels, cfg, 0)
-    mg = build_multigraph(values, cfg.threshold)
-    embeddings = model.encode(mg.features, mg.normalized, params, cfg)
-    rows = _fold_rows(embeddings, labels, cfg, 0, split)
-    return MetricsReport(rows=rows, aggregate=aggregate_rows(rows),
-                         config=cfg.as_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,8 @@ def test_criterion_8_determinism(fixture_cohort, tmp_path):
     params, trace = gt.train_unsupervised(mg, cfg)
     gt.save_checkpoint(path, params, cfg, trace, names)
     restored, rcfg = gt.params_from_checkpoint(gt.load_checkpoint(path))
-    direct = gt.evaluate_with_params(values, labels, params, cfg)
-    reloaded = gt.evaluate_with_params(values, labels, restored, rcfg)
+    direct = gt.run_cross_validation(values, labels, cfg, params=params)
+    reloaded = gt.run_cross_validation(values, labels, rcfg, params=restored)
     roundtrip_ok = gt.report_to_json(direct) == gt.report_to_json(reloaded)
 
     ok = reports_ok and traces_ok and ckpt_ok and roundtrip_ok

@@ -10,10 +10,12 @@ import stat
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gutgraph import cli
 from gutgraph.cli import main
+from gutgraph.ingest import AbundanceTable, serialize_abundance_table, serialize_labels
 from gutgraph.train import TrainConfig
 
 FAST = ["--embed-dim", "5", "--gcn-layers", "2", "--bins", "3",
@@ -147,6 +149,31 @@ def test_embed_quotes_sample_ids_holding_the_delimiter(tmp_path):
     rows = _tsv_rows(out / "embeddings.tsv")
     assert [row[0] for row in rows] == ["s\t1", "s2", "s3"]
     assert all(len(row) == 1 + 3 for row in rows)
+
+
+def test_quoted_line_breaks_in_names_survive_reading(tmp_path):
+    # csv needs newline="" to read a quoted \r or \r\n back as itself;
+    # without it, "a\rb" and "a\nb" would also read as one duplicate id
+    ids = ["s\r1", "s\r\n2", "a\rb", "a\nb", "s5", "s6"]
+    table = AbundanceTable(ids, ["tax\rA", "taxB"],
+                           [[0.1 * (i + 1), 0.5] for i in range(6)])
+    table_path, labels_path = tmp_path / "t.tsv", tmp_path / "labels.tsv"
+    table_path.write_bytes(serialize_abundance_table(table).encode())
+    labels_path.write_bytes(
+        serialize_labels(ids, np.array([0, 1, 0, 1, 0, 1])).encode())
+    out = tmp_path / "out"
+    assert main(["preprocess", "--table", str(table_path),
+                 "--out-dir", str(out)]) == 0
+    assert (out / "filtered.tsv").read_bytes() == table_path.read_bytes()
+    assert main(["embed", "--table", str(table_path), "--out-dir", str(out),
+                 "--embed-dim", "3", "--gcn-layers", "1", "--bins", "3",
+                 "--heads", "1", "--epochs", "1"]) == 0
+    with open(out / "embeddings.tsv", encoding="utf-8", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh, delimiter="\t")] == ids
+    assert main(["evaluate", "--table", str(table_path),
+                 "--labels", str(labels_path), "--out-dir", str(out)] + FAST) == 0
+    rows = json.loads((out / "metrics.json").read_text())["rows"]
+    assert sum(row["n_test"] for row in rows) == len(ids)
 
 
 def test_preprocess_no_removals_copies_table(tmp_path, cohort):

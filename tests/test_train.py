@@ -53,30 +53,37 @@ def test_config_defaults_valid():
     assert cfg.histogram_weighting == "magnitude"
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"embed_dim": 0},
-    {"gcn_layers": 0},
-    {"bins": 0},
-    {"heads": 0},
-    {"threshold": 0.0},
-    {"threshold": 1.0},
-    {"epochs": -1},
-    {"classifier_steps": -1},
-    {"learning_rate": -0.1},
-    {"clip_norm": 0.0},
-    {"seed": -1},
-    {"folds": 1},
-    {"eval_seeds": 0},
-    {"histogram_weighting": "median"},
-    {"learning_rate": float("nan")},
-    {"learning_rate": float("inf")},
-    {"clip_norm": float("nan")},
-    {"clip_norm": float("inf")},
-    {"clip_norm": 10**400},  # an int no float can hold
-])
-def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+_BAD_CONFIGS = [
+    ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
+    ({"gcn_layers": 0}, "gcn_layers must be >= 1, got 0"),
+    ({"bins": 0}, "bins must be >= 1, got 0"),
+    ({"heads": 0}, "heads must be >= 1, got 0"),
+    ({"threshold": 0.0}, "threshold must lie in (0, 1), got 0.0"),
+    ({"threshold": 1.0}, "threshold must lie in (0, 1), got 1.0"),
+    ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ({"classifier_steps": -1}, "classifier_steps must be >= 0, got -1"),
+    ({"learning_rate": -0.1}, "learning_rate must be >= 0, got -0.1"),
+    ({"clip_norm": 0.0}, "clip_norm must be positive, got 0.0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"folds": 1}, "folds must be >= 2, got 1"),
+    ({"eval_seeds": 0}, "eval_seeds must be >= 1, got 0"),
+    ({"histogram_weighting": "median"}, "unknown histogram_weighting 'median'"),
+    ({"learning_rate": float("nan")}, "learning_rate must be a finite number, got nan"),
+    ({"learning_rate": float("inf")}, "learning_rate must be a finite number, got inf"),
+    ({"clip_norm": float("nan")}, "clip_norm must be a finite number, got nan"),
+    ({"clip_norm": float("inf")}, "clip_norm must be a finite number, got inf"),
+    # an int no float can hold
+    ({"clip_norm": 10**400}, f"clip_norm must be a finite number, got {10**400}"),
+]
+
+
+# index ids: the messages hold spaces, commas and parentheses
+@pytest.mark.parametrize("kwargs, message", _BAD_CONFIGS,
+                         ids=[f"kwargs{i}" for i in range(len(_BAD_CONFIGS))])
+def test_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError) as exc:
         gt.TrainConfig(**kwargs)
+    assert str(exc.value) == message
 
 
 def test_config_dict_round_trip():
@@ -611,7 +618,7 @@ def test_checkpoint_evaluation_rejects_mismatched_labels(monkeypatch, n_labels):
     wrong = np.resize(labels, n_labels)
     monkeypatch.setattr(gt, "build_multigraph", None)
     with pytest.raises(ValueError, match="labels shape"):
-        gt.evaluate_with_params(values, wrong, params, cfg)
+        gt.run_cross_validation(values, wrong, cfg, params=params)
     with pytest.raises(ValueError, match="labels shape"):
         gt.run_cross_validation(values, wrong, cfg)
 
@@ -655,7 +662,7 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     full = gt.run_cross_validation(values, labels, cfg)
     mg = build_multigraph(values, cfg.threshold)
     params, _ = gt.train_unsupervised(mg, cfg)
-    from_params = gt.evaluate_with_params(values, labels, params, cfg)
+    from_params = gt.run_cross_validation(values, labels, cfg, params=params)
     assert gt.report_to_json(from_params) == gt.report_to_json(full)
 
     # CV seed index 1 under static corruption is training alone at
@@ -678,7 +685,7 @@ def test_checkpoint_evaluation_matches_first_seed(monkeypatch):
     embeddings = gm.encode(mg.features, mg.normalized, params, cfg)
     assert len(encoded) == 2
     assert encoded[1].tobytes() == embeddings.tobytes()
-    alone = gt.evaluate_with_params(values, labels, params, alone_cfg)
+    alone = gt.run_cross_validation(values, labels, alone_cfg, params=params)
     assert ([dataclasses.replace(r, seed_index=1) for r in alone.rows]
             == full.rows[cfg.folds:])
     # the static permutation is the first draw of the run's corruption stream
