@@ -21,19 +21,19 @@ import json
 import os
 import sys
 
-from . import model
-from . import train as tr
-from .gradcheck import DEFAULT_TOLERANCE, gradient_check
-from .graph import build_multigraph, edge_list_lines
+# train, model, graph and gradcheck are imported by the commands that run
+# them, so synth and preprocess start without compiling the model stack
 from .ingest import (FilterPolicy, filter_low_abundance, parse_abundance_table,
                      quote_field, read_labels, removal_report,
                      serialize_abundance_table, serialize_labels, synth_cohort)
+from .runtime import (TrainConfig, TrainingDivergedError, atomic_write_text,
+                      pin_allocator)
 
 OUTDIR_ENV = "GUTGRAPH_OUTDIR"
 
 # every TrainConfig field that is not a switch, set by --field-name
 _SCALAR_FIELDS = [(f.name, {"int": int, "float": float, "str": str}[f.type])
-                  for f in dataclasses.fields(tr.TrainConfig) if f.type != "bool"]
+                  for f in dataclasses.fields(TrainConfig) if f.type != "bool"]
 # (flag, TrainConfig switch) for the switches, each turning a feature off
 _ABLATION_FLAGS = [
     ("--static-corruption", "fresh_corruption"),
@@ -88,12 +88,12 @@ def _resolve_out_dir(args) -> str:
 
 def _config_flags(args) -> dict:
     """The TrainConfig fields set on the command line."""
-    return {f.name: getattr(args, f.name) for f in dataclasses.fields(tr.TrainConfig)
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
             if hasattr(args, f.name)}
 
 
-def _resolve_config(args) -> tr.TrainConfig:
-    data = tr.TrainConfig().as_dict()
+def _resolve_config(args) -> TrainConfig:
+    data = TrainConfig().as_dict()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -102,14 +102,14 @@ def _resolve_config(args) -> tr.TrainConfig:
                              f"got {type(loaded).__name__}")
         data.update(loaded)
     data.update(_config_flags(args))
-    return tr.TrainConfig.from_dict(data)
+    return TrainConfig.from_dict(data)
 
 
 def _echo_config(out_dir: str, command: str, payload: dict) -> None:
     doc = {"command": command, "out_dir": os.path.abspath(out_dir)}
     doc.update(payload)
-    tr.atomic_write_text(os.path.join(out_dir, "config.json"),
-                         json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(os.path.join(out_dir, "config.json"),
+                      json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # newline="" hands quoted line breaks to the csv reader unchanged
@@ -140,17 +140,18 @@ def cmd_preprocess(args) -> int:
     removed = removal_report(table, policy)
     filtered = filter_low_abundance(table, policy)
     d = args.delimiter
-    tr.atomic_write_text(os.path.join(out_dir, "filtered.tsv"),
-                         serialize_abundance_table(filtered, d))
+    atomic_write_text(os.path.join(out_dir, "filtered.tsv"),
+                      serialize_abundance_table(filtered, d))
     report = "".join(f"{quote_field(name, d)}{d}{count}\n"
                      for name, count in removed)
-    tr.atomic_write_text(os.path.join(out_dir, "removed_features.tsv"), report)
+    atomic_write_text(os.path.join(out_dir, "removed_features.tsv"), report)
     print(f"kept {filtered.n_features} of {table.n_features} features "
           f"({len(removed)} removed)")
     return 0
 
 
 def cmd_build_graphs(args) -> int:
+    from .graph import build_multigraph, edge_list_lines
     out_dir = _resolve_out_dir(args)
     cfg, _, table = _model_and_table(args, out_dir, "build-graphs", {})
     # every relation is built before any file is written
@@ -158,11 +159,11 @@ def cmd_build_graphs(args) -> int:
     for kind, graph in graphs.items():
         lines = edge_list_lines(graph)
         body = "\n".join(lines) + "\n" if lines else ""
-        tr.atomic_write_text(
+        atomic_write_text(
             os.path.join(out_dir, f"edges_{kind.value}.tsv"), body)
         sidecar = {"relation": kind.value, "threshold": cfg.threshold,
                    "n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
-        tr.atomic_write_text(
+        atomic_write_text(
             os.path.join(out_dir, f"edges_{kind.value}.json"),
             json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         print(f"{kind.value}: {graph.n_edges} edges over {graph.n_nodes} nodes")
@@ -170,6 +171,8 @@ def cmd_build_graphs(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import train as tr
+    from .graph import build_multigraph
     out_dir = _resolve_out_dir(args)
     cfg, _, table = _model_and_table(args, out_dir, "train", {})
     mg = build_multigraph(table.values, cfg.threshold)
@@ -177,7 +180,7 @@ def cmd_train(args) -> int:
     tr.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params, cfg, trace,
                        table.feature_names)
     body = "".join(f"{i}\t{v!r}\n" for i, v in enumerate(trace))
-    tr.atomic_write_text(os.path.join(out_dir, "loss_trace.tsv"), body)
+    atomic_write_text(os.path.join(out_dir, "loss_trace.tsv"), body)
     if trace:
         print(f"trained {len(trace)} epochs, loss {trace[0]!r} -> {trace[-1]!r}")
     else:
@@ -199,6 +202,7 @@ def _model_and_table(args, out_dir: str, command: str, echo: dict):
             raise ValueError(
                 "--checkpoint carries its own configuration; drop the "
                 f"config flags or {command} end-to-end without --checkpoint")
+        from . import train as tr
         ckpt = tr.load_checkpoint(args.checkpoint)
         params, cfg = tr.params_from_checkpoint(ckpt)
         echo["checkpoint"] = os.path.abspath(args.checkpoint)
@@ -213,6 +217,7 @@ def _model_and_table(args, out_dir: str, command: str, echo: dict):
 
 
 def cmd_evaluate(args) -> int:
+    from . import train as tr
     if args.checkpoint and args.jobs is not None:
         raise ValueError("--jobs spreads training seeds over workers and "
                          "--checkpoint trains none; drop --jobs or evaluate "
@@ -224,10 +229,7 @@ def cmd_evaluate(args) -> int:
     labels = _read_labels(args, table)
     report = tr.run_cross_validation(table.values, labels, cfg, jobs=jobs,
                                      params=params)
-    tr.atomic_write_text(os.path.join(out_dir, "metrics.json"),
-                         tr.report_to_json(report))
-    tr.atomic_write_text(os.path.join(out_dir, "metrics.txt"),
-                         tr.report_to_text(report))
+    tr.save_report(out_dir, report)
     acc = report.aggregate["accuracy"]
     auc = report.aggregate["auc"]
     fmt = tr.format_metric
@@ -238,6 +240,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import model
+    from . import train as tr
+    from .graph import build_multigraph
     out_dir = _resolve_out_dir(args)
     cfg, params, table = _model_and_table(args, out_dir, "embed", {})
     mg = build_multigraph(table.values, cfg.threshold)
@@ -248,7 +253,7 @@ def cmd_embed(args) -> int:
     body = "".join(
         quote_field(sid, d) + d + d.join(repr(v) for v in row) + "\n"
         for sid, row in zip(table.sample_ids, emb.tolist()))
-    tr.atomic_write_text(os.path.join(out_dir, "embeddings.tsv"), body)
+    atomic_write_text(os.path.join(out_dir, "embeddings.tsv"), body)
     print(f"wrote {emb.shape[0]} x {emb.shape[1]} embedding matrix")
     return 0
 
@@ -264,15 +269,16 @@ def cmd_synth(args) -> int:
         "separation": args.separation,
         "seed": args.seed,
     })
-    tr.atomic_write_text(os.path.join(out_dir, "abundance.tsv"),
-                         serialize_abundance_table(table))
-    tr.atomic_write_text(os.path.join(out_dir, "labels.tsv"),
-                         serialize_labels(table.sample_ids, labels))
+    atomic_write_text(os.path.join(out_dir, "abundance.tsv"),
+                      serialize_abundance_table(table))
+    atomic_write_text(os.path.join(out_dir, "labels.tsv"),
+                      serialize_labels(table.sample_ids, labels))
     print(f"wrote {table.n_samples} samples x {table.n_features} features")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import DEFAULT_TOLERANCE, gradient_check
     out_dir = _resolve_out_dir(args)
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
@@ -355,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    tr.pin_allocator()
+    pin_allocator()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (tr.TrainingDivergedError, ValueError, OSError) as exc:
+    except (TrainingDivergedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

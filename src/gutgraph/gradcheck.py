@@ -26,7 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .graph import build_multigraph, shuffle_features
-from .train import TrainConfig, head_gradients, train_classifier
+from .runtime import TrainConfig
+from .train import head_gradients, train_classifier
 
 DEFAULT_TOLERANCE = 1e-4
 

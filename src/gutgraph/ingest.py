@@ -103,7 +103,10 @@ def parse_abundance_table(stream, delimiter: str) -> AbundanceTable:
 
     Row 1 is the header: its first cell is ignored, the rest are sample
     ids. Every later row is one feature: name, then one value per
-    sample. Errors carry 1-based row (and column) positions.
+    sample. Names and ids are kept verbatim, whitespace at either end
+    included, so ``serialize_abundance_table`` writes them back as read;
+    one made only of whitespace is refused as blank. Errors carry 1-based
+    row (and column) positions.
     """
     rows = list(_records(stream, delimiter))
     if not rows:
@@ -111,8 +114,8 @@ def parse_abundance_table(stream, delimiter: str) -> AbundanceTable:
     _, header = rows[0]
     if len(header) < 2:
         raise TableFormatError("header must name at least one sample")
-    sample_ids = [c.strip() for c in header[1:]]
-    if any(not s for s in sample_ids):
+    sample_ids = header[1:]
+    if any(not s.strip() for s in sample_ids):
         raise TableFormatError("blank sample id in header")
     if len(set(sample_ids)) != len(sample_ids):
         dup = next(s for s in sample_ids if sample_ids.count(s) > 1)
@@ -127,8 +130,8 @@ def parse_abundance_table(stream, delimiter: str) -> AbundanceTable:
         if len(row) != len(header):
             raise TableFormatError(
                 f"row {rownum}: expected {len(header)} fields, found {len(row)}")
-        name = row[0].strip()
-        if not name:
+        name = row[0]
+        if not name.strip():
             raise TableFormatError(f"row {rownum}: blank feature name")
         if name in seen:
             raise TableFormatError(f"row {rownum}: duplicate feature {name!r}")
@@ -205,13 +208,14 @@ def kfold_split(n_samples: int, k: int, seed: int) -> np.ndarray:
 
 def read_labels(stream, sample_ids: list[str], delimiter: str) -> np.ndarray:
     """Two-column id/label file, as int64 0/1 disease labels (1 =
-    diseased) reordered to match ``sample_ids``."""
+    diseased) reordered to match ``sample_ids``. Ids are matched
+    verbatim, as ``parse_abundance_table`` reads them."""
     mapping: dict[str, int] = {}
     for rownum, row in _records(stream, delimiter):
         if len(row) != 2:
             raise TableFormatError(
                 f"row {rownum}: expected 2 fields, found {len(row)}")
-        sid, raw = row[0].strip(), row[1].strip()
+        sid, raw = row[0], row[1].strip()
         if sid in mapping:
             raise TableFormatError(f"row {rownum}: duplicate sample id {sid!r}")
         if raw not in ("0", "1"):

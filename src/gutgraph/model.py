@@ -27,7 +27,7 @@ from .autodiff import Tensor
 from .graph import ALL_KINDS, DistanceKind
 
 if TYPE_CHECKING:
-    from .train import TrainConfig
+    from .runtime import TrainConfig
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def cohort(tmp_path):
 
 def test_main_pins_the_allocator_before_parsing(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.tr, "pin_allocator", lambda: calls.append("pin"))
+    monkeypatch.setattr(cli, "pin_allocator", lambda: calls.append("pin"))
     build_parser = cli.build_parser
 
     def parser():
@@ -383,8 +383,8 @@ def test_evaluate_refuses_an_unusable_split_before_training(tmp_path, cohort,
     def never(*args, **kwargs):
         raise AssertionError("evaluate trained before checking its split")
 
-    monkeypatch.setattr(cli.tr, "build_multigraph", never)
-    monkeypatch.setattr(cli.tr, "train_unsupervised", never)
+    monkeypatch.setattr("gutgraph.train.build_multigraph", never)
+    monkeypatch.setattr("gutgraph.train.train_unsupervised", never)
     out = tmp_path / "out"
     args = ["evaluate", "--table", table_path, "--labels", labels_path,
             "--out-dir", str(out)]

@@ -115,9 +115,9 @@ def test_serialize_has_the_bytes_of_the_per_cell_writer(delimiter, data):
 
 
 def _csv_safe_names(alphabet):
-    """Distinct non-blank names that ``.strip()`` leaves unchanged."""
+    """Distinct names that hold more than whitespace."""
     return st.lists(st.text(alphabet, min_size=1, max_size=6)
-                    .filter(lambda s: s.strip() == s),
+                    .filter(lambda s: s.strip()),
                     min_size=1, max_size=5, unique=True)
 
 
@@ -139,6 +139,28 @@ def test_round_trip_names_with_quotes_and_delimiters(delimiter, data):
     again = parse_labels(ingest.serialize_labels(ids, labels, delimiter),
                                ids, delimiter)
     assert again.tolist() == labels.tolist()
+
+
+def test_names_keep_whitespace_at_either_end():
+    # " s1" and "s1" are two samples, and both readers keep each as written
+    ids = [" s1", "s1", "s2 "]
+    names = ["f1", " f1", "\tf2"]
+    t = ingest.AbundanceTable(ids, names, np.arange(9.0).reshape(3, 3))
+    back = parse_table(ingest.serialize_abundance_table(t))
+    assert back.sample_ids == ids
+    assert back.feature_names == names
+    labels = parse_labels(ingest.serialize_labels(ids, np.array([1, 0, 1])),
+                          ["s1", "s2 ", " s1"])
+    assert labels.tolist() == [0, 1, 1]
+    with pytest.raises(ingest.TableFormatError, match="no label for sample id 's2'"):
+        parse_labels("s1\t0\ns2 \t1\n", ["s1", "s2"])
+
+
+def test_whitespace_only_names_are_blank():
+    with pytest.raises(ingest.TableFormatError, match="blank sample id"):
+        parse_table("id\tS1\t \nfA\t0.1\t0.2\n")
+    with pytest.raises(ingest.TableFormatError, match="row 3: blank feature name"):
+        parse_table("id\tS1\nfA\t0.1\n  \t0.2\n")
 
 
 def test_plain_names_are_not_quoted():

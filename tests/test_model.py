@@ -756,6 +756,34 @@ def test_cli_does_not_load_the_process_pool_at_import():
                           timeout=120).returncode == 0
 
 
+_LOADED_LAYERS = """
+import sys
+from gutgraph.cli import main
+
+def run(expected, *argv):
+    assert main(list(argv)) == 0, argv
+    loaded = [m for m in ("train", "model", "autodiff", "graph", "gradcheck")
+              if "gutgraph." + m in sys.modules]
+    assert loaded == expected, (argv[0], loaded)
+
+out = sys.argv[1]
+table = out + "/data/abundance.tsv"
+run([], "synth", "--n-per-class", "4", "--n-features", "5",
+    "--out-dir", out + "/data")
+run([], "preprocess", "--table", table, "--out-dir", out + "/pre")
+run(["graph"], "build-graphs", "--table", table, "--out-dir", out + "/graphs")
+"""
+
+
+def test_cli_loads_each_layer_only_in_the_commands_that_run_it(tmp_path):
+    # synth and preprocess run ingest alone, build-graphs adds graph; the
+    # model stack is compiled only by the commands that train or score
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_LAYERS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_joint_forward_keeps_x_and_params_at_their_positions():
     # the benchmark's FLOP probe reads arguments 0 and 3 by position
     names = list(inspect.signature(model.joint_forward).parameters)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import gutgraph.autodiff as ad
 import gutgraph.graph as gg
 import gutgraph.model as gm
+import gutgraph.runtime as rt
 import gutgraph.train as gt
 from gutgraph.graph import build_multigraph, shuffle_features
 from gutgraph.ingest import synth_cohort
@@ -296,7 +297,7 @@ def test_non_finite_gradient_norm_stops_training(monkeypatch):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
 def test_pin_allocator_applies_under_glibc():
-    assert gt.pin_allocator() is True
+    assert rt.pin_allocator() is True
 
 
 class _FakeLibc:
@@ -315,13 +316,13 @@ class _FakeLibc:
 
 def test_pin_allocator_sets_both_thresholds(monkeypatch):
     libc = _FakeLibc(1)
-    monkeypatch.setattr(gt.ctypes, "CDLL", lambda name: libc)
-    assert gt.pin_allocator() is True
+    monkeypatch.setattr(rt.ctypes, "CDLL", lambda name: libc)
+    assert rt.pin_allocator() is True
     # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
     assert libc.calls == [(-3, 8 << 20), (-1, 64 << 20)]
     refused = _FakeLibc(0)
-    monkeypatch.setattr(gt.ctypes, "CDLL", lambda name: refused)
-    assert gt.pin_allocator() is False
+    monkeypatch.setattr(rt.ctypes, "CDLL", lambda name: refused)
+    assert rt.pin_allocator() is False
 
 
 def _no_c_library(name):
@@ -332,8 +333,8 @@ def _no_c_library(name):
                          ids=["no-mallopt", "no-library"])
 def test_pin_allocator_is_a_silent_no_op_without_mallopt(monkeypatch, loader):
     # macOS and Windows C libraries have no mallopt
-    monkeypatch.setattr(gt.ctypes, "CDLL", loader)
-    assert gt.pin_allocator() is False
+    monkeypatch.setattr(rt.ctypes, "CDLL", loader)
+    assert rt.pin_allocator() is False
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +905,7 @@ def test_checkpoint_with_untrained_ablation_tensors_is_refused():
 def test_atomic_write_replaces_existing(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old")
-    gt.atomic_write_text(str(target), "new")
+    rt.atomic_write_text(str(target), "new")
     assert target.read_text() == "new"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
@@ -918,8 +919,8 @@ def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
     replaced.write_text("old")
     previous = os.umask(umask)
     try:
-        gt.atomic_write_text(str(written), "new")
-        gt.atomic_write_bytes(str(replaced), b"new")
+        rt.atomic_write_text(str(written), "new")
+        rt.atomic_write_bytes(str(replaced), b"new")
         opened.write_text("open")
     finally:
         os.umask(previous)
