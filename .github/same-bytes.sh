@@ -8,17 +8,20 @@
 # into OUT_DIR/b, and `diff -rq` compares the two trees. config.json is
 # left out, since it echoes its own output directory. ENV_A and ENV_B are
 # NAME=VALUE words split on spaces, so no value may hold a space. Run it
-# from the repository root:
+# from the repository root; the checkout need not be installed:
 #
 #   same-bytes.sh OUT PYTHONHASHSEED=1 PYTHONHASHSEED=2
 #   same-bytes.sh OUT "OPENBLAS_NUM_THREADS=1 VECLIB_MAXIMUM_THREADS=1" \
 #                     "OPENBLAS_NUM_THREADS=2 VECLIB_MAXIMUM_THREADS=2"
 #   same-bytes.sh OUT PYTHONPATH=../parent/src PYTHONPATH=src
 #
-# Every command runs as `python3 -m gutgraph.cli`, so PYTHONPATH picks the
-# tree; the last use compares a change with its parent checkout. A
-# subcommand or flag that one tree lacks fails on that side and stops the
-# script: such a command cannot be compared with a tree that lacks it.
+# Every command runs as `python3 -m gutgraph.cli` with this checkout's
+# src first on PYTHONPATH, ahead of any PYTHONPATH exported, so the
+# checkout runs without an install. A PYTHONPATH in ENV_A or ENV_B
+# replaces that one, so it picks the tree; the last use compares a
+# change with its parent checkout. A subcommand or flag that one tree
+# lacks fails on that side and stops the script: such a command cannot
+# be compared with a tree that lacks it.
 #
 # Each side also checks that `evaluate --jobs 2` writes the metrics.json of
 # `--jobs 1`: the seeds then run in a process pool, whose workers start by
@@ -32,9 +35,12 @@ if [ -e "$out/a" ] || [ -e "$out/b" ]; then
   exit 2
 fi
 
+src=$(cd "$(dirname "$0")/.." && pwd)/src
 gutgraph() {
-  # $side_env is split on purpose: one NAME=VALUE setting per word
-  env $side_env python3 -m gutgraph.cli "$@"
+  # $side_env is split on purpose: one NAME=VALUE setting per word, each
+  # after the checkout's PYTHONPATH, so a side's own PYTHONPATH wins
+  env PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" $side_env \
+    python3 -m gutgraph.cli "$@"
 }
 
 # The command list. The train shapes reach the GCN stack's other branches:

@@ -1,14 +1,18 @@
 """Minimal reverse-mode automatic differentiation on 2-D float64 tensors.
 
-Everything is a (rows, cols) matrix; scalars are 1x1. Operations record
-onto the innermost active ``Tape`` (define-by-run, rebuilt every
-iteration) and ``Tape.backward`` sweeps the record once in reverse,
-propagating vector-Jacobian products. Gradients are return values:
-``backward`` hands back one array per requested leaf, the caller's own.
-The optimizer step then works in place: ``clip_global_norm`` scales
-those arrays where they lie, and ``Adam.step`` updates the parameter
-arrays and consumes the gradients, forming its update in them through
-one scratch buffer. No tensor keeps gradient state between passes.
+Everything is a (rows, cols) matrix; scalars are 1x1. A ``Tensor`` is a
+differentiable value and a constant is a plain array: ``gcn_stack``
+takes its input features as one. Operations record onto the innermost
+active ``Tape`` (define-by-run, rebuilt every iteration), each forming
+an adjoint for every tensor it read, and ``Tape.backward`` sweeps the
+record once in reverse, propagating vector-Jacobian products. Which
+gradients come back is decided by its ``wrt`` alone: it hands back one
+array per requested leaf, the caller's own, and a tensor held fixed is
+one left out of ``wrt``. The optimizer step then works in place:
+``clip_global_norm`` scales those arrays where they lie, and
+``Adam.step`` updates the parameter arrays and consumes the gradients,
+forming its update in them through one scratch buffer. No tensor keeps
+gradient state between passes.
 
 A tape is single-use. Each record keeps its output and a VJP closure
 over what the VJP reads; the sweep releases every record once it has
@@ -61,18 +65,17 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A 2-D float64 array and whether gradients flow to it."""
+    """A differentiable 2-D float64 array."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got ndim={arr.ndim}")
         if arr.size == 0:
             raise ShapeError(f"zero-size tensor with shape {arr.shape}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -84,12 +87,11 @@ class Tensor:
         return float(self.data[0, 0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 # A record is (output, inputs, vjp) where vjp maps the output adjoint to
-# one adjoint per input: an array, a _RowAdjoint, a _Deferred, or None for
-# inputs that do not need one.
+# one adjoint per input: an array, a _RowAdjoint or a _Deferred.
 _Record = tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], tuple]]
 
 _ACTIVE_TAPES: list["Tape"] = []
@@ -147,12 +149,15 @@ class Tape:
         """d(loss)/d(t) for each tensor t of ``wrt``, in order, with zeros
         where the loss does not reach t. ``loss`` must be 1x1.
 
-        Every tensor of ``wrt`` must be a leaf, a tensor this tape did not
-        record as an output (a parameter or an input), and appear in it
-        once: an intermediate's adjoint is freed once the sweep reaches
-        the record that produced it, and a repeated leaf would get one
-        array twice. The sweep consumes the tape: a second call raises
-        ``ValueError``.
+        ``wrt`` alone decides which gradients come back: every recorded
+        operation forms an adjoint for each tensor it read, and a leaf
+        left out of ``wrt`` (a tensor held fixed, such as the histogram
+        readout) has its adjoint formed and dropped. Every tensor of
+        ``wrt`` must be a leaf, a tensor this tape did not record as an
+        output, and appear in it once: an intermediate's adjoint is
+        freed once the sweep reaches the record that produced it, and a
+        repeated leaf would get one array twice. The sweep consumes the
+        tape: a second call raises ``ValueError``.
 
         Under the VJP contract (see the module docstring) every adjoint
         the sweep holds is its own. Adjoints meeting at one input are
@@ -203,13 +208,11 @@ def _formed(pending: dict[int, np.ndarray | _Deferred], key: int) -> np.ndarray:
 
 def _accumulate(pending: dict[int, np.ndarray | _Deferred],
                 inputs: tuple[Tensor, ...], contribs: tuple) -> None:
-    """Add one VJP's adjoints into ``pending``: an adjoint for a key
-    with nothing pending is kept as it is (a deferred one unformed, a
-    row slice's in a zero array of the input's shape), any other is
-    added into the pending one in place."""
+    """Add one VJP's adjoints, one per input, into ``pending``: an
+    adjoint for a key with nothing pending is kept as it is (a deferred
+    one unformed, a row slice's in a zero array of the input's shape),
+    any other is added into the pending one in place."""
     for inp, contrib in zip(inputs, contribs):
-        if contrib is None or not inp.requires_grad:
-            continue
         key = id(inp)
         if key not in pending:
             if not isinstance(contrib, _RowAdjoint):
@@ -230,16 +233,11 @@ def _current_tape() -> Tape | None:
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
+    out = Tensor(data)
     tape = _current_tape()
-    if tape is not None and out.requires_grad:
+    if tape is not None:
         tape._record(out, inputs, vjp)
     return out
-
-
-def constant(data) -> Tensor:
-    """Tensor that never receives gradients (stop-gradient wrapper)."""
-    return Tensor(data, requires_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +250,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        # A constant operand needs no adjoint; its GEMM is skipped.
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return g @ b.data.T, a.data.T @ g
 
     return _make(out, (a, b), vjp)
 
@@ -347,11 +343,12 @@ def sum_all(x: Tensor) -> Tensor:
 # model runs over every relation and both views each epoch
 
 
-def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
+def gcn_stack(adj: Callable[[], np.ndarray], x: np.ndarray,
               layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     """A GCN stack, H_{k+1} = relu(A @ H_k @ W_k + b_k) for each
     (W_k, b_k) of ``layers`` from H_0 = x, applied to every view of the
-    N nodes stacked row-wise in ``x`` (V*N rows), as one record.
+    N nodes stacked row-wise in the constant array ``x`` (V*N rows), as
+    one record whose inputs are the layer tensors alone.
     ``adj()`` returns the constant N x N normalized adjacency, which
     must be symmetric: the VJP multiplies by A itself where the
     adjoint reads A^T (``graph.normalize_adjacency`` is bitwise
@@ -365,7 +362,8 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
     for its forward pass and VJP together, A (H W) on a tie. The H
     W-sized GEMMs cost the same in both orders, so per row A (H W) pays
     A and A^T over d_out columns, and (A H) W pays A over d_in columns,
-    plus A^T over d_in more when H needs an adjoint:
+    plus A^T over d_in more above layer 0, whose input ``x`` gets no
+    adjoint:
 
     - A (H W): the record keeps the layer's output; the VJP is
       q = A^T gz, dW = H^T q, dH = q W^T.
@@ -373,12 +371,11 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
       layer's output only when it is the stack's last: the VJP
       recomputes relu(A H W + b) from A H when it needs it.
 
-    So a square layer on a trainable input runs A (H W), and a layer
-    that widens a constant input (the feature matrix) runs (A H) W.
-    Each A product is one GEMM per view; the relu mask is read back
-    from the output. Fusing the layers changes no operation and no
-    order, so outputs and adjoints have the bytes of the layers
-    recorded one at a time.
+    So a layer 0 that widens the feature matrix runs (A H) W, and a
+    square layer above it runs A (H W). Each A product is one GEMM per
+    view; the relu mask is read back from the output. Fusing the layers
+    changes no operation and no order, so outputs and adjoints have the
+    bytes of the layers recorded one at a time.
 
     The VJP sweeps the layers once, last to first, and runs once. It
     masks the adjoint it is handed in place and writes a square A (H W)
@@ -387,18 +384,19 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
     has been read (a new array when that is the record's output or
     another shape), lets go of each kept array once past it, and forms
     every relu mask (as 1.0 and 0.0) and every A^T gz of the stack in
-    one buffer. No adjoint is formed for inputs that need none.
+    one buffer. It returns one adjoint per layer tensor and forms none
+    for ``x``.
     """
     a_norm = adj()
     n = a_norm.shape[0]
-    rows, d_in = x.data.shape
+    rows, d_in = x.shape
     shapes_ok = a_norm.shape == (n, n) and rows % n == 0 and len(layers) > 0
     for w, b in layers:
         shapes_ok = shapes_ok and w.data.shape[0] == d_in \
             and b.data.shape == (1, w.data.shape[1])
         d_in = w.data.shape[1]
     if not shapes_ok:
-        raise ShapeError(f"gcn_stack: adjacency {a_norm.shape}, input {x.data.shape}, "
+        raise ShapeError(f"gcn_stack: adjacency {a_norm.shape}, input {x.shape}, "
                          f"layers {[(w.data.shape, b.data.shape) for w, b in layers]}")
     views = rows // n
 
@@ -408,24 +406,23 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
                          ).reshape(rows, -1)
 
     last = len(layers) - 1
-    # per layer: its product order, whether its input needs an adjoint,
-    # its A H (None under A (H W)), and its output (None when dropped)
-    weight_first, input_grad, ahs, outs = [], [], [], []
-    h, h_grad = x.data, x.requires_grad
+    # per layer: its product order, its A H (None under A (H W)), and its
+    # output (None when dropped)
+    weight_first, ahs, outs = [], [], []
+    h = x
     for k, (w, b) in enumerate(layers):
-        w_first = 2 * w.data.shape[1] <= h.shape[1] * (2 if h_grad else 1)
+        # only a layer above layer 0 pays A^T for its input's adjoint
+        w_first = 2 * w.data.shape[1] <= h.shape[1] * (2 if k else 1)
         ah = None if w_first else per_view(a_norm, h)
         h = _bias_relu(per_view(a_norm, h @ w.data) if w_first else ah @ w.data, b.data)
         weight_first.append(w_first)
-        input_grad.append(h_grad)
         ahs.append(ah)
         outs.append(h if w_first or k == last else None)
-        h_grad = h_grad or w.requires_grad or b.requires_grad
 
     def vjp(g):
         a_t = adj()  # A^T, since A is symmetric
-        grads: list[np.ndarray | None] = [None] * (2 * len(layers))
-        q = gh = None
+        grads: list = [None] * (2 * len(layers))
+        q = None
         for k in range(last, -1, -1):
             w, b = layers[k]
             if q is None or q.shape != g.shape:
@@ -441,27 +438,22 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: Tensor,
                 outs[k - 1] = _bias_relu(np.matmul(ahs[k - 1], w_below.data, out=into),
                                          b_below.data)
             outs[k] = None
-            h = outs[k - 1] if k else x.data
-            if b.requires_grad:
-                grads[2 * k + 1] = gz.sum(axis=0, keepdims=True)
+            h = outs[k - 1] if k else x
+            grads[2 * k + 1] = gz.sum(axis=0, keepdims=True)
             if weight_first[k]:
                 per_view(a_t, gz, out=q)
-                if w.requires_grad:
-                    grads[2 * k] = h.T @ q
-                # a square layer's dH = q W^T fits gz's buffer, no longer read
-                gh = np.matmul(q, w.data.T, out=gz if gz.shape == h.shape else None) \
-                    if input_grad[k] else None
+                grads[2 * k] = h.T @ q
+                if k:
+                    # a square layer's dH = q W^T fits gz's buffer, no longer read
+                    g = np.matmul(q, w.data.T, out=gz if gz.shape == h.shape else None)
             else:
-                gh = per_view(a_t, gz @ w.data.T) if input_grad[k] else None
-                if w.requires_grad:
-                    grads[2 * k] = ahs[k].T @ gz
+                if k:
+                    g = per_view(a_t, gz @ w.data.T)
+                grads[2 * k] = ahs[k].T @ gz
                 ahs[k] = None
-            if gh is None:
-                break
-            g = gh
-        return (gh, *grads)
+        return tuple(grads)
 
-    return _make(outs[last], (x, *(t for layer in layers for t in layer)), vjp)
+    return _make(outs[last], tuple(t for layer in layers for t in layer), vjp)
 
 
 def _bias_relu(pre: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -495,7 +487,7 @@ def relation_attention(embeddings: Sequence[Tensor],
     Returns the merged M x D tensor and the T x M x H softmax weights,
     which are all the record keeps for its VJP. The VJP forms the query
     adjoints at once, each a D x 1 column copy of its own, and returns
-    each trainable embedding's adjoint deferred (``_Deferred``), holding
+    each embedding's adjoint deferred (``_Deferred``), holding
     only ``g`` and the small score adjoints until the sweep needs it.
     Its ``make()`` returns one new M x D array: the score term
     ``gs @ q_t^T`` is formed into it and the merge term ``c_t * g`` is
@@ -524,13 +516,11 @@ def relation_attention(embeddings: Sequence[Tensor],
         g_scores = weights * (g_row[:, :, None]
                               - (weights * g_row[:, :, None]).sum(axis=0))
         g_emb, g_q = [], []
-        for e, qt, c, gs, per_t in zip(embeddings, q, per_row, g_scores, queries):
-            g_emb.append(_Deferred(partial(_embedding_adjoint, g, gs, qt, c))
-                         if e.requires_grad else None)
+        for e, qt, c, gs in zip(embeddings, q, per_row, g_scores):
+            g_emb.append(_Deferred(partial(_embedding_adjoint, g, gs, qt, c)))
             gq = e.data.T @ gs
             # each query's adjoint a column copy of its own
-            g_q.extend(gq[:, i:i + 1].copy() if qh.requires_grad else None
-                       for i, qh in enumerate(per_t))
+            g_q.extend(gq[:, i:i + 1].copy() for i in range(heads))
         return (*g_emb, *g_q)
 
     inputs = (*embeddings, *(qh for per_t in queries for qh in per_t))
@@ -585,12 +575,8 @@ def hybrid_loss(node_parts: Sequence[Tensor], merged: Tensor) -> Tensor:
         gm *= 2.0
         gm[:n] *= g
         gm[n:] *= -g
-        g_parts = (None,) * len(node_parts)
-        if any(p.requires_grad for p in node_parts):
-            g_avg = np.ones((n, 1)).T @ (gm[n:] + gm[:n])
-            g_parts = tuple(g_avg * scale for _ in node_parts)
-        if not merged.requires_grad:
-            return (*g_parts, None)
+        g_avg = np.ones((n, 1)).T @ (gm[n:] + gm[:n])
+        g_parts = tuple(g_avg * scale for _ in node_parts)
         return (*g_parts, np.subtract(0.0, gm, out=gm))
 
     return _make(out, (*node_parts, merged), vjp)

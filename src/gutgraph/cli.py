@@ -81,9 +81,8 @@ def _add_common(p: argparse.ArgumentParser, table: bool = True,
 
 
 def _resolve_out_dir(args) -> str:
-    out = args.out_dir or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    # the first write creates the directory, so a refused command leaves none
+    return args.out_dir or os.environ.get(OUTDIR_ENV) or "."
 
 
 def _config_flags(args) -> dict:

@@ -2,7 +2,7 @@
 
 Central finite differences against the tape's analytic gradients, one
 relative error per parameter group. The graph-level histogram readout
-is a constant under autodiff (stop-gradient), so perturbed evaluations
+is computed off the tape and held fixed, so perturbed evaluations
 reuse the base-point histograms; differencing across histogram
 re-binning would measure a derivative the model does not define.
 

@@ -82,22 +82,20 @@ def init_model_params(n_features: int, cfg: TrainConfig,
         stack = []
         in_dim = n_features
         for _ in range(cfg.gcn_layers):
-            w = Tensor(_uniform_init(rng, in_dim, d), requires_grad=True)
-            b = Tensor(np.zeros((1, d)), requires_grad=True)
+            w = Tensor(_uniform_init(rng, in_dim, d))
+            b = Tensor(np.zeros((1, d)))
             stack.append((w, b))
             in_dim = d
         layers[kind] = stack
-    queries = [{kind: Tensor(_uniform_init(rng, d, 1), requires_grad=True)
-                for kind in ALL_KINDS}
+    queries = [{kind: Tensor(_uniform_init(rng, d, 1)) for kind in ALL_KINDS}
                for _ in range(cfg.heads if cfg.use_attention else 0)]
-    discriminators = {kind: Tensor(_uniform_init(rng, summary_dim, d),
-                                   requires_grad=True)
+    discriminators = {kind: Tensor(_uniform_init(rng, summary_dim, d))
                       for kind in ALL_KINDS} if cfg.use_adversarial else {}
     return ModelParams(
         layers=layers,
         queries=queries,
         discriminators=discriminators,
-        eta_raw=Tensor(np.zeros((1, 1)), requires_grad=True),
+        eta_raw=Tensor(np.zeros((1, 1))),
     )
 
 
@@ -150,12 +148,13 @@ def value_histogram(values: np.ndarray, bins: int, weighting: str) -> np.ndarray
 def graph_summary(h: Tensor, bins: int, weighting: str,
                   frozen_histogram: np.ndarray | None = None) -> tuple[Tensor, Tensor, np.ndarray]:
     """Two-stage readout: (summary 1x(D+K), node-level part 1xD,
-    histogram array). The histogram enters as a constant, so gradients
+    histogram array). The histogram is computed from ``h.data`` off the
+    tape and enters as a leaf no caller differentiates, so gradients
     flow only through the node-level part."""
     p = node_summary(h)
     q = frozen_histogram if frozen_histogram is not None \
         else value_histogram(h.data, bins, weighting)
-    summary = ad.concat_cols(p, ad.constant(q))
+    summary = ad.concat_cols(p, Tensor(q))
     return summary, p, np.asarray(q)
 
 
@@ -260,7 +259,7 @@ def joint_forward(x: np.ndarray, x_shuffled: np.ndarray,
     are constants under autodiff, so this changes no gradient and lets
     finite-difference harnesses hold them fixed)."""
     n = x.shape[0]
-    stacked = ad.constant(np.concatenate([x, x_shuffled]))
+    stacked = np.concatenate([x, x_shuffled])
     embeddings, node_parts = [], []
     histograms: dict[DistanceKind, np.ndarray] = {}
     l_adv = None
@@ -312,7 +311,6 @@ def encode(x: np.ndarray, adjacency: Callable[[DistanceKind], np.ndarray],
     through the same fused kernels as ``joint_forward``, with the
     normalized adjacencies ``adjacency(kind)``; ``cfg``'s
     ``use_attention`` picks the merge."""
-    xt = ad.constant(x)
-    embeddings = [ad.gcn_stack(partial(adjacency, kind), xt, params.layers[kind])
+    embeddings = [ad.gcn_stack(partial(adjacency, kind), x, params.layers[kind])
                   for kind in ALL_KINDS]
     return _merge(embeddings, params, cfg).data

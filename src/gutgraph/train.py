@@ -202,17 +202,12 @@ def threshold_metrics(scores: np.ndarray, labels: np.ndarray) -> dict[str, float
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average of their positions."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0  # mean of positions i+1 .. j+1
-        i = j + 1
-    return ranks
+    """1-based ranks with ties sharing the average of their positions:
+    a group of equal scores at sorted positions start .. end ranks
+    (start + end) / 2. NaN scores tie with each other."""
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    return ((end - counts + 1 + end) / 2.0)[group]
 
 
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:

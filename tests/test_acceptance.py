@@ -133,8 +133,8 @@ def test_criterion_3_readout_invariants():
         q = gm.value_histogram(h, k, weighting)
         worst_sum = max(worst_sum, abs(float(q.sum()) - 1.0))
         perm = rng.permutation(n)
-        h_t = ad.constant(h)
-        hp_t = ad.constant(h[perm])
+        h_t = ad.Tensor(h)
+        hp_t = ad.Tensor(h[perm])
         if gm.node_summary(h_t).data.tobytes() \
                 != gm.node_summary(hp_t).data.tobytes():
             bit_failures += 1
@@ -202,7 +202,7 @@ def test_criterion_5_attention_contract():
         d = int(rng.integers(1, 8))
         heads = int(rng.integers(1, 5))
         kinds = ALL_KINDS
-        embeddings = [ad.constant(rng.normal(size=(n, d))) for _ in kinds]
+        embeddings = [ad.Tensor(rng.normal(size=(n, d))) for _ in kinds]
         queries = [{k: ad.Tensor(rng.normal(size=(d, 1))) for k in kinds}
                    for _ in range(heads)]
         # relation-major, as the fused kernel takes them

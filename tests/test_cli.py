@@ -644,7 +644,7 @@ def test_non_finite_setting_exits_before_anything_is_written(
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: {field} must be a finite number, got {float(value)!r}"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "embed"])
@@ -677,7 +677,7 @@ def test_checkpoint_with_a_non_finite_value_exits_in_one_line(
     capsys.readouterr()
     assert main(args) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -690,7 +690,7 @@ def test_preprocess_refuses_a_non_finite_abundance_threshold(
     assert capsys.readouterr().err.splitlines() == [
         f"error: abundance_threshold must be a positive finite number, "
         f"got {float(value)!r}"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -700,7 +700,7 @@ def test_synth_refuses_a_non_finite_separation(tmp_path, capsys, value):
                  "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: separation must be a finite number >= 0, got {value}"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -715,7 +715,19 @@ def test_synth_and_gradcheck_check_their_arguments_before_writing(
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "gradcheck", "train"])
+def test_a_refused_command_leaves_no_output_directory(tmp_path, cohort, command):
+    # settings are checked before the first write, and only a write
+    # creates the output directory
+    argv = {"synth": ["synth", "--n-per-class", "1"],
+            "gradcheck": ["gradcheck", "--seed", "-1"],
+            "train": ["train", "--table", cohort[0], "--epochs", "-1"]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_ablation_flags_land_in_config(tmp_path, cohort):

@@ -79,7 +79,7 @@ def test_gcn_zero_weights_give_zero_embedding():
     for w, b in p.layers[gg.DistanceKind.EUCLIDEAN]:
         w.data[:] = 0.0
         b.data[:] = 0.0
-    x = ad.constant(np.random.default_rng(0).random((5, 4)))
+    x = np.random.default_rng(0).random((5, 4))
     h = ad.gcn_stack(lambda: np.eye(5), x, p.layers[gg.DistanceKind.EUCLIDEAN])
     assert np.all(h.data == 0.0)
 
@@ -87,7 +87,7 @@ def test_gcn_zero_weights_give_zero_embedding():
 def test_gcn_hand_case_one_layer():
     # two connected nodes: A_norm is all 0.5; relu clips the first column
     adj = np.full((2, 2), 0.5)
-    x = ad.constant(np.array([[2.0, 0.0], [0.0, 4.0]]))
+    x = np.array([[2.0, 0.0], [0.0, 4.0]])
     w = ad.Tensor(np.eye(2))
     b = ad.Tensor(np.array([[-1.5, 0.0]]))
     h = ad.gcn_stack(lambda: adj, x, [(w, b)])
@@ -99,16 +99,16 @@ def test_gcn_row_permutation_equivariance():
     p = tiny_params(n_features=4, cfg=tiny_cfg(gcn_layers=3))
     kind = gg.DistanceKind.BRAY_CURTIS
     perm = np.random.default_rng(1).permutation(7)
-    h = ad.gcn_stack(partial(adjs, kind), ad.constant(x), p.layers[kind]).data
+    h = ad.gcn_stack(partial(adjs, kind), x, p.layers[kind]).data
     a_perm = adjs(kind)[perm][:, perm]
-    h_perm = ad.gcn_stack(lambda: a_perm, ad.constant(x[perm]), p.layers[kind]).data
+    h_perm = ad.gcn_stack(lambda: a_perm, x[perm], p.layers[kind]).data
     assert np.max(np.abs(h_perm - h[perm])) < 1e-9
 
 
 def test_gcn_final_layer_keeps_relu():
     p = tiny_params()
     kind = gg.DistanceKind.EUCLIDEAN
-    x = ad.constant(np.random.default_rng(2).normal(size=(6, 4)) * 10)
+    x = np.random.default_rng(2).normal(size=(6, 4)) * 10
     h = ad.gcn_stack(lambda: np.eye(6), x, p.layers[kind])
     assert np.all(h.data >= 0.0)
 
@@ -118,7 +118,7 @@ def test_gcn_final_layer_keeps_relu():
 
 
 def test_node_summary_of_zero_embedding_is_half():
-    h = ad.constant(np.zeros((6, 4)))
+    h = ad.Tensor(np.zeros((6, 4)))
     p = model.node_summary(h)
     assert np.all(p.data == 0.5)
     assert p.data.shape == (1, 4)
@@ -128,8 +128,8 @@ def test_node_summary_bit_invariant_under_row_permutation():
     rng = np.random.default_rng(3)
     h = rng.normal(size=(11, 5))
     perm = rng.permutation(11)
-    a = model.node_summary(ad.constant(h)).data
-    b = model.node_summary(ad.constant(h[perm])).data
+    a = model.node_summary(ad.Tensor(h)).data
+    b = model.node_summary(ad.Tensor(h[perm])).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -185,11 +185,11 @@ def test_value_histogram_validation():
 def test_graph_summary_histogram_is_stop_gradient():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(6, 4))
-    h1 = ad.Tensor(data.copy(), requires_grad=True)
+    h1 = ad.Tensor(data.copy())
     with ad.Tape() as tape:
         summary, _, _ = model.graph_summary(h1, bins=3, weighting="magnitude")
         (g1,) = tape.backward(ad.sum_all(summary), [h1])
-    h2 = ad.Tensor(data.copy(), requires_grad=True)
+    h2 = ad.Tensor(data.copy())
     with ad.Tape() as tape:
         p = model.node_summary(h2)
         (g2,) = tape.backward(ad.sum_all(p), [h2])
@@ -198,7 +198,7 @@ def test_graph_summary_histogram_is_stop_gradient():
 
 
 def test_graph_summary_shape_and_frozen_override():
-    h = ad.constant(np.random.default_rng(6).normal(size=(5, 4)))
+    h = ad.Tensor(np.random.default_rng(6).normal(size=(5, 4)))
     s, p, q = model.graph_summary(h, bins=3, weighting="magnitude")
     assert s.data.shape == (1, 7)
     assert np.array_equal(s.data[:, :4], p.data)
@@ -223,7 +223,7 @@ def attention(embeddings, queries_per_head, kinds=gg.ALL_KINDS):
 
 def test_attention_single_relation_is_identity():
     kind = gg.DistanceKind.EUCLIDEAN
-    h = ad.constant(np.random.default_rng(7).normal(size=(5, 3)))
+    h = ad.Tensor(np.random.default_rng(7).normal(size=(5, 3)))
     merged, weights = attention([h], tiny_params().queries, kinds=(kind,))
     assert merged.data.tobytes() == h.data.tobytes()
     assert weights.shape == (1, 5, 2) and np.all(weights == 1.0)
@@ -231,7 +231,7 @@ def test_attention_single_relation_is_identity():
 
 def test_attention_weights_sum_to_one():
     p = tiny_params(cfg=tiny_cfg(heads=4))
-    hs = [ad.constant(np.random.default_rng(i).normal(size=(8, 3))) for i in range(3)]
+    hs = [ad.Tensor(np.random.default_rng(i).normal(size=(8, 3))) for i in range(3)]
     merged, weights = attention(hs, p.queries)
     assert weights.shape == (3, 8, 4)
     assert np.all(np.abs(weights.sum(axis=0) - 1.0) < 1e-12)
@@ -243,7 +243,7 @@ def test_zero_queries_match_average_merge():
     for per_kind in p.queries:
         for q in per_kind.values():
             q.data[:] = 0.0
-    hs = [ad.constant(np.random.default_rng(i).normal(size=(6, 3))) for i in range(3)]
+    hs = [ad.Tensor(np.random.default_rng(i).normal(size=(6, 3))) for i in range(3)]
     att, _ = attention(hs, p.queries)
     avg = model.average_merge(hs)
     assert np.max(np.abs(att.data - avg.data)) < 1e-12
@@ -251,8 +251,8 @@ def test_zero_queries_match_average_merge():
 
 def test_attention_two_relation_hand_case():
     # one head, query picks the first coordinate: scores are 1 vs 2
-    h1 = ad.constant(np.ones((3, 2)))
-    h2 = ad.constant(2.0 * np.ones((3, 2)))
+    h1 = ad.Tensor(np.ones((3, 2)))
+    h2 = ad.Tensor(2.0 * np.ones((3, 2)))
     q = {gg.DistanceKind.BRAY_CURTIS: ad.Tensor([[1.0], [0.0]]),
          gg.DistanceKind.EUCLIDEAN: ad.Tensor([[1.0], [0.0]])}
     merged, _ = attention([h1, h2], [q], kinds=tuple(q))
@@ -262,9 +262,9 @@ def test_attention_two_relation_hand_case():
 
 
 def test_average_merge():
-    a = ad.constant(np.ones((2, 2)))
-    b = ad.constant(-np.ones((2, 2)))
-    c = ad.constant(3.0 * np.ones((2, 2)))
+    a = ad.Tensor(np.ones((2, 2)))
+    b = ad.Tensor(-np.ones((2, 2)))
+    c = ad.Tensor(3.0 * np.ones((2, 2)))
     out = model.average_merge([a, b, c])
     assert np.allclose(out.data, 1.0, atol=1e-15)
     assert model.average_merge([a]).data.tobytes() == a.data.tobytes()
@@ -284,8 +284,8 @@ def test_discriminator_matches_direct_formula():
         pos = rng.normal(size=(n, 4))
         neg = rng.normal(size=(n, 4))
         w = rng.normal(size=(6, 4))
-        got = model.discriminator_loss(ad.constant(g), ad.constant(pos),
-                                       ad.constant(neg), ad.constant(w)).item()
+        got = model.discriminator_loss(ad.Tensor(g), ad.Tensor(pos),
+                                       ad.Tensor(neg), ad.Tensor(w)).item()
         def score(h):
             return 1.0 / (1.0 + np.exp(-(g @ w @ h.T)[0]))
 
@@ -297,19 +297,19 @@ def test_discriminator_loss_zero_weights_is_ln2():
     # summed over three relations and scaled by 1 / (2 N |T|), as
     # joint_forward does
     rng = np.random.default_rng(11)
-    total = sum(model.discriminator_loss(ad.constant(rng.normal(size=(1, 5))),
-                                         ad.constant(rng.normal(size=(4, 3))),
-                                         ad.constant(rng.normal(size=(4, 3))),
-                                         ad.constant(np.zeros((5, 3)))).item()
+    total = sum(model.discriminator_loss(ad.Tensor(rng.normal(size=(1, 5))),
+                                         ad.Tensor(rng.normal(size=(4, 3))),
+                                         ad.Tensor(rng.normal(size=(4, 3))),
+                                         ad.Tensor(np.zeros((5, 3)))).item()
                 for _ in range(3))
     assert total / (2 * 4 * 3) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_discriminator_loss_separation_and_swap():
-    g = ad.constant([[1.0]])
-    pos = ad.constant(np.ones((3, 1)))
-    neg = ad.constant(-np.ones((3, 1)))
-    w = ad.constant([[40.0]])
+    g = ad.Tensor([[1.0]])
+    pos = ad.Tensor(np.ones((3, 1)))
+    neg = ad.Tensor(-np.ones((3, 1)))
+    w = ad.Tensor([[40.0]])
     good = model.discriminator_loss(g, pos, neg, w).item() / 6
     swapped = model.discriminator_loss(g, neg, pos, w).item() / 6
     assert good < 1e-8
@@ -323,10 +323,10 @@ def test_discriminator_loss_nonnegative_on_random_instances():
         n = int(rng.integers(1, 6))
         s, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         loss = model.discriminator_loss(
-            ad.constant(rng.normal(size=(1, s))),
-            ad.constant(rng.normal(size=(n, d))),
-            ad.constant(rng.normal(size=(n, d))),
-            ad.constant(rng.normal(size=(s, d))))
+            ad.Tensor(rng.normal(size=(1, s))),
+            ad.Tensor(rng.normal(size=(n, d))),
+            ad.Tensor(rng.normal(size=(n, d))),
+            ad.Tensor(rng.normal(size=(s, d))))
         assert loss.item() >= 0.0
 
 
@@ -334,10 +334,9 @@ def test_global_target_broadcast_and_gradient():
     # the hybrid record's target P is the mean of the node parts on every
     # row: with X = 0 and X_shuffled = P the loss is sum(P^2) and
     # d loss / dP = 2 (X_shuffled - X) = 1, so d sum(P) / d p shows
-    p1 = ad.Tensor([[0.0, 1.0]], requires_grad=True)
-    p2 = ad.Tensor([[1.0, 0.0]], requires_grad=True)
-    merged = ad.Tensor(np.concatenate([np.zeros((3, 2)), np.full((3, 2), 0.5)]),
-                       requires_grad=True)
+    p1 = ad.Tensor([[0.0, 1.0]])
+    p2 = ad.Tensor([[1.0, 0.0]])
+    merged = ad.Tensor(np.concatenate([np.zeros((3, 2)), np.full((3, 2), 0.5)]))
     with ad.Tape() as tape:
         loss = ad.hybrid_loss([p1, p2], merged)
         assert loss.item() == pytest.approx(6 * 0.5 ** 2, abs=1e-15)  # P = 0.5
@@ -350,32 +349,33 @@ def test_global_target_broadcast_and_gradient():
 
 
 def test_hybrid_attention_loss_hand_case_and_sign():
-    target = ad.constant(np.zeros((1, 2)))
+    target = ad.Tensor(np.zeros((1, 2)))
     xp = np.ones((2, 2))
     xn = 2.0 * np.ones((2, 2))
-    loss = ad.hybrid_loss([target], ad.constant(np.concatenate([xp, xn])))
+    loss = ad.hybrid_loss([target], ad.Tensor(np.concatenate([xp, xn])))
     assert loss.item() == pytest.approx(4.0 - 16.0, abs=1e-12)
-    same = ad.hybrid_loss([target], ad.constant(np.concatenate([xp, xp])))
+    same = ad.hybrid_loss([target], ad.Tensor(np.concatenate([xp, xp])))
     assert same.item() == 0.0
-    # a constant target: only the merged rows get an adjoint, -2 (P - X)
-    # on the original rows and 2 (P - X_shuffled) on the shuffled ones
-    merged = ad.Tensor(np.concatenate([xp, xn]), requires_grad=True)
+    # the target held fixed, out of wrt: the merged rows' adjoint is
+    # -2 (P - X) on the original rows and 2 (P - X_shuffled) on the
+    # shuffled ones
+    merged = ad.Tensor(np.concatenate([xp, xn]))
     with ad.Tape() as tape:
         (gm,) = tape.backward(ad.hybrid_loss([target], merged), [merged])
     assert np.array_equal(gm, np.concatenate([np.full((2, 2), 2.0), np.full((2, 2), -4.0)]))
 
 
 def test_joint_loss_combination_and_eta_gradient():
-    l_adv = ad.constant([[2.0]])
-    l_h = ad.constant([[3.0]])
-    eta = ad.Tensor([[0.0]], requires_grad=True)
+    l_adv = ad.Tensor([[2.0]])
+    l_h = ad.Tensor([[3.0]])
+    eta = ad.Tensor([[0.0]])
     with ad.Tape() as tape:
         loss = model.joint_loss(l_adv, l_h, eta)
         assert loss.item() == pytest.approx(2.0 + math.log(2.0) * 3.0, abs=1e-12)
         (g_eta,) = tape.backward(loss, [eta])
     # d/d eta = sigmoid(eta) * l_h = 0.5 * 3
     assert g_eta[0, 0] == pytest.approx(1.5, abs=1e-12)
-    only_h = model.joint_loss(None, l_h, ad.constant([[0.0]]))
+    only_h = model.joint_loss(None, l_h, ad.Tensor([[0.0]]))
     assert only_h.item() == pytest.approx(math.log(2.0) * 3.0, abs=1e-12)
 
 
@@ -477,10 +477,10 @@ def test_plain_summary_drops_only_the_histogram():
     cfg = tiny_cfg(two_stage_summary=False)
     p = tiny_params(cfg=cfg)
     res = model.joint_forward(x, xs, adjs, p, cfg)
-    stacked = ad.constant(np.concatenate([x, xs]))
+    stacked = np.concatenate([x, xs])
     hs = [ad.gcn_stack(partial(adjs, kind), stacked, p.layers[kind]).data
           for kind in gg.ALL_KINDS]
-    merged = attention([ad.constant(h) for h in hs], p.queries)[0].data
+    merged = attention([ad.Tensor(h) for h in hs], p.queries)[0].data
     target = np.mean([1.0 / (1.0 + np.exp(-h[:n].mean(axis=0))) for h in hs], axis=0)
     want = ((target - merged[:n]) ** 2).sum() - ((target - merged[n:]) ** 2).sum()
     assert res.hybrid == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -677,7 +677,9 @@ def test_gradcheck_instance_product_orders():
         if vjp.__qualname__.startswith("gcn_stack."):
             cells = dict(zip(vjp.__code__.co_freevars,
                              (c.cell_contents for c in vjp.__closure__)))
-            assert not any(isinstance(c, np.ndarray) for c in cells.values())
+            # the one array a record keeps whole is its 2N x F input
+            assert [c.shape for c in cells.values()
+                    if isinstance(c, np.ndarray)] == [(2 * n, f)]
             kept.append([[None if a is None else a.shape for a in cells[name]]
                          for name in ("ahs", "outs")])
     layers = [[(2 * n, f), None, None], [None, (2 * n, d), (2 * n, d)]]

@@ -570,6 +570,31 @@ def test_auc_matches_pair_count_oracle_exactly():
         assert gt.auc_score(scores, labels) == auc_pair_count(scores, labels)
 
 
+def _loop_ranks(scores):
+    """Average ranks by a walk over the sorted scores, one tie group at a
+    time: the reference for the grouped ``_average_ranks``."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j + 2) / 2.0  # mean of positions i+1 .. j+1
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_have_the_bytes_of_the_loop():
+    # ties, signed zeros (equal, so one group) and infinities
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        scores = rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, np.inf], size=n)
+        scores[rng.random(n) < 0.3] = rng.random()
+        assert gt._average_ranks(scores).tobytes() == _loop_ranks(scores).tobytes()
+
+
 def test_aggregate_rows_population_std():
     rows = [
         gt.MetricsRow(0, 0, accuracy=0.8, precision=1.0, recall=0.5,
