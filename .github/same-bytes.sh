@@ -43,18 +43,21 @@ gutgraph() {
     python3 -m gutgraph.cli "$@"
 }
 
-# The command list. The train shapes reach the GCN stack's other branches:
-# with one layer, layer 0's output is the stack's output, and at
-# --embed-dim 16 layer 0 runs A (X W). At --clip-norm 1e6 clipping never
-# fires, so the optimizer steps on the unscaled gradients. --no-attention
-# merges the relations by their mean, --no-adversarial
-# --no-two-stage-summary reads each relation out through mean_rows alone,
-# and --static-corruption draws one corruption for the whole run. evaluate
-# and embed also run from a checkpoint, which reads the saved config
-# instead of the flags: from the full model and from the --no-attention
-# one, whose relations the checkpoint path merges by their mean. At N=120
-# and N=960 the GEMMs are large enough for the BLAS to split them over
-# threads.
+# The command list. The train shapes reach each branch of the GCN stack,
+# whose layer 0 runs A (X W) when 2D <= F and (A X) W otherwise. At the
+# defaults (F = 60, D = 256, three layers) the VJP recomputes layer 0's
+# output into layer 1's buffer; at --gcn-layers 2 into a new array, since
+# layer 1 is the stack's last; at --gcn-layers 1 layer 0's output is the
+# stack's output; and at --embed-dim 16 layer 0 runs A (X W). At
+# --clip-norm 1e6 clipping never fires, so the optimizer steps on the
+# unscaled gradients. --no-attention merges the relations by their mean,
+# --no-adversarial --no-two-stage-summary reads each relation out through
+# mean_rows alone, and --static-corruption draws one corruption for the
+# whole run. evaluate and embed also run from a checkpoint, which reads
+# the saved config instead of the flags: from the full model and from the
+# --no-attention one, whose relations the checkpoint path merges by their
+# mean. At N=120 and N=960 the GEMMs are large enough for the BLAS to
+# split them over threads.
 run_list() {
   o=$1
   gutgraph synth --n-per-class 20 --seed 4 --out-dir "$o/data"
@@ -66,6 +69,7 @@ run_list() {
   gutgraph build-graphs --table "$table" --out-dir "$o/graphs"
   gutgraph train --table "$table" --epochs 3 --out-dir "$o/run"
   gutgraph train --table "$table" --epochs 3 --gcn-layers 1 --out-dir "$o/layers1"
+  gutgraph train --table "$table" --epochs 3 --gcn-layers 2 --out-dir "$o/layers2"
   gutgraph train --table "$table" --epochs 3 --embed-dim 16 --gcn-layers 2 \
     --out-dir "$o/dim16"
   gutgraph train --table "$table" --epochs 3 --clip-norm 1e6 --out-dir "$o/noclip"

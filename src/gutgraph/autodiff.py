@@ -40,12 +40,13 @@ each is one record with a hand-written VJP for a whole model stage (a
 relation's GCN layers over every stacked view; the attention merge
 over every head; the hybrid attention loss), so the tape holds a
 handful of stacked products per epoch instead of one output per small
-op. ``gcn_stack`` picks each layer's product order by multiply-add
-count, A (H W) or (A H) W; only the latter keeps A H on the tape, and
-then the layer's output only when it is the stack's last, since the
-VJP can recompute it from A H. ``slice_rows`` hands out views of a
-stacked result without copying it, and its adjoint is added into the
-stacked adjoint's rows in place.
+op. ``gcn_stack`` has the encoder's shape, an F x D layer 0 under
+D x D layers, and one rule for its product order: layer 0 runs
+A (X W) when 2D <= F and (A X) W otherwise, which keeps A X on the
+tape and layer 0's output only when it is the stack's last, since the
+VJP can recompute it from A X; every layer above runs A (H W).
+``slice_rows`` hands out views of a stacked result without copying
+it, and its adjoint is added into the stacked adjoint's rows in place.
 
 The tape serves the unsupervised objective only; the supervised
 softmax head trains on its closed-form gradient
@@ -76,10 +77,6 @@ class Tensor:
         if arr.size == 0:
             raise ShapeError(f"zero-size tensor with shape {arr.shape}")
         self.data = arr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape  # type: ignore[return-value]
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
@@ -358,46 +355,40 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: np.ndarray,
     shared buffer it refills in between (``MultiGraph``). The relu's
     subgradient at exactly 0 is 0.
 
-    Each layer takes whichever product order costs fewer multiply-adds
-    for its forward pass and VJP together, A (H W) on a tie. The H
-    W-sized GEMMs cost the same in both orders, so per row A (H W) pays
-    A and A^T over d_out columns, and (A H) W pays A over d_in columns,
-    plus A^T over d_in more above layer 0, whose input ``x`` gets no
-    adjoint:
-
-    - A (H W): the record keeps the layer's output; the VJP is
-      q = A^T gz, dW = H^T q, dH = q W^T.
-    - (A H) W: the record keeps A H for the weight gradient, and the
-      layer's output only when it is the stack's last: the VJP
-      recomputes relu(A H W + b) from A H when it needs it.
-
-    So a layer 0 that widens the feature matrix runs (A H) W, and a
-    square layer above it runs A (H W). Each A product is one GEMM per
-    view; the relu mask is read back from the output. Fusing the layers
-    changes no operation and no order, so outputs and adjoints have the
-    bytes of the layers recorded one at a time.
+    The stack has the encoder's shape: layer 0 maps the F input
+    columns to D, every layer above it is D x D, and every bias is
+    1 x D; any other stack raises ``ShapeError``. Only layer 0 picks
+    its product order. It runs A (X W) when 2D <= F, which keeps its
+    output, and (A X) W otherwise, which keeps A X instead and drops
+    its output unless it is the stack's last: the VJP recomputes
+    relu(A X W + b) when it reaches layer 1. Every layer above runs
+    A (H W) and keeps its output. An A (H W) layer's VJP is
+    q = A^T gz, dW = H^T q and, above layer 0, dH = q W^T; layer 0's
+    input gets no adjoint. Each A product is one GEMM per view; the
+    relu mask is read back from the output. Fusing the layers changes
+    no operation and no order, so outputs and adjoints have the bytes
+    of the layers recorded one at a time.
 
     The VJP sweeps the layers once, last to first, and runs once. It
-    masks the adjoint it is handed in place and writes a square A (H W)
-    layer's dH into that same buffer. It recomputes a dropped output
-    into the buffer of the output above it once that one's relu mask
-    has been read (a new array when that is the record's output or
-    another shape), lets go of each kept array once past it, and forms
-    every relu mask (as 1.0 and 0.0) and every A^T gz of the stack in
-    one buffer. It returns one adjoint per layer tensor and forms none
-    for ``x``.
+    masks the adjoint it is handed in place and writes each dH into
+    that same buffer. It recomputes a dropped layer-0 output into layer
+    1's output buffer once layer 1's relu mask has been read (a new
+    array when layer 1 is the record's output), lets go of each kept
+    array once past it, and forms every relu mask (as 1.0 and 0.0) and
+    every A^T gz of the stack in one buffer. It returns one adjoint per
+    layer tensor and forms none for ``x``.
     """
     a_norm = adj()
     n = a_norm.shape[0]
-    rows, d_in = x.shape
-    shapes_ok = a_norm.shape == (n, n) and rows % n == 0 and len(layers) > 0
-    for w, b in layers:
-        shapes_ok = shapes_ok and w.data.shape[0] == d_in \
-            and b.data.shape == (1, w.data.shape[1])
-        d_in = w.data.shape[1]
-    if not shapes_ok:
+    rows, f = x.shape
+    d = layers[0][0].data.shape[1] if layers else 0
+    if a_norm.shape != (n, n) or rows % n or not layers or any(
+            w.data.shape != (d if k else f, d) or b.data.shape != (1, d)
+            for k, (w, b) in enumerate(layers)):
         raise ShapeError(f"gcn_stack: adjacency {a_norm.shape}, input {x.shape}, "
-                         f"layers {[(w.data.shape, b.data.shape) for w, b in layers]}")
+                         f"layers {[(w.data.shape, b.data.shape) for w, b in layers]}; "
+                         f"layer 0 must be F x D, every layer above D x D, "
+                         f"every bias 1 x D")
     views = rows // n
 
     def per_view(a: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -406,51 +397,41 @@ def gcn_stack(adj: Callable[[], np.ndarray], x: np.ndarray,
                          ).reshape(rows, -1)
 
     last = len(layers) - 1
-    # per layer: its product order, its A H (None under A (H W)), and its
-    # output (None when dropped)
-    weight_first, ahs, outs = [], [], []
-    h = x
-    for k, (w, b) in enumerate(layers):
-        # only a layer above layer 0 pays A^T for its input's adjoint
-        w_first = 2 * w.data.shape[1] <= h.shape[1] * (2 if k else 1)
-        ah = None if w_first else per_view(a_norm, h)
-        h = _bias_relu(per_view(a_norm, h @ w.data) if w_first else ah @ w.data, b.data)
-        weight_first.append(w_first)
-        ahs.append(ah)
-        outs.append(h if w_first or k == last else None)
+    w0, b0 = layers[0]
+    weight_first = 2 * d <= f
+    ax = None if weight_first else per_view(a_norm, x)
+    h = _bias_relu(per_view(a_norm, x @ w0.data) if weight_first else ax @ w0.data,
+                   b0.data)
+    # each layer's output, None where dropped
+    outs = [h if weight_first or not last else None]
+    for w, b in layers[1:]:
+        h = _bias_relu(per_view(a_norm, h @ w.data), b.data)
+        outs.append(h)
 
     def vjp(g):
+        nonlocal ax
         a_t = adj()  # A^T, since A is symmetric
         grads: list = [None] * (2 * len(layers))
-        q = None
+        q = np.empty_like(g)
         for k in range(last, -1, -1):
-            w, b = layers[k]
-            if q is None or q.shape != g.shape:
-                q = np.empty_like(g)
             # the relu mask, as 1.0 and 0.0 in q (free until A^T gz goes
             # there), goes into g in place
             gz = np.multiply(g, np.greater(outs[k], 0.0, out=q), out=g)
-            if k and outs[k - 1] is None:
-                # layer k - 1 kept A H, not its output: recompute that into
-                # this layer's output, read no more and private unless last
-                w_below, b_below = layers[k - 1]
-                into = outs[k] if k < last and outs[k].shape[1] == w_below.data.shape[1] else None
-                outs[k - 1] = _bias_relu(np.matmul(ahs[k - 1], w_below.data, out=into),
-                                         b_below.data)
+            if k == 1 and not weight_first:
+                # layer 0 kept A X, not its output: recompute that into
+                # layer 1's output, read no more and private unless last
+                outs[0] = _bias_relu(np.matmul(ax, w0.data, out=outs[1] if last > 1 else None),
+                                     b0.data)
             outs[k] = None
-            h = outs[k - 1] if k else x
             grads[2 * k + 1] = gz.sum(axis=0, keepdims=True)
-            if weight_first[k]:
+            if k or weight_first:
                 per_view(a_t, gz, out=q)
-                grads[2 * k] = h.T @ q
+                grads[2 * k] = (outs[k - 1] if k else x).T @ q
                 if k:
-                    # a square layer's dH = q W^T fits gz's buffer, no longer read
-                    g = np.matmul(q, w.data.T, out=gz if gz.shape == h.shape else None)
+                    g = np.matmul(q, layers[k][0].data.T, out=gz)
             else:
-                if k:
-                    g = per_view(a_t, gz @ w.data.T)
-                grads[2 * k] = ahs[k].T @ gz
-                ahs[k] = None
+                grads[0] = ax.T @ gz
+                ax = None
         return tuple(grads)
 
     return _make(outs[last], tuple(t for layer in layers for t in layer), vjp)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import weakref
 import zlib
@@ -375,24 +376,23 @@ gcn_shapes = dict(n=st.integers(2, 20), d=st.integers(1, 8),
                   views=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
 attention_shapes = dict(gcn_shapes, heads=st.integers(1, 4),
                         relations=st.integers(1, 3))
-# a layer runs A (H W) when 2 d_out <= d_in at layer 0, whose input is
-# the constant feature array, and when d_out <= d_in above it, (A H) W
-# otherwise. ``widths`` are the layers' output widths; under ``summed``
-# the loss is the plain sum of the output, whose adjoint reaches the stack
-# as sum_all's broadcast. The examples pin each order at layer 0, a
-# dropped layer-0 output recomputed into the buffer of the output above
-# and into a new array (another width), and a plain sum.
-gcn_stack_shapes = dict(n=st.integers(2, 20), d_in=st.integers(1, 8),
-                        widths=st.lists(st.integers(1, 8), min_size=1, max_size=3),
-                        views=st.sampled_from([1, 2]), summed=st.booleans(),
-                        seed=st.integers(0, 2**32 - 1))
+# the encoder's shape: ``depth`` layers, an F x D layer 0 under D x D
+# ones. Layer 0 runs A (X W) when 2D <= F, (A X) W otherwise; every layer
+# above runs A (H W). Under ``summed`` the loss is the plain sum of the
+# output, whose adjoint reaches the stack as sum_all's broadcast. The
+# examples pin each order at layer 0, a dropped layer-0 output recomputed
+# into the buffer of the output above and into a new array (layer 1 is
+# the last), and a plain sum.
+gcn_stack_shapes = dict(n=st.integers(2, 20), f=st.integers(1, 8), d=st.integers(1, 8),
+                        depth=st.integers(1, 3), views=st.sampled_from([1, 2]),
+                        summed=st.booleans(), seed=st.integers(0, 2**32 - 1))
 gcn_stack_orders = [example(**dict(zip(
-    ("n", "d_in", "widths", "views", "summed", "seed"), args)))
-    for args in [(5, 3, [4, 4, 4], 2, False, 1),
-                 (5, 4, [2, 2], 2, False, 2),
-                 (5, 3, [4], 2, False, 5),
-                 (5, 2, [6, 3, 7], 2, False, 6),
-                 (5, 3, [4, 4, 4], 2, True, 8)]]
+    ("n", "f", "d", "depth", "views", "summed", "seed"), args)))
+    for args in [(5, 3, 4, 3, 2, False, 1),
+                 (5, 4, 2, 2, 2, False, 2),
+                 (5, 3, 4, 1, 2, False, 5),
+                 (5, 2, 6, 2, 2, False, 6),
+                 (5, 3, 4, 3, 2, True, 8)]]
 
 
 def _with_examples(examples):
@@ -409,19 +409,16 @@ def _symmetric_adjacency(rng, n):
     return (a + a.T) / 2
 
 
-def _stack_inputs(n, d_in, widths, views, summed, seed):
-    """An adjacency, a V*N x d_in input array, one (W, b) per width, the
-    layer tensors in record order and the loss of an output. The
-    adjacency is symmetric, as ``gcn_stack`` requires."""
+def _stack_inputs(n, f, d, depth, views, summed, seed):
+    """An adjacency, a V*N x F input array, ``depth`` layers (W, b) of
+    output width D, the layer tensors in record order and the loss of an
+    output. The adjacency is symmetric, as ``gcn_stack`` requires."""
     rng = np.random.default_rng(seed)
     adj = _symmetric_adjacency(rng, n)
-    x = rng.normal(size=(views * n, d_in))
-    layers, fan_in = [], d_in
-    for width in widths:
-        layers.append((ad.Tensor(rng.normal(size=(fan_in, width))),
-                       ad.Tensor(rng.normal(size=(1, width)))))
-        fan_in = width
-    readout = ad.Tensor(rng.normal(size=(views * n, widths[-1])))
+    x = rng.normal(size=(views * n, f))
+    layers = [(ad.Tensor(rng.normal(size=(d if k else f, d))),
+               ad.Tensor(rng.normal(size=(1, d)))) for k in range(depth)]
+    readout = ad.Tensor(rng.normal(size=(views * n, d)))
     wrt = [t for layer in layers for t in layer]
     return adj, x, layers, wrt, lambda h: ad.sum_all(h if summed else ad.mul(h, readout))
 
@@ -429,9 +426,9 @@ def _stack_inputs(n, d_in, widths, views, summed, seed):
 @settings(max_examples=80, deadline=None)
 @given(**gcn_stack_shapes)
 @_with_examples(gcn_stack_orders)
-def test_gcn_stack_has_the_bytes_of_per_layer_records(n, d_in, widths, views, summed,
+def test_gcn_stack_has_the_bytes_of_per_layer_records(n, f, d, depth, views, summed,
                                                       seed):
-    adj, x, layers, wrt, loss = _stack_inputs(n, d_in, widths, views, summed, seed)
+    adj, x, layers, wrt, loss = _stack_inputs(n, f, d, depth, views, summed, seed)
 
     def per_layer():
         h = x
@@ -453,10 +450,11 @@ def test_gcn_stack_has_the_bytes_of_per_layer_records(n, d_in, widths, views, su
 
 
 def test_gcn_stack_recomputes_into_the_buffer_above_and_lets_go():
-    # layer 0 widens a constant input and runs (A X) W: the record keeps
-    # A X but not layer 0's output, which the VJP recomputes, with the
-    # forward pass's bytes, into layer 1's private buffer once layer 1's
-    # mask has been read; then it lets go of every array the record kept
+    # layer 0 widens a constant input and runs (A X) W: the record keeps x
+    # and layer 0's A X whole but not layer 0's output, which the VJP
+    # recomputes, with the forward pass's bytes, into layer 1's private
+    # buffer once layer 1's mask has been read; then it lets go of every
+    # array the record kept
     rng = np.random.default_rng(8)
     n, f, d = 6, 5, 4
     adj = _symmetric_adjacency(rng, n)
@@ -467,13 +465,44 @@ def test_gcn_stack_recomputes_into_the_buffer_above_and_lets_go():
     with ad.Tape() as tape:
         ad.gcn_stack(lambda: adj, x, layers)
     ((_, _, vjp),) = tape._records
-    cells = dict(zip(vjp.__code__.co_freevars, (c.cell_contents for c in vjp.__closure__)))
-    ahs, outs = cells["ahs"], cells["outs"]
-    assert ahs[0].shape == (2 * n, f) and outs[0] is None
+
+    def cells():
+        return dict(zip(vjp.__code__.co_freevars, (c.cell_contents for c in vjp.__closure__)))
+
+    arrays = {name: c for name, c in cells().items() if isinstance(c, np.ndarray)}
+    assert arrays.keys() == {"x", "ax"} and arrays["x"] is x
+    assert arrays["ax"].shape == (2 * n, f)
+    outs = cells()["outs"]
+    assert outs[0] is None
     layer1 = outs[1]
     vjp(np.ones((2 * n, d)))
     assert layer1.tobytes() == h0.tobytes()
-    assert ahs == [None] * 3 and outs == [None] * 3
+    assert cells()["ax"] is None and outs == [None] * 3
+
+
+def test_gcn_stack_takes_the_encoder_shape_only():
+    # every stack init_model_params builds, an F x D layer 0 under D x D
+    # layers with F on either side of 2D, runs; a layer above 0 that is
+    # not D x D, or a bias that is not 1 x D, is refused by a message
+    # naming the shapes
+    rng = np.random.default_rng(21)
+    n, d = 4, 3
+    adj = _symmetric_adjacency(rng, n)
+    for f in (2 * d - 1, 2 * d):
+        x = rng.normal(size=(2 * n, f))
+        for depth in (1, 2, 3):
+            params = init_model_params(f, TrainConfig(embed_dim=d, gcn_layers=depth), rng)
+            for layers in params.layers.values():
+                assert ad.gcn_stack(lambda: adj, x, layers).data.shape == (2 * n, d)
+    x = rng.normal(size=(2 * n, 4))
+    narrowing = [(ad.Tensor(rng.normal(size=(4, 5))), ad.Tensor(np.zeros((1, 5)))),
+                 (ad.Tensor(rng.normal(size=(5, 3))), ad.Tensor(np.zeros((1, 3))))]
+    with pytest.raises(ad.ShapeError, match=re.escape("((5, 3), (1, 3))")):
+        ad.gcn_stack(lambda: adj, x, narrowing)
+    wide_bias = [(ad.Tensor(rng.normal(size=(4, 3))), ad.Tensor(np.zeros((1, 3)))),
+                 (ad.Tensor(rng.normal(size=(3, 3))), ad.Tensor(np.zeros((1, 4))))]
+    with pytest.raises(ad.ShapeError, match=re.escape("((3, 3), (1, 4))")):
+        ad.gcn_stack(lambda: adj, x, wide_bias)
 
 
 relu_specials = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
@@ -526,8 +555,8 @@ def _pre_activations(adj, x, layers, views):
 
 # Within one relu pattern the loss is linear in each single weight, so
 # the three-point stencil is exact but for rounding, whose share falls as
-# the step grows: at step 1e-6 it read 4.04e-6 on the last example below
-# (loss 128.15), and 5.8e-8 at this step. The kink margin is 200 steps,
+# the step grows: at step 1e-6 it read 1.18e-6 on the last example below
+# (loss -7412.46), and 1.1e-7 at this step. The kink margin is 200 steps,
 # ten times as far as one step moves a pre-activation in the median draw.
 _GCN_FD_STEP = 1e-5
 _KINK_MARGIN = 200 * _GCN_FD_STEP
@@ -536,13 +565,12 @@ _KINK_MARGIN = 200 * _GCN_FD_STEP
 @settings(max_examples=40, deadline=None)
 @given(**gcn_stack_shapes)
 @_with_examples(gcn_stack_orders)
-# A (H W) on a layer-1 input that narrows (d < d_in): dH does not fit the
-# output adjoint's buffer, which only a square layer reuses
-@example(n=2, d_in=2, widths=[3, 1], views=1, summed=False, seed=2)
-@example(n=20, d_in=3, widths=[5, 5, 2], views=1, summed=False, seed=149331)
-def test_gcn_stack_vjp_matches_finite_differences(n, d_in, widths, views, summed, seed):
-    # the pinned (A X) W examples run the recompute path
-    adj, x, layers, wrt, loss = _stack_inputs(n, d_in, widths, views, summed, seed)
+# a single layer running A (X W), then (A X) W recomputing layer 0's
+# output into layer 1's buffer
+@example(n=2, f=2, d=1, depth=1, views=1, summed=False, seed=2)
+@example(n=20, f=3, d=5, depth=3, views=1, summed=False, seed=99)
+def test_gcn_stack_vjp_matches_finite_differences(n, f, d, depth, views, summed, seed):
+    adj, x, layers, wrt, loss = _stack_inputs(n, f, d, depth, views, summed, seed)
     pres = _pre_activations(adj, x, [(w.data, b.data) for w, b in layers], views)
     assume(min(np.abs(p).min() for p in pres) > _KINK_MARGIN)  # away from the relu kinks
     _check_vjp_against_fd(lambda: loss(ad.gcn_stack(lambda: adj, x, layers)), wrt,
@@ -916,7 +944,7 @@ def test_every_vjp_returns_arrays_it_owns(name):
     with ad.Tape() as tape:
         _VJP_CASES[name](rng)
     ((out, inputs, vjp),) = tape._records
-    g = rng.normal(size=out.shape)
+    g = rng.normal(size=out.data.shape)
     returned, deferred = [], []
     for a in vjp(g):
         deferred.append(isinstance(a, ad._Deferred))

@@ -661,11 +661,10 @@ def test_backward_returns_private_writeable_gradients(attention, two_stage,
 
 def test_gradcheck_instance_product_orders():
     # gradcheck's shape: 5 features, D = 4, 3 layers. Layer 0 widens the
-    # constant input (2 * 4 > 5) and runs (A H) W, keeping A H but not its
-    # output, which the VJP recomputes; layers 1-2 are square on a
-    # trainable input and run A (H W), keeping only their output. No
-    # record keeps the N x N adjacency: the VJP asks the multigraph for it
-    # again.
+    # constant input (2 * 4 > 5) and runs (A X) W, keeping A X but not its
+    # output, which the VJP recomputes; layers 1-2 are square and run
+    # A (H W), keeping only their output. No record keeps the N x N
+    # adjacency: the VJP asks the multigraph for it again.
     n, f, d = 6, 5, 4
     x, xs, adjs = tiny_problem(n=n, f=f)
     cfg = tiny_cfg(embed_dim=d, gcn_layers=3, heads=4)
@@ -677,13 +676,12 @@ def test_gradcheck_instance_product_orders():
         if vjp.__qualname__.startswith("gcn_stack."):
             cells = dict(zip(vjp.__code__.co_freevars,
                              (c.cell_contents for c in vjp.__closure__)))
-            # the one array a record keeps whole is its 2N x F input
-            assert [c.shape for c in cells.values()
-                    if isinstance(c, np.ndarray)] == [(2 * n, f)]
-            kept.append([[None if a is None else a.shape for a in cells[name]]
-                         for name in ("ahs", "outs")])
-    layers = [[(2 * n, f), None, None], [None, (2 * n, d), (2 * n, d)]]
-    assert kept == [layers] * len(gg.ALL_KINDS)
+            # the arrays a record keeps whole are its 2N x F input and A X
+            kept.append(({name: c.shape for name, c in cells.items()
+                          if isinstance(c, np.ndarray)},
+                         [None if a is None else a.shape for a in cells["outs"]]))
+    stack = ({"x": (2 * n, f), "ax": (2 * n, f)}, [None, (2 * n, d), (2 * n, d)])
+    assert kept == [stack] * len(gg.ALL_KINDS)
 
 
 def test_encode_shape_and_determinism():
